@@ -115,7 +115,7 @@ BENCHMARK(BM_ContrastiveTrainStep);
 
 void BM_KnnQuery(benchmark::State& state) {
   core::EmbeddingModel& model = micro_model();
-  core::ReferenceSet refs(model.config().embedding_dim);
+  core::ShardedReferenceSet refs(model.config().embedding_dim);
   refs.add_all(model.embed_dataset(micro_dataset()), micro_dataset().labels_of());
   const core::KnnClassifier knn(50);
   const nn::Matrix q = model.embed_dataset(micro_dataset());
@@ -145,24 +145,22 @@ nn::Matrix random_unit_queries(std::size_t rows, std::size_t dim, util::Rng& rng
   return queries;
 }
 
-// Synthetic unit-sphere reference set (plain or sharded): the k-NN scaling
-// benchmarks need reference counts far beyond what the micro crawl produces.
-template <typename Store>
-Store synthetic_refs_into(Store refs, std::size_t n, std::size_t dim, util::Rng& rng) {
+// Synthetic unit-sphere reference set, partitioned round-robin into
+// `shards` shards: the k-NN scaling benchmarks need reference counts far
+// beyond what the micro crawl produces.
+core::ShardedReferenceSet synthetic_refs(std::size_t n, std::size_t dim, util::Rng& rng,
+                                         std::size_t shards = 1) {
+  core::ShardedReferenceSet refs(dim, shards);
   for (std::size_t i = 0; i < n; ++i)
     refs.add(random_unit_row(rng, dim), static_cast<int>(i % 100));
   return refs;
-}
-
-core::ReferenceSet synthetic_refs(std::size_t n, std::size_t dim, util::Rng& rng) {
-  return synthetic_refs_into(core::ReferenceSet(dim), n, dim, rng);
 }
 
 // Batched k-NN ranking at 1k/10k references (the ‖a‖²+‖b‖²−2a·b GEMM path).
 void BM_KnnQueryBatch(benchmark::State& state) {
   util::Rng rng(17);
   const std::size_t dim = 32;
-  const core::ReferenceSet refs =
+  const core::ShardedReferenceSet refs =
       synthetic_refs(static_cast<std::size_t>(state.range(0)), dim, rng);
   const core::KnnClassifier knn(50);
   const nn::Matrix queries = random_unit_queries(256, dim, rng);
@@ -190,12 +188,6 @@ void BM_EmbedDatasetBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EmbedDatasetBatch)->Arg(1000)->Arg(10000);
 
-// Same synthetic rows, partitioned round-robin into `shards` shards.
-core::ShardedReferenceSet synthetic_sharded_refs(std::size_t n, std::size_t dim,
-                                                 std::size_t shards, util::Rng& rng) {
-  return synthetic_refs_into(core::ShardedReferenceSet(dim, shards), n, dim, rng);
-}
-
 // Sharded batched k-NN at 100k references (the §IV scaling step past one
 // pool): per-shard GEMM tiles + candidate heaps merged into the global
 // ranking. Per-shard work is an even split of the unsharded scan, so
@@ -204,9 +196,9 @@ core::ShardedReferenceSet synthetic_sharded_refs(std::size_t n, std::size_t dim,
 void BM_KnnQueryBatchSharded(benchmark::State& state) {
   util::Rng rng(17);
   const std::size_t dim = 32;
-  const core::ShardedReferenceSet refs = synthetic_sharded_refs(
-      static_cast<std::size_t>(state.range(0)), dim, static_cast<std::size_t>(state.range(1)),
-      rng);
+  const core::ShardedReferenceSet refs =
+      synthetic_refs(static_cast<std::size_t>(state.range(0)), dim, rng,
+                     static_cast<std::size_t>(state.range(1)));
   const core::KnnClassifier knn(50);
   const nn::Matrix queries = random_unit_queries(256, dim, rng);
   for (auto _ : state) {
@@ -221,15 +213,16 @@ BENCHMARK(BM_KnnQueryBatchSharded)
     ->Args({100000, 4})
     ->Args({100000, 8});
 
-// Scalar sharded k-NN query at 100k references: one query fanned out as
-// per-shard scans over the pool — the latency-bound path a live deployment
-// runs per observed trace.
+// Scalar k-NN query at 100k references: rank() is a one-row rank_batch,
+// so the shards are scanned one after another on the calling thread. Live
+// serving batches through fingerprint_batch; this is the per-call latency
+// of the single-trace API.
 void BM_KnnQueryScalarSharded(benchmark::State& state) {
   util::Rng rng(17);
   const std::size_t dim = 32;
-  const core::ShardedReferenceSet refs = synthetic_sharded_refs(
-      static_cast<std::size_t>(state.range(0)), dim, static_cast<std::size_t>(state.range(1)),
-      rng);
+  const core::ShardedReferenceSet refs =
+      synthetic_refs(static_cast<std::size_t>(state.range(0)), dim, rng,
+                     static_cast<std::size_t>(state.range(1)));
   const core::KnnClassifier knn(50);
   const std::vector<float> query = random_unit_row(rng, dim);
   for (auto _ : state) {
@@ -285,7 +278,7 @@ void BM_KnnQueryBatchSimd(benchmark::State& state) {
   nn::set_simd_mode(mode);
   util::Rng rng(17);
   const std::size_t dim = 32;
-  const core::ReferenceSet refs = synthetic_refs(10000, dim, rng);
+  const core::ShardedReferenceSet refs = synthetic_refs(10000, dim, rng);
   const core::KnnClassifier knn(50);
   const nn::Matrix queries = random_unit_queries(256, dim, rng);
   for (auto _ : state) {

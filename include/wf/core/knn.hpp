@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/reference_set.hpp"
+#include "core/reference_store.hpp"
 #include "nn/matrix.hpp"
 
 namespace wf::core {
@@ -64,8 +64,8 @@ std::vector<std::vector<RankedLabel>> merge_slice_scans(std::span<const int> lab
 // norms cached per shard), a per-shard top-k candidate heap, and an exact
 // merge of the shard candidates into the global ranking — votes and
 // per-class nearest distances are identical to a single unsharded scan.
-// rank_batch shards query blocks across the thread pool; the scalar rank()
-// shards the reference scan itself across the pool.
+// Query tiles are spread across the thread pool; rank() is a one-row
+// rank_batch.
 class KnnClassifier {
  public:
   explicit KnnClassifier(int k) : k_(k) {}

@@ -4,7 +4,7 @@
 #include <span>
 #include <vector>
 
-#include "core/reference_set.hpp"
+#include "core/reference_store.hpp"
 #include "nn/matrix.hpp"
 
 namespace wf::core {
@@ -39,7 +39,7 @@ struct OpenWorldMetrics {
 // threshold calibrated for the target TPR on monitored samples. Distances
 // run shard-by-shard against any ReferenceStore: each shard contributes its
 // k smallest candidates and the merged k-th value is identical to one
-// unsharded scan. Batched queries shard across the thread pool.
+// unsharded scan. Query tiles are spread across the thread pool.
 //
 // The detector must be calibrated before it can answer membership queries;
 // is_monitored/evaluate/threshold throw std::logic_error until calibrate()
@@ -78,7 +78,6 @@ class OpenWorldDetector {
   bool neighbour_clamp_fired() const noexcept { return clamp_fired_.load(); }
 
  private:
-  double kth_distance(const ReferenceStore& references, std::span<const float> embedding) const;
   void require_calibrated(const char* what) const;
   void note_neighbour_clamp(std::size_t rows) const;
 

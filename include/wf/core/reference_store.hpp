@@ -11,8 +11,7 @@ namespace wf::core {
 // open-world query kernels. `class_ids` indexes the *store-global* dense
 // class-id space so per-class stats merged across shards land in one flat
 // array. `row_ids` carries each row's global insertion number, the distance
-// tie-break key; nullptr means the local row index is already global
-// (single-shard stores).
+// tie-break key; every non-empty shard provides it.
 struct ShardView {
   const float* data = nullptr;             // rows x dim, row-major
   const double* sq_norms = nullptr;        // cached ‖r‖² per row
@@ -21,11 +20,12 @@ struct ShardView {
   std::size_t rows = 0;
 };
 
-// Shared interface of ReferenceSet (the S = 1 degenerate case) and
-// ShardedReferenceSet: the query kernels scan every shard independently and
-// merge per-shard candidates, without knowing the storage layout. The merge
-// contract is exact — votes, per-class nearest distances and k-th-neighbour
-// distances are identical to one linear scan over the union of all shards.
+// Shared interface of the reference stores (ShardedReferenceSet, the IVF
+// index and its mmap view): the query kernels scan every shard
+// independently and merge per-shard candidates, without knowing the storage
+// layout. The merge contract is exact — votes, per-class nearest distances
+// and k-th-neighbour distances are identical to one linear scan over the
+// union of all shards.
 class ReferenceStore {
  public:
   virtual ~ReferenceStore() = default;

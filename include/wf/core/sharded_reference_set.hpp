@@ -17,7 +17,7 @@ namespace wf::core {
 // merge. Rows are distributed round-robin by a global insertion counter;
 // the counter value is kept per row as the tie-break id, which makes every
 // merged ranking identical to a single scan over the rows in insertion
-// order — i.e. to an unsharded ReferenceSet built the same way.
+// order, for any shard count (S = 1 is the unsharded store).
 //
 // Adaptation (§IV-C probe-and-swap) stays a pure data operation: a swap is
 // a per-shard remove_class compaction followed by round-robin re-adds.
@@ -45,7 +45,7 @@ class ShardedReferenceSet final : public ReferenceStore {
   bool empty() const { return size_ == 0; }
   std::size_t shard_rows(std::size_t shard) const { return shards_[shard].labels.size(); }
 
-  // Distinct page labels, ascending (same contract as ReferenceSet).
+  // Distinct page labels, ascending.
   std::vector<int> classes() const;
 
   // WF_SHARDS when set (clamped to [1, 4096]), else one shard per thread of

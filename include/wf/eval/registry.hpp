@@ -13,21 +13,16 @@ namespace wf::eval {
 // through, the rest (costs runs every attacker, ablation sweeps the
 // adaptive attacker's internals) ignore it.
 struct Experiment {
-  const char* name;           // CLI name, e.g. "exp1"
-  const char* legacy_binary;  // pre-CLI binary name, kept as a shim
+  const char* name;  // CLI name, e.g. "exp1"
   const char* description;
-  bool accepts_attacker;      // honours `wf run --attacker`
+  bool accepts_attacker;  // honours `wf run --attacker`
   int (*run)(const AttackerFactory& make_attacker);
 };
 
 // All registered experiments, in suite order.
 const std::vector<Experiment>& experiments();
 
-// Lookup by CLI name or legacy binary name; nullptr when unknown.
-const Experiment* find_experiment(std::string_view name_or_legacy);
-
-// Entry point of the legacy bench_* shims: logs the effective WF_*
-// settings once and dispatches into the registry.
-int run_legacy(const char* legacy_binary);
+// Lookup by CLI name; nullptr when unknown.
+const Experiment* find_experiment(std::string_view name);
 
 }  // namespace wf::eval

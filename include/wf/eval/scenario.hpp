@@ -51,7 +51,7 @@ struct ScenarioConfig {
   int transport_classes = 25;
   std::vector<double> transport_loss_rates = {0.01, 0.03, 0.08};
 
-  // Defense-frontier sweep (bench_defense_ablation): anonymity-set sizes
+  // Defense-frontier sweep (`wf run defense`): anonymity-set sizes
   // and record-padding parameters traded against bandwidth overhead.
   std::vector<int> frontier_set_sizes = {2, 4, 8, 12};
   std::vector<std::uint32_t> frontier_pad_multiples = {1024, 4096, 16384};

@@ -81,14 +81,6 @@ struct ServerConfig {
   int stats_interval_ms = 0;
 };
 
-struct ServerStats {
-  std::uint64_t requests = 0;   // QRYB/SCAN frames accepted into the queue
-  std::uint64_t queries = 0;    // total query rows answered
-  std::uint64_t batches = 0;    // model calls (coalescing makes this <= requests)
-  std::uint64_t rejected = 0;   // backpressure rejections (queue full)
-  std::uint64_t timeouts = 0;   // requests answered ERRR(timeout)
-};
-
 // The resident daemon: an accept loop, one thread per connection parsing
 // frames, a bounded ring queue, and a single worker thread that drains the
 // queue in waves and answers through per-request promises. STOP frames (or
@@ -109,8 +101,6 @@ class Server {
   void wait();
   // Idempotent: closes the listener, drains the queue, joins every thread.
   void stop();
-
-  ServerStats stats() const;
 
  private:
   struct Request {
@@ -148,9 +138,6 @@ class Server {
   std::condition_variable stop_requested_cv_;
   bool stop_requested_ = false;
   bool stopped_ = false;
-
-  mutable std::mutex stats_mutex_;
-  ServerStats stats_;
 
   std::thread stats_thread_;
 

@@ -10,9 +10,7 @@
 //   wf proxy --port P --upstream H:P [flags] fault-injecting TCP proxy (chaos tests)
 //
 // Shared flags: --smoke, --out DIR, --threads N, --shards S,
-// --attacker NAME. The legacy bench_* binaries are thin shims over the
-// same registry, so `wf run exp1` and `bench_exp1_static` emit identical
-// CSVs.
+// --attacker NAME.
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -393,9 +391,9 @@ bool parse_flags(int argc, char** argv, int first, CliOptions& options) {
 }
 
 int cmd_list() {
-  util::Table table({"Experiment", "Legacy binary", "What it reproduces"});
+  util::Table table({"Experiment", "What it reproduces"});
   for (const eval::Experiment& experiment : eval::experiments())
-    table.add_row({experiment.name, experiment.legacy_binary, experiment.description});
+    table.add_row({experiment.name, experiment.description});
   table.print();
   std::cout << "\nattackers (--attacker):";
   for (const std::string& name : eval::attacker_names()) std::cout << " " << name;
@@ -681,9 +679,12 @@ int cmd_serve(const CliOptions& options) {
             << std::flush;
   server.wait();
   server.stop();
-  const serve::ServerStats stats = server.stats();
-  std::cout << "wf serve: stopped after " << stats.requests << " requests (" << stats.queries
-            << " queries in " << stats.batches << " model calls, " << stats.rejected
+  const auto count = [](const char* name) {
+    return obs::Registry::global().counter(name).value();
+  };
+  std::cout << "wf serve: stopped after " << count("serve.requests_total") << " requests ("
+            << count("serve.queries_total") << " queries in " << count("serve.batches_total")
+            << " model calls, " << count("serve.rejected_total")
             << " rejected for backpressure)\n";
   return 0;
 }

@@ -2,18 +2,14 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <stdexcept>
 
-#include "core/probe_scan.hpp"
+#include "core/scan_tiles.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace wf::core {
 
 namespace {
-
-constexpr std::size_t kQueryBlock = 32;  // queries per GEMM tile / pool task
 
 // Candidates (see knn.hpp): insertion ids are unique, so comparing packed
 // keys compares insertion ids — pair's lexicographic < therefore orders
@@ -26,16 +22,17 @@ inline std::uint64_t pack_key(std::uint64_t gid, int class_id) {
   return (gid << kClassBits) | static_cast<std::uint64_t>(class_id);
 }
 
-// Reusable per-thread workspace: GEMM tile, per-shard heap, merged
-// candidates and per-class stats. Thread-local so concurrent pool tasks
-// never contend and the hot paths allocate nothing in steady state.
+// Reusable per-thread workspace: query norms, per-shard heap, the current
+// tile's candidates and per-class bests, and vote counts. Thread-local so
+// concurrent pool tasks never contend and the hot paths allocate nothing
+// in steady state.
 struct RankScratch {
-  std::vector<float> dots;
   std::vector<double> qnorms;
-  std::vector<Candidate> heap;    // bounded max-heap of one shard's k best
-  std::vector<Candidate> merged;  // candidates accumulated across shards
-  std::vector<double> best;       // per global class id
-  std::vector<int> votes;         // per global class id
+  std::vector<Candidate> heap;  // bounded max-heap of one shard's k best
+  std::vector<std::vector<Candidate>> merged =
+      std::vector<std::vector<Candidate>>(detail::kQueryTile);  // per tile query
+  std::vector<double> best;  // tile queries x global class ids
+  std::vector<int> votes;    // per global class id
 };
 
 RankScratch& scratch() {
@@ -46,13 +43,10 @@ RankScratch& scratch() {
 // Scan one shard given the query's dot products against its rows: fold the
 // per-class nearest distance into `best` (a flat per-class array) and
 // append the shard's k smallest (dist, gid) candidates to `merged`.
-// Templated on row-id presence so the single-shard store pays no per-row
-// branch for its implicit identity ids.
-template <bool kHasRowIds>
-void scan_shard_impl(const ShardView& shard, const float* dots, double query_norm,
-                     std::size_t k, std::vector<Candidate>& heap, double* best,
-                     std::vector<Candidate>& merged) {
-  WF_DCHECK(shard.rows == 0 || (shard.sq_norms != nullptr && shard.class_ids != nullptr),
+void scan_shard(const ShardView& shard, const float* dots, double query_norm, std::size_t k,
+                std::vector<Candidate>& heap, double* best, std::vector<Candidate>& merged) {
+  WF_DCHECK(shard.rows == 0 || (shard.sq_norms != nullptr && shard.class_ids != nullptr &&
+                                shard.row_ids != nullptr),
             "scan_shard: shard tables missing");
   const auto cmp = [](const Candidate& a, const Candidate& b) { return a < b; };
   heap.clear();
@@ -61,7 +55,7 @@ void scan_shard_impl(const ShardView& shard, const float* dots, double query_nor
     if (dist < 0.0) dist = 0.0;
     const int id = shard.class_ids[j];
     if (dist < best[static_cast<std::size_t>(id)]) best[static_cast<std::size_t>(id)] = dist;
-    const Candidate entry{dist, pack_key(kHasRowIds ? shard.row_ids[j] : j, id)};
+    const Candidate entry{dist, pack_key(shard.row_ids[j], id)};
     if (heap.size() < k) {
       heap.push_back(entry);
       std::push_heap(heap.begin(), heap.end(), cmp);
@@ -74,12 +68,23 @@ void scan_shard_impl(const ShardView& shard, const float* dots, double query_nor
   merged.insert(merged.end(), heap.begin(), heap.end());
 }
 
-void scan_shard(const ShardView& shard, const float* dots, double query_norm, std::size_t k,
-                std::vector<Candidate>& heap, double* best, std::vector<Candidate>& merged) {
-  if (shard.row_ids != nullptr)
-    scan_shard_impl<true>(shard, dots, query_norm, k, heap, best, merged);
-  else
-    scan_shard_impl<false>(shard, dots, query_norm, k, heap, best, merged);
+// Scan the tile [t0, t0 + rows) of `queries` over the slice's shards:
+// query q's per-class bests land in best[q * n_class_ids, ...) and its
+// per-shard k-best candidates are appended to candidates[q].
+void scan_tile(const ReferenceStore& refs, const nn::Matrix& queries, std::size_t t0,
+               std::size_t rows, std::size_t k, std::size_t slice_index,
+               std::size_t slice_count, double* best, std::vector<Candidate>* candidates) {
+  const std::size_t dim = refs.dim();
+  const std::size_t n_ids = refs.n_class_ids();
+  RankScratch& sc = scratch();
+  sc.qnorms.resize(rows);
+  for (std::size_t q = 0; q < rows; ++q)
+    sc.qnorms[q] = nn::squared_norm(queries.data() + (t0 + q) * dim, dim);
+  detail::scan_tiles(refs, queries.data() + t0 * dim, rows, slice_index, slice_count,
+                     [&](const ShardView& shard, std::size_t q, const float* dots) {
+                       scan_shard(shard, dots, sc.qnorms[q], k, sc.heap, best + q * n_ids,
+                                  candidates[q]);
+                     });
 }
 
 // Keep the k globally smallest candidates, count their votes per class and
@@ -112,75 +117,14 @@ void finalize_candidates(std::size_t n_ids, LabelOf label_of, std::size_t k,
   });
 }
 
-void finalize_ranking(const ReferenceStore& refs, std::size_t k, std::vector<Candidate>& merged,
-                      std::vector<int>& votes, const double* best,
-                      std::vector<RankedLabel>& out) {
-  finalize_candidates(
-      refs.n_class_ids(), [&](std::size_t id) { return refs.label_of_id(id); }, k, merged,
-      votes, best, out);
-}
-
 }  // namespace
 
 std::vector<RankedLabel> KnnClassifier::rank(const ReferenceStore& references,
                                              std::span<const float> query) const {
-  const std::size_t n = references.size();
-  if (n == 0) return {};
-  if (query.size() != references.dim())
-    throw std::invalid_argument("KnnClassifier::rank: query width mismatch");
-  const std::size_t n_shards = references.shard_count();
-  const std::size_t n_ids = references.n_class_ids();
-  const std::size_t k = std::min<std::size_t>(static_cast<std::size_t>(std::max(0, k_)), n);
-  const double qnorm = nn::squared_norm(query.data(), query.size());
-
-  RankScratch& sc = scratch();
-  sc.merged.clear();
-  sc.best.assign(n_ids, 1e300);
-  if (references.pruned()) {
-    // IVF-style store: scan only the shards the store probes for this
-    // query. With a probe list covering every shard this is bit-identical
-    // to the exhaustive paths below (same candidates, order-independent
-    // merge); with a pruned list it is the ANN approximation.
-    detail::scan_pruned_tile(references, query.data(), 1, references.dim(), 0, 1,
-                             [&](std::size_t, const ShardView& shard, std::size_t,
-                                 const float* dots) {
-                               scan_shard(shard, dots, qnorm, k, sc.heap, sc.best.data(),
-                                          sc.merged);
-                             });
-  } else if (n_shards == 1) {
-    // Zero-allocation steady state on the per-trace latency path.
-    const ShardView shard = references.shard_view(0);
-    sc.dots.resize(shard.rows);
-    nn::gemm_nt_serial(query.data(), 1, shard.data, shard.rows, references.dim(),
-                       sc.dots.data());
-    scan_shard(shard, sc.dots.data(), qnorm, k, sc.heap, sc.best.data(), sc.merged);
-  } else {
-    // Per-shard candidate heaps in parallel over the pool, folded into the
-    // caller's accumulators under a mutex. Fold order doesn't matter: the
-    // per-class fold is min() and finalize selects the k smallest by the
-    // unique (dist, gid) key, so the result is schedule-independent.
-    std::mutex fold_mutex;
-    util::global_pool().parallel_for(0, n_shards, [&](std::size_t s) {
-      const ShardView shard = references.shard_view(s);
-      if (shard.rows == 0) return;
-      thread_local std::vector<float> dots;
-      thread_local std::vector<Candidate> heap;
-      thread_local std::vector<Candidate> cands;
-      thread_local std::vector<double> best;
-      dots.resize(shard.rows);
-      nn::gemm_nt_serial(query.data(), 1, shard.data, shard.rows, references.dim(),
-                         dots.data());
-      cands.clear();
-      best.assign(n_ids, 1e300);
-      scan_shard(shard, dots.data(), qnorm, k, heap, best.data(), cands);
-      const std::scoped_lock lock(fold_mutex);
-      sc.merged.insert(sc.merged.end(), cands.begin(), cands.end());
-      for (std::size_t id = 0; id < n_ids; ++id) sc.best[id] = std::min(sc.best[id], best[id]);
-    });
-  }
-  std::vector<RankedLabel> ranking;
-  finalize_ranking(references, k, sc.merged, sc.votes, sc.best.data(), ranking);
-  return ranking;
+  nn::Matrix row(1, query.size());
+  row.set_row(0, query);
+  std::vector<std::vector<RankedLabel>> rankings = rank_batch(references, row);
+  return std::move(rankings.front());
 }
 
 std::vector<std::vector<RankedLabel>> KnnClassifier::rank_batch(
@@ -191,50 +135,20 @@ std::vector<std::vector<RankedLabel>> KnnClassifier::rank_batch(
   if (m == 0 || n == 0) return rankings;
   if (queries.cols() != references.dim())
     throw std::invalid_argument("KnnClassifier::rank_batch: query width mismatch");
-  const std::size_t dim = references.dim();
-  const std::size_t n_shards = references.shard_count();
   const std::size_t n_ids = references.n_class_ids();
   const std::size_t k = std::min<std::size_t>(static_cast<std::size_t>(std::max(0, k_)), n);
+  const auto label_of = [&](std::size_t id) { return references.label_of_id(id); };
 
-  util::global_pool().parallel_blocks(0, m, kQueryBlock, [&](std::size_t lo, std::size_t hi) {
-    // Per-query accumulators for the current tile, reused (capacity intact)
-    // across tiles; shards are scanned one after another, each contributing
-    // one GEMM tile and its candidates. best is flat: query q owns
-    // [q * n_ids, (q + 1) * n_ids).
-    std::vector<std::vector<Candidate>> merged(kQueryBlock);
-    std::vector<double> best;
-    for (std::size_t t0 = lo; t0 < hi; t0 += kQueryBlock) {
-      const std::size_t t1 = std::min(hi, t0 + kQueryBlock);
-      const std::size_t rows = t1 - t0;
-      RankScratch& sc = scratch();
-      sc.qnorms.resize(rows);
-      for (std::size_t q = 0; q < rows; ++q)
-        sc.qnorms[q] = nn::squared_norm(queries.data() + (t0 + q) * dim, dim);
-      for (std::size_t q = 0; q < rows; ++q) merged[q].clear();
-      best.assign(rows * n_ids, 1e300);
-      if (references.pruned()) {
-        detail::scan_pruned_tile(references, queries.data() + t0 * dim, rows, dim, 0, 1,
-                                 [&](std::size_t, const ShardView& shard, std::size_t q,
-                                     const float* dots) {
-                                   scan_shard(shard, dots, sc.qnorms[q], k, sc.heap,
-                                              best.data() + q * n_ids, merged[q]);
-                                 });
-      } else {
-        for (std::size_t s = 0; s < n_shards; ++s) {
-          const ShardView shard = references.shard_view(s);
-          if (shard.rows == 0) continue;
-          sc.dots.resize(rows * shard.rows);
-          nn::gemm_nt_serial(queries.data() + t0 * dim, rows, shard.data, shard.rows, dim,
-                             sc.dots.data());
-          for (std::size_t q = 0; q < rows; ++q)
-            scan_shard(shard, sc.dots.data() + q * shard.rows, sc.qnorms[q], k, sc.heap,
-                       best.data() + q * n_ids, merged[q]);
-        }
-      }
-      for (std::size_t q = 0; q < rows; ++q)
-        finalize_ranking(references, k, merged[q], sc.votes, best.data() + q * n_ids,
-                         rankings[t0 + q]);
-    }
+  // Tile-local accumulators, finalized before the next tile: memory stays
+  // bounded by the tile size, not the query count.
+  detail::for_each_tile(m, [&](std::size_t t0, std::size_t rows) {
+    RankScratch& sc = scratch();
+    sc.best.assign(rows * n_ids, 1e300);
+    for (std::size_t q = 0; q < rows; ++q) sc.merged[q].clear();
+    scan_tile(references, queries, t0, rows, k, 0, 1, sc.best.data(), sc.merged.data());
+    for (std::size_t q = 0; q < rows; ++q)
+      finalize_candidates(n_ids, label_of, k, sc.merged[q], sc.votes, sc.best.data() + q * n_ids,
+                          rankings[t0 + q]);
   });
   return rankings;
 }
@@ -255,43 +169,13 @@ SliceScan KnnClassifier::scan_slice(const ReferenceStore& references, const nn::
   if (m == 0 || n == 0) return out;
   if (queries.cols() != references.dim())
     throw std::invalid_argument("KnnClassifier::scan_slice: query width mismatch");
-  const std::size_t dim = references.dim();
-  const std::size_t n_shards = references.shard_count();
-  const std::size_t n_ids = out.n_class_ids;
   // k is bounded by the *whole* store's row count, exactly as in rank_batch:
   // the slice is a partition of one store, not a smaller store.
   const std::size_t k = std::min<std::size_t>(static_cast<std::size_t>(std::max(0, k_)), n);
 
-  util::global_pool().parallel_blocks(0, m, kQueryBlock, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t t0 = lo; t0 < hi; t0 += kQueryBlock) {
-      const std::size_t t1 = std::min(hi, t0 + kQueryBlock);
-      const std::size_t rows = t1 - t0;
-      RankScratch& sc = scratch();
-      sc.qnorms.resize(rows);
-      for (std::size_t q = 0; q < rows; ++q)
-        sc.qnorms[q] = nn::squared_norm(queries.data() + (t0 + q) * dim, dim);
-      if (references.pruned()) {
-        detail::scan_pruned_tile(references, queries.data() + t0 * dim, rows, dim, slice_index,
-                                 slice_count,
-                                 [&](std::size_t, const ShardView& shard, std::size_t q,
-                                     const float* dots) {
-                                   scan_shard(shard, dots, sc.qnorms[q], k, sc.heap,
-                                              out.best.data() + (t0 + q) * n_ids,
-                                              out.candidates[t0 + q]);
-                                 });
-      } else {
-        for (std::size_t s = slice_index; s < n_shards; s += slice_count) {
-          const ShardView shard = references.shard_view(s);
-          if (shard.rows == 0) continue;
-          sc.dots.resize(rows * shard.rows);
-          nn::gemm_nt_serial(queries.data() + t0 * dim, rows, shard.data, shard.rows, dim,
-                             sc.dots.data());
-          for (std::size_t q = 0; q < rows; ++q)
-            scan_shard(shard, sc.dots.data() + q * shard.rows, sc.qnorms[q], k, sc.heap,
-                       out.best.data() + (t0 + q) * n_ids, out.candidates[t0 + q]);
-        }
-      }
-    }
+  detail::for_each_tile(m, [&](std::size_t t0, std::size_t rows) {
+    scan_tile(references, queries, t0, rows, k, slice_index, slice_count,
+              out.best.data() + t0 * out.n_class_ids, out.candidates.data() + t0);
   });
   return out;
 }

@@ -6,15 +6,12 @@
 #include <string>
 #include <vector>
 
-#include "core/probe_scan.hpp"
+#include "core/scan_tiles.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace wf::core {
 
 namespace {
-
-constexpr std::size_t kQueryBlock = 32;
 
 // Append this shard's `count` smallest squared distances to `merged`, given
 // the query's dot products against the shard's rows.
@@ -47,6 +44,15 @@ double merged_kth(std::vector<double>& merged, std::size_t k) {
   return merged[k];
 }
 
+// Reusable per-thread workspace of one tile: query norms, the per-query
+// merged distance lists and the per-shard distance scratch.
+struct KthScratch {
+  std::vector<double> qnorms = std::vector<double>(detail::kQueryTile);
+  std::vector<std::vector<double>> merged =
+      std::vector<std::vector<double>>(detail::kQueryTile);
+  std::vector<double> dists;
+};
+
 }  // namespace
 
 void OpenWorldDetector::require_calibrated(const char* what) const {
@@ -64,60 +70,6 @@ void OpenWorldDetector::note_neighbour_clamp(std::size_t rows) const {
                         "(metrics will report neighbour_clamped)";
 }
 
-double OpenWorldDetector::kth_distance(const ReferenceStore& references,
-                                       std::span<const float> embedding) const {
-  const std::size_t n = references.size();
-  const std::size_t neighbour = static_cast<std::size_t>(std::max(1, config_.neighbour));
-  if (n < neighbour) note_neighbour_clamp(n);
-  if (n == 0) return 1e300;
-  const std::size_t k = std::min(neighbour, n) - 1;
-  const std::size_t n_shards = references.shard_count();
-  const double qnorm = nn::squared_norm(embedding.data(), embedding.size());
-
-  // Bound through a local reference so the pool lambda below captures the
-  // caller's buffer (thread_local names resolve per executing thread).
-  thread_local std::vector<double> merged_tls;
-  std::vector<double>& merged = merged_tls;
-  merged.clear();
-  if (references.pruned()) {
-    thread_local std::vector<double> dist_scratch;
-    detail::scan_pruned_tile(references, embedding.data(), 1, references.dim(), 0, 1,
-                             [&](std::size_t, const ShardView& shard, std::size_t,
-                                 const float* dots) {
-                               shard_smallest(shard, dots, qnorm, k + 1, dist_scratch, merged);
-                             });
-    return std::sqrt(merged_kth(merged, k));
-  }
-  if (n_shards == 1) {
-    const ShardView shard = references.shard_view(0);
-    thread_local std::vector<float> dots;
-    thread_local std::vector<double> dist_scratch;
-    dots.resize(shard.rows);
-    nn::gemm_nt_serial(embedding.data(), 1, shard.data, shard.rows, references.dim(),
-                       dots.data());
-    shard_smallest(shard, dots.data(), qnorm, k + 1, dist_scratch, merged);
-    return std::sqrt(merged_kth(merged, k));
-  }
-  // Per-shard k-smallest lists in parallel over the pool, folded under a
-  // mutex; the k-th order statistic is fold-order-independent.
-  std::mutex fold_mutex;
-  util::global_pool().parallel_for(0, n_shards, [&](std::size_t s) {
-    const ShardView shard = references.shard_view(s);
-    if (shard.rows == 0) return;
-    thread_local std::vector<float> dots;
-    thread_local std::vector<double> dist_scratch;
-    thread_local std::vector<double> list;
-    dots.resize(shard.rows);
-    nn::gemm_nt_serial(embedding.data(), 1, shard.data, shard.rows, references.dim(),
-                       dots.data());
-    list.clear();
-    shard_smallest(shard, dots.data(), qnorm, k + 1, dist_scratch, list);
-    const std::scoped_lock lock(fold_mutex);
-    merged.insert(merged.end(), list.begin(), list.end());
-  });
-  return std::sqrt(merged_kth(merged, k));
-}
-
 std::vector<double> OpenWorldDetector::kth_distances(const ReferenceStore& references,
                                                      const nn::Matrix& embeddings) const {
   const std::size_t m = embeddings.rows();
@@ -130,45 +82,21 @@ std::vector<double> OpenWorldDetector::kth_distances(const ReferenceStore& refer
   if (embeddings.cols() != references.dim())
     throw std::invalid_argument("OpenWorldDetector::kth_distances: width mismatch");
   const std::size_t dim = references.dim();
-  const std::size_t n_shards = references.shard_count();
   const std::size_t k = std::min(neighbour, n) - 1;
 
-  util::global_pool().parallel_blocks(0, m, kQueryBlock, [&](std::size_t lo, std::size_t hi) {
-    thread_local std::vector<float> dots;
-    thread_local std::vector<double> dist_scratch;
-    // Per-query accumulators for the current tile, reused (capacity intact)
-    // across tiles; query norms computed once per tile, not once per shard.
-    std::vector<std::vector<double>> merged(kQueryBlock);
-    std::vector<double> qnorms(kQueryBlock);
-    for (std::size_t t0 = lo; t0 < hi; t0 += kQueryBlock) {
-      const std::size_t t1 = std::min(hi, t0 + kQueryBlock);
-      const std::size_t rows = t1 - t0;
-      for (std::size_t q = 0; q < rows; ++q) {
-        merged[q].clear();
-        qnorms[q] = nn::squared_norm(embeddings.data() + (t0 + q) * dim, dim);
-      }
-      if (references.pruned()) {
-        detail::scan_pruned_tile(references, embeddings.data() + t0 * dim, rows, dim, 0, 1,
-                                 [&](std::size_t, const ShardView& shard, std::size_t q,
-                                     const float* dots_row) {
-                                   shard_smallest(shard, dots_row, qnorms[q], k + 1,
-                                                  dist_scratch, merged[q]);
-                                 });
-      } else {
-        for (std::size_t s = 0; s < n_shards; ++s) {
-          const ShardView shard = references.shard_view(s);
-          if (shard.rows == 0) continue;
-          dots.resize(rows * shard.rows);
-          nn::gemm_nt_serial(embeddings.data() + t0 * dim, rows, shard.data, shard.rows, dim,
-                             dots.data());
-          for (std::size_t q = 0; q < rows; ++q)
-            shard_smallest(shard, dots.data() + q * shard.rows, qnorms[q], k + 1, dist_scratch,
-                           merged[q]);
-        }
-      }
-      for (std::size_t q = 0; q < rows; ++q)
-        result[t0 + q] = std::sqrt(merged_kth(merged[q], k));
+  detail::for_each_tile(m, [&](std::size_t t0, std::size_t rows) {
+    thread_local KthScratch sc;
+    for (std::size_t q = 0; q < rows; ++q) {
+      sc.merged[q].clear();
+      sc.qnorms[q] = nn::squared_norm(embeddings.data() + (t0 + q) * dim, dim);
     }
+    detail::scan_tiles(references, embeddings.data() + t0 * dim, rows, 0, 1,
+                       [&](const ShardView& shard, std::size_t q, const float* dots) {
+                         shard_smallest(shard, dots, sc.qnorms[q], k + 1, sc.dists,
+                                        sc.merged[q]);
+                       });
+    for (std::size_t q = 0; q < rows; ++q)
+      result[t0 + q] = std::sqrt(merged_kth(sc.merged[q], k));
   });
   return result;
 }
@@ -196,7 +124,10 @@ void OpenWorldDetector::calibrate(const ReferenceStore& references,
 bool OpenWorldDetector::is_monitored(const ReferenceStore& references,
                                      std::span<const float> embedding) const {
   require_calibrated("is_monitored");
-  return kth_distance(references, embedding) <= threshold_;
+  // A one-row kth_distances, which also checks the embedding's width.
+  nn::Matrix row(1, embedding.size());
+  row.set_row(0, embedding);
+  return kth_distances(references, row).front() <= threshold_;
 }
 
 std::vector<PrPoint> OpenWorldDetector::precision_recall_sweep(

@@ -1,6 +1,6 @@
-// The experiment registry: every former bench_* main body lives here as a
-// run function, so `wf run <name>`, `wf run --all` and the legacy shim
-// binaries all drive exactly the same code.
+// The experiment registry: every experiment body lives here as a run
+// function, so `wf run <name>` and `wf run --all` drive exactly the same
+// code.
 #include "eval/registry.hpp"
 
 #include <iostream>
@@ -18,7 +18,6 @@
 #include "eval/exp_transfer.hpp"
 #include "eval/exp_transport.hpp"
 #include "util/bench_report.hpp"
-#include "util/env.hpp"
 
 namespace wf::eval {
 
@@ -284,61 +283,37 @@ int run_million(const AttackerFactory&) {
 
 const std::vector<Experiment>& experiments() {
   static const std::vector<Experiment> registry = {
-      {"exp1", "bench_exp1_static",
-       "Fig. 6 - closed-world top-n vs class count, + TLS 1.3 version shift", true, run_exp1},
-      {"exp2", "bench_exp2_transfer",
-       "Fig. 7 / Table II - classification of classes never seen in training", true, run_exp2},
-      {"exp3", "bench_exp3_crosssite",
-       "Fig. 8 - wiki->github cross-site/cross-version transfer (2-seq model)", true, run_exp3},
-      {"exp4", "bench_exp4_distinguish",
-       "Figs. 9-11 - per-class mean-guesses CDFs (known/unknown/FL-padded)", true, run_exp4},
-      {"exp5", "bench_exp5_transport",
-       "packet-level transport: loss rate x HTTP version x TLS version", true, run_exp5},
-      {"costs", "bench_costs",
-       "Table III - operational costs, literature + every registered attacker", false,
+      {"exp1", "Fig. 6 - closed-world top-n vs class count, + TLS 1.3 version shift", true,
+       run_exp1},
+      {"exp2", "Fig. 7 / Table II - classification of classes never seen in training", true,
+       run_exp2},
+      {"exp3", "Fig. 8 - wiki->github cross-site/cross-version transfer (2-seq model)", true,
+       run_exp3},
+      {"exp4", "Figs. 9-11 - per-class mean-guesses CDFs (known/unknown/FL-padded)", true,
+       run_exp4},
+      {"exp5", "packet-level transport: loss rate x HTTP version x TLS version", true, run_exp5},
+      {"costs", "Table III - operational costs, literature + every registered attacker", false,
        run_costs},
-      {"padding", "bench_padding",
-       "Figs. 12/13 - FL padding vs the adaptive adversary, seen/unseen classes", true,
-       run_padding},
-      {"defense", "bench_defense_ablation",
-       "record policies + trace defenses vs overhead, + cost/protection frontier", true,
-       run_defense},
-      {"ablation", "bench_ablation",
-       "design-choice ablations + open-world detection incl. PR sweep", false, run_ablation},
-      {"perf_serve", "bench_perf_serve",
-       "wf serve daemon q/s + p50/p99 latency vs batch size x shard count", false,
+      {"padding", "Figs. 12/13 - FL padding vs the adaptive adversary, seen/unseen classes",
+       true, run_padding},
+      {"defense", "record policies + trace defenses vs overhead, + cost/protection frontier",
+       true, run_defense},
+      {"ablation", "design-choice ablations + open-world detection incl. PR sweep", false,
+       run_ablation},
+      {"perf_serve", "wf serve daemon q/s + p50/p99 latency vs batch size x shard count", false,
        run_perf_serve},
-      {"robust_serve", "bench_robust_serve",
-       "serving availability + error classes + p99 under injected faults", false, run_robust},
-      {"perf_million", "bench_perf_million",
-       "IVF index recall/speedup sweep: clusters x probes x SIMD vs exact scan", false,
-       run_million},
+      {"robust_serve", "serving availability + error classes + p99 under injected faults",
+       false, run_robust},
+      {"perf_million", "IVF index recall/speedup sweep: clusters x probes x SIMD vs exact scan",
+       false, run_million},
   };
   return registry;
 }
 
-const Experiment* find_experiment(std::string_view name_or_legacy) {
+const Experiment* find_experiment(std::string_view name) {
   for (const Experiment& experiment : experiments())
-    if (name_or_legacy == experiment.name || name_or_legacy == experiment.legacy_binary)
-      return &experiment;
+    if (name == experiment.name) return &experiment;
   return nullptr;
-}
-
-int run_legacy(const char* legacy_binary) {
-  const Experiment* experiment = find_experiment(legacy_binary);
-  if (experiment == nullptr) {
-    std::cerr << "unknown experiment: " << legacy_binary << "\n";
-    return 1;
-  }
-  util::Env::log_effective();
-  try {
-    return experiment->run({});
-  } catch (const std::exception& e) {
-    // E.g. a result table that failed to write: exit non-zero instead of
-    // letting the exception escape main.
-    std::cerr << legacy_binary << ": " << e.what() << "\n";
-    return 1;
-  }
 }
 
 }  // namespace wf::eval

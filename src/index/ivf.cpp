@@ -92,7 +92,7 @@ IvfReferenceStore::IvfReferenceStore(const core::ReferenceStore& base, const Ivf
   for (std::size_t s = 0; s < base.shard_count(); ++s) {
     const core::ShardView shard = base.shard_view(s);
     for (std::size_t j = 0; j < shard.rows; ++j)
-      refs.push_back({shard.row_ids != nullptr ? shard.row_ids[j] : j, s, j});
+      refs.push_back({shard.row_ids[j], s, j});
   }
   std::sort(refs.begin(), refs.end(),
             [](const Ref& a, const Ref& b) { return a.row_id < b.row_id; });

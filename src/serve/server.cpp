@@ -131,14 +131,13 @@ void Server::stats_loop() {
     if (stop_requested_cv_.wait_for(lock, std::chrono::milliseconds(config_.stats_interval_ms),
                                     [&] { return stop_requested_ || stopped_; }))
       return;
-    ServerStats current;
-    {
-      const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      current = stats_;
-    }
-    util::log_info() << "stats: requests=" << current.requests << " queries=" << current.queries
-                     << " batches=" << current.batches << " rejected=" << current.rejected
-                     << " timeouts=" << current.timeouts << " queue_depth=" << queue_.size();
+    // The serve.* counters are process-wide (one Server per wf serve).
+    util::log_info() << "stats: requests=" << requests_total_->value()
+                     << " queries=" << queries_total_->value()
+                     << " batches=" << batches_total_->value()
+                     << " rejected=" << rejected_total_->value()
+                     << " timeouts=" << timeouts_total_->value()
+                     << " queue_depth=" << queue_.size();
   }
 }
 
@@ -191,10 +190,6 @@ void Server::serve_connection(std::size_t slot) {
     try {
       frame = recv_frame_payload(socket, *length, deadline);
     } catch (const TimeoutError& e) {
-      {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.timeouts;
-      }
       timeouts_total_->inc();
       try {
         send_frame(socket, error_frame(true, e.what(), ErrorClass::timeout));
@@ -238,10 +233,6 @@ void Server::serve_connection(std::size_t slot) {
         std::future<std::string> result = request.reply.get_future();
         switch (queue_.offer(std::move(request))) {
           case RingQueue<Request>::PushOutcome::accepted: {
-            {
-              const std::lock_guard<std::mutex> lock(stats_mutex_);
-              ++stats_.requests;
-            }
             requests_total_->inc();
             queue_depth_->set(static_cast<std::int64_t>(queue_.size()));
             // The request deadline also covers the queue wait + model call.
@@ -251,10 +242,6 @@ void Server::serve_connection(std::size_t slot) {
             if (deadline.finite() &&
                 result.wait_for(std::chrono::milliseconds(deadline.poll_timeout_ms())) !=
                     std::future_status::ready) {
-              {
-                const std::lock_guard<std::mutex> lock(stats_mutex_);
-                ++stats_.timeouts;
-              }
               timeouts_total_->inc();
               reply = error_frame(true, "request timed out in the server queue",
                                   ErrorClass::timeout);
@@ -264,10 +251,6 @@ void Server::serve_connection(std::size_t slot) {
             break;
           }
           case RingQueue<Request>::PushOutcome::full: {
-            {
-              const std::lock_guard<std::mutex> lock(stats_mutex_);
-              ++stats_.rejected;
-            }
             rejected_total_->inc();
             reply = error_frame(true, "server at capacity; retry", ErrorClass::backpressure);
             break;
@@ -351,11 +334,6 @@ void Server::process_wave(std::vector<Request> wave) {
     const auto count_chunk = [&] {
       if (counted) return;
       counted = true;
-      {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.batches;
-        stats_.queries += rows;
-      }
       batches_total_->inc();
       queries_total_->inc(rows);
     };
@@ -478,11 +456,6 @@ void Server::stop() {
     const std::lock_guard<std::mutex> lock(connections_mutex_);
     connections_.clear();
   }
-}
-
-ServerStats Server::stats() const {
-  const std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
 }
 
 }  // namespace wf::serve

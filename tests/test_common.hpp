@@ -3,12 +3,77 @@
 // Tiny assertion harness for the ctest suite: each test file is a
 // standalone binary; a failed CHECK prints the location and the binary
 // exits nonzero.
+#include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <map>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "core/knn.hpp"
+#include "nn/matrix.hpp"
 
 namespace wf::test {
 inline int failures = 0;
+
+// One reference row as the brute-force oracles below see it: a plain list
+// in insertion order, independent of any ReferenceStore layout.
+struct LabeledRow {
+  std::vector<float> embedding;
+  int label = 0;
+};
+
+// Straightforward reimplementation of the ranking contract: linear scan
+// with double-precision distances, map-based but same vote/tie rules
+// (ties on distance go to the earlier-inserted row).
+inline std::vector<core::RankedLabel> brute_force_rank(const std::vector<LabeledRow>& refs,
+                                                       std::span<const float> query, int k_cfg) {
+  const std::size_t n = refs.size();
+  std::vector<std::pair<double, std::size_t>> distances;
+  distances.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    distances.emplace_back(nn::squared_distance(refs[i].embedding, query), i);
+  std::sort(distances.begin(), distances.end());
+  const std::size_t k = std::min<std::size_t>(static_cast<std::size_t>(std::max(0, k_cfg)), n);
+  struct Stats {
+    int votes = 0;
+    double best = 1e300;
+  };
+  std::map<int, Stats> stats;
+  for (std::size_t i = 0; i < n; ++i) {
+    Stats& s = stats[refs[distances[i].second].label];
+    if (i < k) ++s.votes;
+    s.best = std::min(s.best, distances[i].first);
+  }
+  std::vector<core::RankedLabel> ranking;
+  for (const auto& [label, s] : stats) ranking.push_back({label, s.votes, s.best});
+  std::sort(ranking.begin(), ranking.end(),
+            [](const core::RankedLabel& a, const core::RankedLabel& b) {
+              if (a.votes != b.votes) return a.votes > b.votes;
+              if (a.distance != b.distance) return a.distance < b.distance;
+              return a.label < b.label;
+            });
+  return ranking;
 }
+
+// The open-world statistic by linear scan: the distance to the
+// `neighbour`-th nearest row (clamped to the farthest row when there are
+// fewer), 1e300 for an empty set.
+inline double brute_force_kth_distance(const std::vector<LabeledRow>& refs,
+                                       std::span<const float> query, int neighbour) {
+  if (refs.empty()) return 1e300;
+  std::vector<double> distances;
+  distances.reserve(refs.size());
+  for (const LabeledRow& row : refs)
+    distances.push_back(nn::squared_distance(row.embedding, query));
+  std::sort(distances.begin(), distances.end());
+  const std::size_t k = std::min<std::size_t>(static_cast<std::size_t>(std::max(1, neighbour)),
+                                              distances.size());
+  return std::sqrt(distances[k - 1]);
+}
+
+}  // namespace wf::test
 
 #define CHECK(cond)                                                              \
   do {                                                                           \

@@ -1,13 +1,14 @@
 // KnnClassifier ranking on a hand-built reference set.
 #include "core/knn.hpp"
 
+#include "core/sharded_reference_set.hpp"
 #include "test_common.hpp"
 
 int main() {
   using namespace wf;
 
   // Three classes clustered at distinct corners of the plane, 4 refs each.
-  core::ReferenceSet refs(2);
+  core::ShardedReferenceSet refs(2);
   const auto add_cluster = [&](int label, float cx, float cy) {
     const float offsets[4][2] = {{0.0f, 0.0f}, {0.05f, 0.0f}, {0.0f, 0.05f}, {-0.05f, -0.05f}};
     for (const auto& o : offsets) {
@@ -56,15 +57,15 @@ int main() {
   for (const auto& r : r4) CHECK(r.label != 8);
 
   // Empty set: empty ranking, no crash.
-  const core::ReferenceSet empty(2);
+  const core::ShardedReferenceSet empty(2);
   CHECK(knn.rank(empty, near7).empty());
 
   // remove_class + re-add rebuilds the dense class-id tables: rankings must
   // match a freshly built set with the same rows (no stale class_id mapping)
   // — the invariant the sharded probe-and-swap relies on.
   {
-    core::ReferenceSet mutated(2);
-    const auto fill = [](core::ReferenceSet& rs, int label, float cx, float cy) {
+    core::ShardedReferenceSet mutated(2);
+    const auto fill = [](core::ShardedReferenceSet& rs, int label, float cx, float cy) {
       const float offsets[4][2] = {{0.0f, 0.0f}, {0.05f, 0.0f}, {0.0f, 0.05f}, {-0.05f, -0.05f}};
       for (const auto& o : offsets) rs.add(std::vector<float>{cx + o[0], cy + o[1]}, label);
     };
@@ -76,7 +77,7 @@ int main() {
     fill(mutated, 10, 1.0f, 1.0f);  // plus a class the set has never seen
 
     // Same rows in the same final order, built without any removal.
-    core::ReferenceSet rebuilt(2);
+    core::ShardedReferenceSet rebuilt(2);
     fill(rebuilt, 7, 0.0f, 0.0f);
     fill(rebuilt, 9, 0.0f, 1.0f);
     fill(rebuilt, 8, 1.0f, 0.1f);

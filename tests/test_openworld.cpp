@@ -1,11 +1,13 @@
 // OpenWorldDetector: calibration hits the target TPR on monitored samples
 // and rejects far-away unmonitored embeddings; the calibration index is
 // robust to floating-point rounding; querying before calibrate() throws;
-// a neighbour clamp is surfaced instead of silently degrading.
+// wrong-width embeddings throw; a neighbour clamp is surfaced instead of
+// silently degrading.
 #include "core/openworld.hpp"
 
 #include <stdexcept>
 
+#include "core/sharded_reference_set.hpp"
 #include "test_common.hpp"
 #include "util/rng.hpp"
 
@@ -13,8 +15,8 @@ namespace {
 
 // One reference at the origin: with neighbour = 1 the k-th-neighbour
 // distance of a sample at x is exactly |x|, so thresholds are predictable.
-wf::core::ReferenceSet origin_ref() {
-  wf::core::ReferenceSet refs(1);
+wf::core::ShardedReferenceSet origin_ref() {
+  wf::core::ShardedReferenceSet refs(1);
   refs.add(std::vector<float>{0.0f}, 0);
   return refs;
 }
@@ -28,7 +30,7 @@ int main() {
   const std::size_t dim = 4;
 
   // Monitored references: 5 tight clusters around distinct centers.
-  core::ReferenceSet refs(dim);
+  core::ShardedReferenceSet refs(dim);
   std::vector<std::vector<float>> centers;
   for (int c = 0; c < 5; ++c) {
     std::vector<float> center(dim);
@@ -77,7 +79,7 @@ int main() {
   // tenths * 10 product is IEEE-exact, so a 10-sample sweep cannot catch
   // this bug.)
   {
-    const core::ReferenceSet one = origin_ref();
+    const core::ShardedReferenceSet one = origin_ref();
     const std::size_t n = 100;
     nn::Matrix samples(n, 1);
     for (std::size_t i = 0; i < n; ++i)
@@ -125,10 +127,29 @@ int main() {
     CHECK(detector.calibrated());
   }
 
+  // --- Wrong-width embeddings are rejected instead of read past their end:
+  // kth_distances checks the matrix width, and is_monitored (a one-row
+  // kth_distances) checks the span's, too short or too long.
+  {
+    const auto throws_invalid = [](const auto& call) {
+      try {
+        call();
+      } catch (const std::invalid_argument&) {
+        return true;
+      }
+      return false;
+    };
+    CHECK(throws_invalid([&] { (void)detector.kth_distances(refs, nn::Matrix(3, 2)); }));
+    CHECK(throws_invalid(
+        [&] { (void)detector.is_monitored(refs, std::vector<float>(2, 0.0f)); }));
+    CHECK(throws_invalid(
+        [&] { (void)detector.is_monitored(refs, std::vector<float>(dim + 3, 0.0f)); }));
+  }
+
   // --- Neighbour clamp: fewer references than `neighbour` is surfaced in
   // the metrics instead of silently degrading the detector.
   {
-    core::ReferenceSet three(1);
+    core::ShardedReferenceSet three(1);
     for (int i = 0; i < 3; ++i) three.add(std::vector<float>{static_cast<float>(i)}, i);
     nn::Matrix samples(4, 1);
     for (std::size_t i = 0; i < 4; ++i) samples(i, 0) = static_cast<float>(i);

@@ -3,14 +3,12 @@
 //  - the GEMM kernels are bit-identical across pool sizes,
 //  - rank_batch agrees with a brute-force linear-scan ranking,
 //  - forward_batch / embed(Matrix) match the per-row scalar paths.
-#include <algorithm>
 #include <cmath>
-#include <map>
-#include <span>
 #include <vector>
 
 #include "core/embedding.hpp"
 #include "core/knn.hpp"
+#include "core/sharded_reference_set.hpp"
 #include "data/build.hpp"
 #include "nn/matrix.hpp"
 #include "nn/mlp.hpp"
@@ -32,38 +30,6 @@ std::vector<float> random_unit(util::Rng& rng, std::size_t dim) {
   norm = std::sqrt(norm);
   for (float& x : v) x = static_cast<float>(x / norm);
   return v;
-}
-
-// Straightforward reimplementation of the ranking contract: linear scan
-// with double-precision distances, map-free but same vote/tie rules.
-std::vector<core::RankedLabel> brute_force_rank(const core::ReferenceSet& refs,
-                                                std::span<const float> query, int k_cfg) {
-  const std::size_t n = refs.size();
-  std::vector<std::pair<double, std::size_t>> distances;
-  distances.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    distances.emplace_back(nn::squared_distance(refs.embedding(i), query), i);
-  std::sort(distances.begin(), distances.end());
-  const std::size_t k = std::min<std::size_t>(static_cast<std::size_t>(k_cfg), n);
-  struct Stats {
-    int votes = 0;
-    double best = 1e300;
-  };
-  std::map<int, Stats> stats;
-  for (std::size_t i = 0; i < n; ++i) {
-    Stats& s = stats[refs.label(distances[i].second)];
-    if (i < k) ++s.votes;
-    s.best = std::min(s.best, distances[i].first);
-  }
-  std::vector<core::RankedLabel> ranking;
-  for (const auto& [label, s] : stats) ranking.push_back({label, s.votes, s.best});
-  std::sort(ranking.begin(), ranking.end(),
-            [](const core::RankedLabel& a, const core::RankedLabel& b) {
-              if (a.votes != b.votes) return a.votes > b.votes;
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.label < b.label;
-            });
-  return ranking;
 }
 
 }  // namespace
@@ -185,13 +151,15 @@ int main() {
   {
     util::Rng rng(11);
     const std::size_t dim = 16;
-    core::ReferenceSet refs(dim);
+    std::vector<test::LabeledRow> rows;
+    core::ShardedReferenceSet refs(dim);
     for (int c = 0; c < 12; ++c) {
       const std::vector<float> center = random_unit(rng, dim);
       for (int s = 0; s < 25; ++s) {
         std::vector<float> e = center;
         for (float& x : e) x += static_cast<float>(rng.normal(0.0, 0.08));
         refs.add(e, 100 + c);
+        rows.push_back({e, 100 + c});
       }
     }
     const core::KnnClassifier knn(15);
@@ -201,7 +169,7 @@ int main() {
     const auto batch = knn.rank_batch(refs, queries);
     CHECK(batch.size() == queries.rows());
     for (std::size_t q = 0; q < queries.rows(); ++q) {
-      const auto expected = brute_force_rank(refs, queries.row_span(q), knn.k());
+      const auto expected = test::brute_force_rank(rows, queries.row_span(q), knn.k());
       const auto& got = batch[q];
       CHECK(got.size() == expected.size());
       for (std::size_t r = 0; r < got.size() && r < expected.size(); ++r) {

@@ -38,6 +38,14 @@ bool rankings_equal(const std::vector<std::vector<core::RankedLabel>>& a,
   return true;
 }
 
+// Growth of a counter between two snapshots of the global registry.
+std::uint64_t counter_delta(const obs::Snapshot& before, const obs::Snapshot& after,
+                            const std::string& name) {
+  const obs::SnapshotEntry* b = before.find(name);
+  const obs::SnapshotEntry* a = after.find(name);
+  return (a != nullptr ? a->count : 0) - (b != nullptr ? b->count : 0);
+}
+
 nn::Matrix rows_of(const data::Dataset& dataset, std::size_t begin, std::size_t end) {
   nn::Matrix m(end - begin, dataset.feature_dim());
   for (std::size_t i = begin; i < end; ++i) m.set_row(i - begin, dataset[i].features);
@@ -79,6 +87,8 @@ int main() {
 
   // --- single daemon over loopback: any frame batch size ------------------
   {
+    // The only server alive in this block, so serve.* deltas are its own.
+    const obs::Snapshot before = obs::Registry::global().snapshot();
     serve::Server server(std::make_shared<serve::LocalHandler>(attacker.clone()), {});
     server.start();
     serve::Client client("127.0.0.1", server.port(), 2000);
@@ -114,7 +124,8 @@ int main() {
     }
     for (std::thread& t : clients) t.join();
     for (std::size_t i = 0; i < test.size(); ++i) CHECK(ok[i]);
-    CHECK(server.stats().requests >= test.size());
+    CHECK(counter_delta(before, obs::Registry::global().snapshot(), "serve.requests_total") >=
+          test.size());
 
     // Live introspection over the wire: a STAT roundtrip returns the global
     // metrics snapshot. The registry is process-wide (shared by every server
@@ -150,9 +161,11 @@ int main() {
     client.stop_server();
     server.wait();
     server.stop();
-    const serve::ServerStats stats = server.stats();
-    CHECK(stats.queries >= test.size() * 4);  // 3 sweeps + concurrent singles
-    CHECK(stats.batches <= stats.requests);   // coalescing never splits requests
+    const obs::Snapshot after = obs::Registry::global().snapshot();
+    // 3 sweeps + concurrent singles; coalescing never splits requests.
+    CHECK(counter_delta(before, after, "serve.queries_total") >= test.size() * 4);
+    CHECK(counter_delta(before, after, "serve.batches_total") <=
+          counter_delta(before, after, "serve.requests_total"));
   }
 
   // --- scatter/gather: sliced backends behind a coordinator ---------------

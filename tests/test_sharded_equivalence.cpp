@@ -1,8 +1,10 @@
-// The sharded reference store is an exact drop-in for the unsharded scan:
-// for shard counts 1, 2 and 7, rank()/rank_batch() and kth_distances() are
-// bit-identical to the ReferenceSet path, before and after probe-and-swap
-// (remove_class + re-add), and AdaptiveFingerprinter's sharded swap keeps
-// class ids fresh.
+// The sharded reference store is exact at every shard count: for S = 1, 2
+// and 7, rank()/rank_batch() and kth_distances() agree with the independent
+// linear scans of test_common.hpp (labels and votes exactly, distances
+// within 1e-4), and S = 2 / 7 are bit-identical to S = 1 — before and after
+// probe-and-swap (remove_class + re-add), with empty shards, and with k
+// beyond the row count.
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -16,6 +18,9 @@
 namespace {
 
 using namespace wf;
+using test::LabeledRow;
+
+constexpr int kNeighbour = 5;
 
 std::vector<float> random_point(util::Rng& rng, std::size_t dim, double spread = 1.0) {
   std::vector<float> v(dim);
@@ -35,15 +40,23 @@ void check_rankings_identical(const std::vector<core::RankedLabel>& a,
   }
 }
 
-struct Row {
-  std::vector<float> embedding;
-  int label;
-};
+// Against the brute-force oracle: exact labels and votes; distances differ
+// only by the kernel's ‖q‖² + ‖r‖² − 2·q·r rounding.
+void check_rankings_match_oracle(const std::vector<core::RankedLabel>& expected,
+                                 const std::vector<core::RankedLabel>& got) {
+  CHECK(got.size() == expected.size());
+  for (std::size_t i = 0; i < got.size() && i < expected.size(); ++i) {
+    CHECK(got[i].label == expected[i].label);
+    CHECK(got[i].votes == expected[i].votes);
+    CHECK_NEAR(got[i].distance, expected[i].distance, 1e-4);
+  }
+}
 
 // Clustered rows with deliberate duplicates so distance ties exercise the
 // (dist, insertion-id) tie-break across shard boundaries.
-std::vector<Row> make_rows(util::Rng& rng, std::size_t dim, int n_classes, int per_class) {
-  std::vector<Row> rows;
+std::vector<LabeledRow> make_rows(util::Rng& rng, std::size_t dim, int n_classes,
+                                  int per_class) {
+  std::vector<LabeledRow> rows;
   for (int c = 0; c < n_classes; ++c) {
     const std::vector<float> center = random_point(rng, dim);
     for (int s = 0; s < per_class; ++s) {
@@ -56,15 +69,58 @@ std::vector<Row> make_rows(util::Rng& rng, std::size_t dim, int n_classes, int p
   return rows;
 }
 
+std::vector<int> distinct_labels(const std::vector<LabeledRow>& rows) {
+  std::vector<int> labels;
+  for (const LabeledRow& r : rows) labels.push_back(r.label);
+  std::sort(labels.begin(), labels.end());
+  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+  return labels;
+}
+
+// The S = 1 answers every other shard count must reproduce bit for bit.
+struct Baseline {
+  std::vector<std::vector<core::RankedLabel>> rankings;
+  std::vector<double> kth;
+};
+
+// One store holding exactly `rows` (in insertion order): oracle agreement,
+// scalar rank == batched rank, and bit-identity with the S = 1 baseline
+// (recorded on first use).
+void check_store(const core::ShardedReferenceSet& store, const std::vector<LabeledRow>& rows,
+                 const nn::Matrix& queries, const core::KnnClassifier& knn,
+                 const core::OpenWorldDetector& detector, Baseline& baseline) {
+  CHECK(store.size() == rows.size());
+  CHECK(store.classes() == distinct_labels(rows));
+  const auto rankings = knn.rank_batch(store, queries);
+  const std::vector<double> kth = detector.kth_distances(store, queries);
+  CHECK(rankings.size() == queries.rows());
+  CHECK(kth.size() == queries.rows());
+  for (std::size_t q = 0; q < queries.rows() && q < rankings.size() && q < kth.size(); ++q) {
+    check_rankings_match_oracle(test::brute_force_rank(rows, queries.row_span(q), knn.k()),
+                                rankings[q]);
+    CHECK_NEAR(kth[q], test::brute_force_kth_distance(rows, queries.row_span(q), kNeighbour),
+               1e-4);
+  }
+  // The scalar rank() is a one-row rank_batch.
+  for (std::size_t q = 0; q < queries.rows() && q < rankings.size(); q += 5)
+    check_rankings_identical(rankings[q], knn.rank(store, queries.row_span(q)));
+
+  if (baseline.rankings.empty()) {
+    baseline = {rankings, kth};
+    return;
+  }
+  CHECK(rankings.size() == baseline.rankings.size());
+  for (std::size_t q = 0; q < rankings.size() && q < baseline.rankings.size(); ++q)
+    check_rankings_identical(baseline.rankings[q], rankings[q]);
+  CHECK(kth == baseline.kth);  // bit-identical merge
+}
+
 }  // namespace
 
 int main() {
   util::Rng rng(29);
   const std::size_t dim = 12;
-  const std::vector<Row> rows = make_rows(rng, dim, 9, 14);
-
-  core::ReferenceSet flat(dim);
-  for (const Row& r : rows) flat.add(r.embedding, r.label);
+  const std::vector<LabeledRow> rows = make_rows(rng, dim, 9, 14);
 
   nn::Matrix queries(37, dim);
   for (std::size_t q = 0; q < queries.rows(); ++q) {
@@ -75,73 +131,57 @@ int main() {
     queries.set_row(q, v);
   }
 
-  const core::KnnClassifier knn(17);
-  const core::OpenWorldDetector detector({.neighbour = 5, .target_tpr = 0.9});
-  const auto flat_rankings = knn.rank_batch(flat, queries);
-  const std::vector<double> flat_kth = detector.kth_distances(flat, queries);
+  // Probe-and-swap: drop one class, re-add fresh rows for it plus a
+  // brand-new class (the swap invariant the adaptive attacker relies on).
+  const int victim = 404;
+  std::vector<LabeledRow> fresh;
+  {
+    util::Rng swap_rng(91);
+    fresh = make_rows(swap_rng, dim, 1, 10);
+    for (LabeledRow& r : fresh) r.label = victim;
+    fresh.push_back({random_point(swap_rng, dim), 499});  // never-seen class
+  }
+  std::vector<LabeledRow> swapped_rows;
+  for (const LabeledRow& r : rows)
+    if (r.label != victim) swapped_rows.push_back(r);
+  swapped_rows.insert(swapped_rows.end(), fresh.begin(), fresh.end());
 
+  const core::KnnClassifier knn(17);
+  const core::OpenWorldDetector detector({.neighbour = kNeighbour, .target_tpr = 0.9});
+  Baseline before_swap, after_swap;
   for (const std::size_t n_shards : {1u, 2u, 7u}) {
     core::ShardedReferenceSet sharded(dim, n_shards);
-    for (const Row& r : rows) sharded.add(r.embedding, r.label);
+    for (const LabeledRow& r : rows) sharded.add(r.embedding, r.label);
     CHECK(sharded.shard_count() == n_shards);
-    CHECK(sharded.size() == flat.size());
-    CHECK(sharded.classes() == flat.classes());
+    check_store(sharded, rows, queries, knn, detector, before_swap);
 
-    // Batched ranking: bit-identical to the unsharded path.
-    const auto sharded_rankings = knn.rank_batch(sharded, queries);
-    CHECK(sharded_rankings.size() == flat_rankings.size());
-    for (std::size_t q = 0; q < queries.rows(); ++q)
-      check_rankings_identical(flat_rankings[q], sharded_rankings[q]);
-
-    // Scalar ranking runs the same per-shard kernels.
-    for (std::size_t q = 0; q < queries.rows(); q += 5)
-      check_rankings_identical(knn.rank(flat, queries.row_span(q)),
-                               knn.rank(sharded, queries.row_span(q)));
-
-    // Open-world k-th-neighbour distances: bit-identical merge.
-    const std::vector<double> sharded_kth = detector.kth_distances(sharded, queries);
-    CHECK(sharded_kth.size() == flat_kth.size());
-    for (std::size_t q = 0; q < flat_kth.size(); ++q) CHECK(flat_kth[q] == sharded_kth[q]);
-
-    // Probe-and-swap: drop one class from both stores, re-add fresh rows
-    // plus a brand-new class, and require exact agreement again (the swap
-    // invariant the adaptive attacker relies on).
-    core::ReferenceSet flat2 = flat;
-    const int victim = 404;
-    flat2.remove_class(victim);
     sharded.remove_class(victim);
-    CHECK(sharded.size() == flat2.size());
-    util::Rng swap_rng(91);
-    std::vector<Row> fresh = make_rows(swap_rng, dim, 1, 10);
-    for (Row& r : fresh) r.label = victim;
-    fresh.push_back({random_point(swap_rng, dim), 499});  // never-seen class
-    for (const Row& r : fresh) {
-      flat2.add(r.embedding, r.label);
-      sharded.add(r.embedding, r.label);
-    }
-    CHECK(sharded.classes() == flat2.classes());
-    const auto flat2_rankings = knn.rank_batch(flat2, queries);
-    const auto sharded2_rankings = knn.rank_batch(sharded, queries);
-    for (std::size_t q = 0; q < queries.rows(); ++q)
-      check_rankings_identical(flat2_rankings[q], sharded2_rankings[q]);
-    const std::vector<double> flat2_kth = detector.kth_distances(flat2, queries);
-    const std::vector<double> sharded2_kth = detector.kth_distances(sharded, queries);
-    for (std::size_t q = 0; q < flat2_kth.size(); ++q) CHECK(flat2_kth[q] == sharded2_kth[q]);
+    for (const LabeledRow& r : fresh) sharded.add(r.embedding, r.label);
+    check_store(sharded, swapped_rows, queries, knn, detector, after_swap);
   }
 
-  // Degenerate layouts: more shards than rows (some shards stay empty).
+  // Degenerate layouts: more shards than rows (some shards stay empty), k
+  // far beyond the row count, and fewer rows than the open-world neighbour.
   {
+    const std::vector<LabeledRow> few(rows.begin(), rows.begin() + 4);
     core::ShardedReferenceSet tiny(dim, 7);
-    core::ReferenceSet tiny_flat(dim);
-    for (int i = 0; i < 4; ++i) {
-      tiny.add(rows[static_cast<std::size_t>(i)].embedding, rows[static_cast<std::size_t>(i)].label);
-      tiny_flat.add(rows[static_cast<std::size_t>(i)].embedding,
-                    rows[static_cast<std::size_t>(i)].label);
+    core::ShardedReferenceSet tiny_single(dim, 1);
+    for (const LabeledRow& r : few) {
+      tiny.add(r.embedding, r.label);
+      tiny_single.add(r.embedding, r.label);
     }
-    const core::KnnClassifier wide(50);  // k far beyond the row count
-    for (std::size_t q = 0; q < 6; ++q)
-      check_rankings_identical(wide.rank(tiny_flat, queries.row_span(q)),
-                               wide.rank(tiny, queries.row_span(q)));
+    const core::KnnClassifier wide(50);
+    for (std::size_t q = 0; q < 6; ++q) {
+      const auto ranking = wide.rank(tiny, queries.row_span(q));
+      check_rankings_identical(wide.rank(tiny_single, queries.row_span(q)), ranking);
+      check_rankings_match_oracle(test::brute_force_rank(few, queries.row_span(q), wide.k()),
+                                  ranking);
+    }
+    const std::vector<double> kth = detector.kth_distances(tiny, queries);
+    CHECK(kth == detector.kth_distances(tiny_single, queries));
+    for (std::size_t q = 0; q < queries.rows() && q < kth.size(); ++q)
+      CHECK_NEAR(kth[q], test::brute_force_kth_distance(few, queries.row_span(q), kNeighbour),
+                 1e-4);
   }
 
   return TEST_MAIN_RESULT();
