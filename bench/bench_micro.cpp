@@ -1,7 +1,7 @@
 // Component micro-benchmarks (google-benchmark): simulator throughput,
 // Fig. 4 encoding, embedding forward pass, contrastive training step,
-// k-NN query (scalar and batched), random-forest prediction, FL padding
-// and the parallel crawler.
+// k-NN query (scalar, batched and IVF-pruned), random-forest prediction,
+// FL padding and the parallel crawler.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -12,6 +12,7 @@
 #include "core/adaptive.hpp"
 #include "data/pairs.hpp"
 #include "eval/scenario.hpp"
+#include "index/ivf.hpp"
 #include "nn/simd.hpp"
 #include "trace/defense.hpp"
 #include "util/thread_pool.hpp"
@@ -189,10 +190,10 @@ void BM_EmbedDatasetBatch(benchmark::State& state) {
 BENCHMARK(BM_EmbedDatasetBatch)->Arg(1000)->Arg(10000);
 
 // Sharded batched k-NN at 100k references (the §IV scaling step past one
-// pool): per-shard GEMM tiles + candidate heaps merged into the global
-// ranking. Per-shard work is an even split of the unsharded scan, so
-// throughput scales near-linearly with shard count once shards land on
-// their own cores; on a single core it measures the merge overhead.
+// pool): per-shard GEMM tiles folded into one candidate heap per query.
+// Per-shard work is an even split of the unsharded scan, so the shard
+// count costs only the extra, smaller GEMMs; on a single core it measures
+// that overhead.
 void BM_KnnQueryBatchSharded(benchmark::State& state) {
   util::Rng rng(17);
   const std::size_t dim = 32;
@@ -212,6 +213,56 @@ BENCHMARK(BM_KnnQueryBatchSharded)
     ->Args({100000, 2})
     ->Args({100000, 4})
     ->Args({100000, 8});
+
+// IVF-pruned batched k-NN at the index_churn scale: 5,242 classes of 50
+// clustered rows (262,100 references, dim 32) in C = 512 clusters probed at
+// P = 16, k = 40, 512 queries per rank_batch. Each query scans ~11k rows, so
+// the per-query cost is the probe, the cluster GEMMs, the fused k-heap
+// visitor and the sparse per-class finalize, not the 5,242-class space.
+struct PrunedCorpus {
+  index::IvfReferenceStore store;
+  nn::Matrix queries;
+};
+
+const PrunedCorpus& pruned_corpus() {
+  static const PrunedCorpus corpus = [] {
+    constexpr std::size_t kClasses = 5242, kPerClass = 50, kDim = 32, kQueries = 512;
+    util::Rng rng(70921);
+    std::vector<float> centres(kClasses * kDim);
+    for (float& v : centres) v = static_cast<float>(rng.normal());
+    std::vector<float> row(kDim);
+    const auto draw = [&](std::size_t cls) {
+      for (std::size_t d = 0; d < kDim; ++d)
+        row[d] = centres[cls * kDim + d] + static_cast<float>(rng.normal(0.0, 0.35));
+    };
+    core::ShardedReferenceSet refs(kDim, 4);
+    for (std::size_t i = 0; i < kClasses * kPerClass; ++i) {
+      draw(i % kClasses);
+      refs.add(row, static_cast<int>(i % kClasses));
+    }
+    index::IvfConfig config;
+    config.clusters = 512;
+    config.probes = 16;
+    PrunedCorpus c{index::IvfReferenceStore(refs, config), nn::Matrix(kQueries, kDim)};
+    for (std::size_t q = 0; q < kQueries; ++q) {
+      draw(rng.index(kClasses));
+      c.queries.set_row(q, row);
+    }
+    return c;
+  }();
+  return corpus;
+}
+
+void BM_KnnQueryBatchPruned(benchmark::State& state) {
+  const PrunedCorpus& corpus = pruned_corpus();
+  const core::KnnClassifier knn(40);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(knn.rank_batch(corpus.store, corpus.queries));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(corpus.queries.rows()));
+}
+BENCHMARK(BM_KnnQueryBatchPruned)->Unit(benchmark::kMillisecond);
 
 // Scalar k-NN query at 100k references: rank() is a one-row rank_batch,
 // so the shards are scanned one after another on the calling thread. Live

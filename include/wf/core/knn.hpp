@@ -27,9 +27,9 @@ inline constexpr std::uint64_t kCandidateClassBits = 24;
 using Candidate = std::pair<double, std::uint64_t>;
 
 // The scatter half of a distributed query: one node's scan of the shards
-// s ≡ slice_index (mod slice_count). Holds, per query, the per-shard k-best
-// candidates and the per-class nearest distances over the slice (flat,
-// query-major). Folding the slices of one store back together with
+// s ≡ slice_index (mod slice_count). Holds, per query, the slice's k best
+// candidates (ascending) and the per-class nearest distances over the slice
+// (flat, query-major). Folding the slices of one store back together with
 // merge_slice_scans reproduces KnnClassifier::rank_batch over the whole
 // store bit-identically.
 struct SliceScan {
@@ -61,9 +61,10 @@ std::vector<std::vector<RankedLabel>> merge_slice_scans(std::span<const int> lab
 //
 // Queries run shard-by-shard against any ReferenceStore: one blocked GEMM
 // tile per shard (distances via ‖q‖² + ‖r‖² − 2·q·r with the reference
-// norms cached per shard), a per-shard top-k candidate heap, and an exact
-// merge of the shard candidates into the global ranking — votes and
-// per-class nearest distances are identical to a single unsharded scan.
+// norms cached per shard) feeding one top-k candidate heap per query across
+// all its shards, and a finalize that sorts only the classes the scan
+// reached — votes and per-class nearest distances are identical to a single
+// unsharded scan.
 // Query tiles are spread across the thread pool; rank() is a one-row
 // rank_batch.
 class KnnClassifier {
@@ -80,10 +81,11 @@ class KnnClassifier {
                                                    const nn::Matrix& queries) const;
 
   // Scan only the shards s with s % slice_count == slice_index of
-  // `references` (which must be the full store — the per-shard heap size is
-  // bounded by the store's total row count, as in rank_batch). This is what
-  // a scatter/gather backend computes before shipping candidates to the
-  // coordinator's merge_slice_scans.
+  // `references` (which must be the full store — k is bounded by the
+  // store's total row count, as in rank_batch) and keep each query's k best
+  // candidates over those shards. This is what a scatter/gather backend
+  // computes before shipping candidates to the coordinator's
+  // merge_slice_scans.
   SliceScan scan_slice(const ReferenceStore& references, const nn::Matrix& queries,
                        std::size_t slice_index, std::size_t slice_count) const;
 

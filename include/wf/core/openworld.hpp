@@ -37,9 +37,10 @@ struct OpenWorldMetrics {
 // Monitored-set membership test (§VI-C): a trace is "in world" when its
 // distance to the `neighbour`-th nearest reference embedding is below a
 // threshold calibrated for the target TPR on monitored samples. Distances
-// run shard-by-shard against any ReferenceStore: each shard contributes its
-// k smallest candidates and the merged k-th value is identical to one
-// unsharded scan. Query tiles are spread across the thread pool.
+// run shard-by-shard against any ReferenceStore: each query keeps one heap
+// of its `neighbour` smallest distances across every shard it scans, so the
+// heap top is identical to one unsharded scan's k-th value. Query tiles are
+// spread across the thread pool.
 //
 // The detector must be calibrated before it can answer membership queries;
 // is_monitored/evaluate/threshold throw std::logic_error until calibrate()

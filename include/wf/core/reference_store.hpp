@@ -21,11 +21,11 @@ struct ShardView {
 };
 
 // Shared interface of the reference stores (ShardedReferenceSet, the IVF
-// index and its mmap view): the query kernels scan every shard
-// independently and merge per-shard candidates, without knowing the storage
-// layout. The merge contract is exact — votes, per-class nearest distances
-// and k-th-neighbour distances are identical to one linear scan over the
-// union of all shards.
+// index and its mmap view): the query kernels scan shard by shard, folding
+// every row into per-query accumulators, without knowing the storage
+// layout. The contract is exact — votes, per-class nearest distances and
+// k-th-neighbour distances are identical to one linear scan over the union
+// of all shards.
 class ReferenceStore {
  public:
   virtual ~ReferenceStore() = default;

@@ -11,10 +11,16 @@
 // each query's probe list is turned into a (shard, query) schedule grouped
 // by shard, and only the queries probing a shard are gathered into its GEMM.
 //
+// The fused visitor (scan_tile): each tile query keeps ONE bounded k-heap of
+// (dist, key) candidates across every shard it scans — the standard IVF
+// per-query heap — plus, for rankings, a per-class nearest-distance row and
+// the list of class ids whose nearest distance dropped below kFar. Callers
+// finalize straight from the heap and only ever sort the touched classes.
+//
 // Determinism: shards are visited in ascending index order and queries in
-// ascending tile order within a shard. The downstream merges are
-// order-independent anyway (unique (dist, insertion-id) keys), so a probe
-// list covering all shards is bit-identical to the exhaustive scan.
+// ascending tile order within a shard. Candidate keys (dist, insertion id)
+// are unique, so the k smallest are the same set in any visiting order and
+// a probe list covering all shards is bit-identical to the exhaustive scan.
 
 #include <algorithm>
 #include <cstddef>
@@ -22,13 +28,42 @@
 #include <utility>
 #include <vector>
 
+#include "core/knn.hpp"
 #include "core/reference_store.hpp"
 #include "nn/matrix.hpp"
+#include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
 namespace wf::core::detail {
 
 inline constexpr std::size_t kQueryTile = 32;  // queries per GEMM tile
+inline constexpr double kFar = 1e300;         // distance of a class no scan reached
+
+// Candidate keys: insertion ids are unique, so comparing packed keys compares
+// insertion ids — the pair's lexicographic < therefore orders candidates by
+// (dist, gid), identical to a partial_sort over (dist, index) pairs of one
+// unsharded scan, while keeping heap elements at 16 bytes.
+inline constexpr std::uint64_t kClassMask = (std::uint64_t{1} << kCandidateClassBits) - 1;
+
+inline std::uint64_t pack_key(std::uint64_t gid, int class_id) {
+  return (gid << kCandidateClassBits) | static_cast<std::uint64_t>(class_id);
+}
+
+inline std::size_t class_of(const Candidate& c) {
+  return static_cast<std::size_t>(c.second & kClassMask);
+}
+
+// Offers `entry` to the bounded max-heap of the k smallest candidates.
+inline void offer(std::vector<Candidate>& heap, std::size_t k, const Candidate& entry) {
+  if (heap.size() < k) {
+    heap.push_back(entry);
+    std::push_heap(heap.begin(), heap.end());
+  } else if (k > 0 && entry < heap.front()) {
+    std::pop_heap(heap.begin(), heap.end());
+    heap.back() = entry;
+    std::push_heap(heap.begin(), heap.end());
+  }
+}
 
 // Calls body(t0, rows) for consecutive tiles [t0, t0 + rows) of m queries,
 // with tiles spread across the global pool.
@@ -89,6 +124,78 @@ void scan_tiles(const ReferenceStore& refs, const float* queries, std::size_t ro
                [&](std::size_t g) { return static_cast<std::size_t>(pairs[lo + g].second); });
     lo = hi;
   }
+}
+
+// The calling thread's accumulators for one query tile, reused across tiles
+// and calls so the hot paths allocate nothing in steady state. `best` holds
+// kQueryTile rows of `stride` class ids and is kFar everywhere except at
+// the ids listed in `touched`; begin() restores that by resetting only the
+// touched entries, so a tile costs O(touched), not O(classes).
+struct TileScan {
+  std::vector<double> qnorms = std::vector<double>(kQueryTile);
+  std::vector<std::vector<Candidate>> heaps =
+      std::vector<std::vector<Candidate>>(kQueryTile);  // per query: bounded k-heap
+  std::vector<std::vector<std::uint32_t>> touched =
+      std::vector<std::vector<std::uint32_t>>(kQueryTile);  // per query: ids below kFar
+  std::vector<double> best;  // kQueryTile x stride
+  std::size_t stride = 0;
+
+  double* best_of(std::size_t q) { return best.data() + q * stride; }
+
+  void begin(std::size_t n_class_ids) {
+    if (n_class_ids > stride) {
+      stride = n_class_ids;
+      best.assign(kQueryTile * stride, kFar);
+      for (std::vector<std::uint32_t>& ids : touched) ids.clear();
+    } else {
+      for (std::size_t q = 0; q < kQueryTile; ++q) {
+        double* row = best_of(q);
+        for (const std::uint32_t id : touched[q]) row[id] = kFar;
+        touched[q].clear();
+      }
+    }
+    for (std::vector<Candidate>& heap : heaps) heap.clear();
+  }
+};
+
+// Scans the `rows`-query tile at `queries` over the slice's shards with the
+// fused visitor and returns the calling thread's TileScan: heaps[q] holds
+// query q's k smallest (dist, key) candidates over every row it scanned,
+// and, when kPerClass, best_of(q) / touched[q] its per-class nearest
+// distances. A cheap dist <= heap-top test rejects most rows before their
+// key is built.
+template <bool kPerClass>
+TileScan& scan_tile(const ReferenceStore& refs, const float* queries, std::size_t rows,
+                    std::size_t k, std::size_t slice_index, std::size_t slice_count) {
+  thread_local TileScan sc;
+  const std::size_t dim = refs.dim();
+  sc.begin(kPerClass ? refs.n_class_ids() : 0);
+  for (std::size_t q = 0; q < rows; ++q) sc.qnorms[q] = nn::squared_norm(queries + q * dim, dim);
+  scan_tiles(refs, queries, rows, slice_index, slice_count,
+             [&](const ShardView& shard, std::size_t q, const float* dots) {
+               WF_DCHECK(shard.sq_norms != nullptr && shard.class_ids != nullptr &&
+                             shard.row_ids != nullptr,
+                         "scan_tile: shard tables missing");
+               const double qnorm = sc.qnorms[q];
+               std::vector<Candidate>& heap = sc.heaps[q];
+               [[maybe_unused]] double* best = sc.best_of(q);
+               [[maybe_unused]] std::vector<std::uint32_t>& touched = sc.touched[q];
+               for (std::size_t j = 0; j < shard.rows; ++j) {
+                 double dist = qnorm + shard.sq_norms[j] - 2.0 * static_cast<double>(dots[j]);
+                 if (dist < 0.0) dist = 0.0;
+                 const int id = shard.class_ids[j];
+                 if constexpr (kPerClass) {
+                   double& b = best[static_cast<std::size_t>(id)];
+                   if (dist < b) {
+                     if (b >= kFar) touched.push_back(static_cast<std::uint32_t>(id));
+                     b = dist;
+                   }
+                 }
+                 if (heap.size() < k || (k > 0 && dist <= heap.front().first))
+                   offer(heap, k, {dist, pack_key(shard.row_ids[j], id)});
+               }
+             });
+  return sc;
 }
 
 }  // namespace wf::core::detail

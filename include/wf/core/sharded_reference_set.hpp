@@ -12,11 +12,11 @@
 namespace wf::core {
 
 // Reference embeddings partitioned into S shards, each with its own dense
-// data/norm/class-id tables, so the query kernels can scan shards
-// independently (one GEMM tile per shard, per-shard candidate heaps) and
-// merge. Rows are distributed round-robin by a global insertion counter;
-// the counter value is kept per row as the tie-break id, which makes every
-// merged ranking identical to a single scan over the rows in insertion
+// data/norm/class-id tables, so the query kernels can scan shards one GEMM
+// tile at a time while each query keeps one candidate heap across them.
+// Rows are distributed round-robin by a global insertion counter; the
+// counter value is kept per row as the tie-break id, which makes every
+// ranking identical to a single scan over the rows in insertion
 // order, for any shard count (S = 1 is the unsharded store).
 //
 // Adaptation (§IV-C probe-and-swap) stays a pure data operation: a swap is

@@ -122,7 +122,6 @@ class IvfReferenceStore final : public core::ReferenceStore {
  private:
   void build_from_rows(const float* data, const int* labels, const std::uint64_t* row_ids,
                        std::size_t n);
-  std::size_t nearest_centroid(const float* row) const;
   void rebuild_class_ids();
   void count_probe(const std::vector<std::size_t>& out) const;
 
@@ -157,6 +156,17 @@ struct IndexMetrics {
   obs::Gauge* journal_bytes;
 };
 const IndexMetrics& index_metrics();
+
+// The `count` clusters nearest to `row` among the n row-major `centroids`
+// (`norms`: their cached ‖c‖²), written to `out` in ascending margin
+// ‖c‖² − 2·<row, c> — the squared distance minus the row's own norm — with
+// ties to the lower cluster; count >= n yields every cluster in index order
+// without computing a margin. Every cluster choice of wf::index (probes,
+// add(), journal appends, k-means assignment) ranks by this margin and
+// tie-break, so the live store, the mapped view and a journal replay agree.
+void nearest_centroids(const float* row, const float* centroids, const double* norms,
+                       std::size_t n, std::size_t dim, std::size_t count,
+                       std::vector<std::size_t>& out);
 }  // namespace detail
 
 }  // namespace wf::index

@@ -11,110 +11,57 @@ namespace wf::core {
 
 namespace {
 
-// Candidates (see knn.hpp): insertion ids are unique, so comparing packed
-// keys compares insertion ids — pair's lexicographic < therefore orders
-// candidates by (dist, gid), identical to a partial_sort over (dist, index)
-// pairs of one unsharded scan, while keeping heap elements at 16 bytes.
-constexpr std::uint64_t kClassBits = kCandidateClassBits;  // ~16.7M classes, ~1.1T rows
-constexpr std::uint64_t kClassMask = (std::uint64_t{1} << kClassBits) - 1;
+using detail::kFar;
 
-inline std::uint64_t pack_key(std::uint64_t gid, int class_id) {
-  return (gid << kClassBits) | static_cast<std::uint64_t>(class_id);
+bool ranked_before(const RankedLabel& a, const RankedLabel& b) {
+  if (a.votes != b.votes) return a.votes > b.votes;
+  if (a.distance != b.distance) return a.distance < b.distance;
+  return a.label < b.label;
 }
 
-// Reusable per-thread workspace: query norms, per-shard heap, the current
-// tile's candidates and per-class bests, and vote counts. Thread-local so
-// concurrent pool tasks never contend and the hot paths allocate nothing
-// in steady state.
-struct RankScratch {
-  std::vector<double> qnorms;
-  std::vector<Candidate> heap;  // bounded max-heap of one shard's k best
-  std::vector<std::vector<Candidate>> merged =
-      std::vector<std::vector<Candidate>>(detail::kQueryTile);  // per tile query
-  std::vector<double> best;  // tile queries x global class ids
-  std::vector<int> votes;    // per global class id
+// The class-id space of one call: labels by id, and (label, id) pairs in
+// ascending label order — the order of the untouched tail of every ranking.
+struct ClassOrder {
+  std::vector<int> labels;
+  std::vector<std::pair<int, std::uint32_t>> by_label;
+
+  template <typename LabelOf>
+  ClassOrder(std::size_t n_ids, LabelOf label_of) : labels(n_ids), by_label(n_ids) {
+    for (std::size_t id = 0; id < n_ids; ++id) {
+      labels[id] = label_of(id);
+      by_label[id] = {labels[id], static_cast<std::uint32_t>(id)};
+    }
+    std::sort(by_label.begin(), by_label.end());
+  }
 };
 
-RankScratch& scratch() {
-  thread_local RankScratch s;
-  return s;
-}
-
-// Scan one shard given the query's dot products against its rows: fold the
-// per-class nearest distance into `best` (a flat per-class array) and
-// append the shard's k smallest (dist, gid) candidates to `merged`.
-void scan_shard(const ShardView& shard, const float* dots, double query_norm, std::size_t k,
-                std::vector<Candidate>& heap, double* best, std::vector<Candidate>& merged) {
-  WF_DCHECK(shard.rows == 0 || (shard.sq_norms != nullptr && shard.class_ids != nullptr &&
-                                shard.row_ids != nullptr),
-            "scan_shard: shard tables missing");
-  const auto cmp = [](const Candidate& a, const Candidate& b) { return a < b; };
-  heap.clear();
-  for (std::size_t j = 0; j < shard.rows; ++j) {
-    double dist = query_norm + shard.sq_norms[j] - 2.0 * static_cast<double>(dots[j]);
-    if (dist < 0.0) dist = 0.0;
-    const int id = shard.class_ids[j];
-    if (dist < best[static_cast<std::size_t>(id)]) best[static_cast<std::size_t>(id)] = dist;
-    const Candidate entry{dist, pack_key(shard.row_ids[j], id)};
-    if (heap.size() < k) {
-      heap.push_back(entry);
-      std::push_heap(heap.begin(), heap.end(), cmp);
-    } else if (k > 0 && entry < heap.front()) {
-      std::pop_heap(heap.begin(), heap.end(), cmp);
-      heap.back() = entry;
-      std::push_heap(heap.begin(), heap.end(), cmp);
-    }
-  }
-  merged.insert(merged.end(), heap.begin(), heap.end());
-}
-
-// Scan the tile [t0, t0 + rows) of `queries` over the slice's shards:
-// query q's per-class bests land in best[q * n_class_ids, ...) and its
-// per-shard k-best candidates are appended to candidates[q].
-void scan_tile(const ReferenceStore& refs, const nn::Matrix& queries, std::size_t t0,
-               std::size_t rows, std::size_t k, std::size_t slice_index,
-               std::size_t slice_count, double* best, std::vector<Candidate>* candidates) {
-  const std::size_t dim = refs.dim();
-  const std::size_t n_ids = refs.n_class_ids();
-  RankScratch& sc = scratch();
-  sc.qnorms.resize(rows);
-  for (std::size_t q = 0; q < rows; ++q)
-    sc.qnorms[q] = nn::squared_norm(queries.data() + (t0 + q) * dim, dim);
-  detail::scan_tiles(refs, queries.data() + t0 * dim, rows, slice_index, slice_count,
-                     [&](const ShardView& shard, std::size_t q, const float* dots) {
-                       scan_shard(shard, dots, sc.qnorms[q], k, sc.heap, best + q * n_ids,
-                                  candidates[q]);
-                     });
-}
-
-// Keep the k globally smallest candidates, count their votes per class and
-// emit the sorted ranking. The union of per-shard k-best lists always
-// contains the global k best, so this equals the unsharded selection; the
-// candidate set selected by nth_element is order-independent because keys
-// are unique, which is what makes the scatter/gather fold exact.
-template <typename LabelOf>
-void finalize_candidates(std::size_t n_ids, LabelOf label_of, std::size_t k,
-                         std::vector<Candidate>& merged, std::vector<int>& votes,
-                         const double* best, std::vector<RankedLabel>& out) {
-  if (merged.size() > k) {
-    std::nth_element(merged.begin(), merged.begin() + static_cast<std::ptrdiff_t>(k),
-                     merged.end());
-    merged.resize(k);
-  }
-  votes.assign(n_ids, 0);
-  for (const Candidate& c : merged) {
-    WF_DCHECK((c.second & kClassMask) < n_ids, "finalize: candidate class id out of range");
-    ++votes[static_cast<std::size_t>(c.second & kClassMask)];
+// Emits one query's total ranking from its k best candidates (`kbest`, any
+// order) and its per-class nearest distances (`best`, kFar except at the ids
+// in `touched`). An untouched class has no votes and distance kFar, so it
+// sorts after every touched one and among its peers by label alone: only the
+// touched classes are sorted, and the rest follow in the precomputed label
+// order. `touched` may grow: a voted class whose best stayed at kFar (a NaN
+// distance, or a peer's inconsistent slice) joins it, so the output always
+// holds every class exactly once.
+void finalize(const std::vector<Candidate>& kbest, const double* best,
+              std::vector<std::uint32_t>& touched, const ClassOrder& order,
+              std::vector<RankedLabel>& out) {
+  const std::size_t n_ids = order.labels.size();
+  thread_local std::vector<int> votes;  // all zero between calls
+  if (votes.size() < n_ids) votes.resize(n_ids, 0);
+  for (const Candidate& c : kbest) {
+    const std::size_t id = detail::class_of(c);
+    WF_DCHECK(id < n_ids, "finalize: candidate class id out of range");
+    if (votes[id]++ == 0 && !(best[id] < kFar)) touched.push_back(static_cast<std::uint32_t>(id));
   }
   out.clear();
   out.reserve(n_ids);
-  for (std::size_t id = 0; id < n_ids; ++id)
-    out.push_back({label_of(id), votes[id], best[id]});
-  std::sort(out.begin(), out.end(), [](const RankedLabel& a, const RankedLabel& b) {
-    if (a.votes != b.votes) return a.votes > b.votes;
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.label < b.label;
-  });
+  for (const std::uint32_t id : touched) out.push_back({order.labels[id], votes[id], best[id]});
+  std::sort(out.begin(), out.end(), ranked_before);
+  if (out.size() < n_ids)  // an exhaustive scan touches every class: no tail
+    for (const auto& [label, id] : order.by_label)
+      if (best[id] >= kFar && votes[id] == 0) out.push_back({label, 0, kFar});
+  for (const Candidate& c : kbest) votes[detail::class_of(c)] = 0;
 }
 
 }  // namespace
@@ -137,18 +84,16 @@ std::vector<std::vector<RankedLabel>> KnnClassifier::rank_batch(
     throw std::invalid_argument("KnnClassifier::rank_batch: query width mismatch");
   const std::size_t n_ids = references.n_class_ids();
   const std::size_t k = std::min<std::size_t>(static_cast<std::size_t>(std::max(0, k_)), n);
-  const auto label_of = [&](std::size_t id) { return references.label_of_id(id); };
+  const ClassOrder order(n_ids, [&](std::size_t id) { return references.label_of_id(id); });
+  const std::size_t dim = references.dim();
 
   // Tile-local accumulators, finalized before the next tile: memory stays
   // bounded by the tile size, not the query count.
   detail::for_each_tile(m, [&](std::size_t t0, std::size_t rows) {
-    RankScratch& sc = scratch();
-    sc.best.assign(rows * n_ids, 1e300);
-    for (std::size_t q = 0; q < rows; ++q) sc.merged[q].clear();
-    scan_tile(references, queries, t0, rows, k, 0, 1, sc.best.data(), sc.merged.data());
+    detail::TileScan& sc =
+        detail::scan_tile<true>(references, queries.data() + t0 * dim, rows, k, 0, 1);
     for (std::size_t q = 0; q < rows; ++q)
-      finalize_candidates(n_ids, label_of, k, sc.merged[q], sc.votes, sc.best.data() + q * n_ids,
-                          rankings[t0 + q]);
+      finalize(sc.heaps[q], sc.best_of(q), sc.touched[q], order, rankings[t0 + q]);
   });
   return rankings;
 }
@@ -163,7 +108,7 @@ SliceScan KnnClassifier::scan_slice(const ReferenceStore& references, const nn::
   out.n_queries = m;
   out.n_class_ids = references.n_class_ids();
   out.candidates.resize(m);
-  out.best.assign(m * out.n_class_ids, 1e300);
+  out.best.assign(m * out.n_class_ids, kFar);
   for (std::size_t s = slice_index; s < references.shard_count(); s += slice_count)
     out.n_rows_scanned += references.shard_view(s).rows;
   if (m == 0 || n == 0) return out;
@@ -173,9 +118,17 @@ SliceScan KnnClassifier::scan_slice(const ReferenceStore& references, const nn::
   // the slice is a partition of one store, not a smaller store.
   const std::size_t k = std::min<std::size_t>(static_cast<std::size_t>(std::max(0, k_)), n);
 
+  const std::size_t dim = references.dim();
   detail::for_each_tile(m, [&](std::size_t t0, std::size_t rows) {
-    scan_tile(references, queries, t0, rows, k, slice_index, slice_count,
-              out.best.data() + t0 * out.n_class_ids, out.candidates.data() + t0);
+    detail::TileScan& sc = detail::scan_tile<true>(references, queries.data() + t0 * dim, rows,
+                                                   k, slice_index, slice_count);
+    for (std::size_t q = 0; q < rows; ++q) {
+      const double* best = sc.best_of(q);
+      double* slice_best = out.best.data() + (t0 + q) * out.n_class_ids;
+      for (const std::uint32_t id : sc.touched[q]) slice_best[id] = best[id];
+      std::sort_heap(sc.heaps[q].begin(), sc.heaps[q].end());
+      out.candidates[t0 + q] = sc.heaps[q];
+    }
   });
   return out;
 }
@@ -195,20 +148,28 @@ std::vector<std::vector<RankedLabel>> merge_slice_scans(std::span<const int> lab
   if (n_total == 0) return rankings;
   const std::size_t kk =
       std::min<std::size_t>(static_cast<std::size_t>(std::max(0, k)), n_total);
-  std::vector<Candidate> merged;
-  std::vector<double> best;
-  std::vector<int> votes;
+  const ClassOrder order(n_ids, [&](std::size_t id) { return labels_by_id[id]; });
+  std::vector<Candidate> kbest;
+  std::vector<double> best(n_ids, kFar);
+  std::vector<std::uint32_t> touched;
   for (std::size_t q = 0; q < m; ++q) {
-    merged.clear();
-    best.assign(n_ids, 1e300);
+    kbest.clear();
+    for (const std::uint32_t id : touched) best[id] = kFar;
+    touched.clear();
     for (const SliceScan& slice : slices) {
-      merged.insert(merged.end(), slice.candidates[q].begin(), slice.candidates[q].end());
+      for (const Candidate& c : slice.candidates[q]) {
+        WF_CHECK(detail::class_of(c) < n_ids, "merge_slice_scans: candidate class id out of range");
+        detail::offer(kbest, kk, c);
+      }
       const double* slice_best = slice.best_of(q);
-      for (std::size_t id = 0; id < n_ids; ++id) best[id] = std::min(best[id], slice_best[id]);
+      for (std::size_t id = 0; id < n_ids; ++id) {
+        if (slice_best[id] < best[id]) {
+          if (best[id] >= kFar) touched.push_back(static_cast<std::uint32_t>(id));
+          best[id] = slice_best[id];
+        }
+      }
     }
-    finalize_candidates(
-        n_ids, [&](std::size_t id) { return labels_by_id[id]; }, kk, merged, votes,
-        best.data(), rankings[q]);
+    finalize(kbest, best.data(), touched, order, rankings[q]);
   }
   return rankings;
 }

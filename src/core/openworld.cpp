@@ -11,50 +11,6 @@
 
 namespace wf::core {
 
-namespace {
-
-// Append this shard's `count` smallest squared distances to `merged`, given
-// the query's dot products against the shard's rows.
-void shard_smallest(const ShardView& shard, const float* dots, double qnorm, std::size_t count,
-                    std::vector<double>& scratch, std::vector<double>& merged) {
-  scratch.resize(shard.rows);
-  for (std::size_t j = 0; j < shard.rows; ++j) {
-    const double dist = qnorm + shard.sq_norms[j] - 2.0 * static_cast<double>(dots[j]);
-    scratch[j] = dist < 0.0 ? 0.0 : dist;
-  }
-  const std::size_t keep = std::min(count, shard.rows);
-  if (keep < shard.rows)
-    std::nth_element(scratch.begin(), scratch.begin() + static_cast<std::ptrdiff_t>(keep),
-                     scratch.end());
-  merged.insert(merged.end(), scratch.begin(),
-                scratch.begin() + static_cast<std::ptrdiff_t>(keep));
-}
-
-// k-th smallest (0-based) of the merged per-shard lists. Each shard kept at
-// least min(k + 1, rows) values, so the union contains the global k + 1
-// smallest and the selected value equals an unsharded nth_element.
-double merged_kth(std::vector<double>& merged, std::size_t k) {
-  // Exhaustive scans always merge at least k + 1 values; a pruned probe can
-  // cover fewer rows than that, in which case the farthest covered
-  // neighbour stands in (and an empty probe means "nowhere near": 1e300).
-  if (merged.empty()) return 1e300;
-  if (k >= merged.size()) k = merged.size() - 1;
-  std::nth_element(merged.begin(), merged.begin() + static_cast<std::ptrdiff_t>(k),
-                   merged.end());
-  return merged[k];
-}
-
-// Reusable per-thread workspace of one tile: query norms, the per-query
-// merged distance lists and the per-shard distance scratch.
-struct KthScratch {
-  std::vector<double> qnorms = std::vector<double>(detail::kQueryTile);
-  std::vector<std::vector<double>> merged =
-      std::vector<std::vector<double>>(detail::kQueryTile);
-  std::vector<double> dists;
-};
-
-}  // namespace
-
 void OpenWorldDetector::require_calibrated(const char* what) const {
   if (!calibrated_)
     throw std::logic_error(std::string("OpenWorldDetector::") + what +
@@ -82,21 +38,19 @@ std::vector<double> OpenWorldDetector::kth_distances(const ReferenceStore& refer
   if (embeddings.cols() != references.dim())
     throw std::invalid_argument("OpenWorldDetector::kth_distances: width mismatch");
   const std::size_t dim = references.dim();
-  const std::size_t k = std::min(neighbour, n) - 1;
+  const std::size_t k = std::min(neighbour, n);
 
+  // Each query's k smallest distances over every row it scans: the heap top
+  // is the k-th. A pruned probe can cover fewer than k rows, in which case
+  // the farthest covered neighbour stands in, and an empty probe means
+  // "nowhere near" (1e300).
   detail::for_each_tile(m, [&](std::size_t t0, std::size_t rows) {
-    thread_local KthScratch sc;
+    detail::TileScan& sc =
+        detail::scan_tile<false>(references, embeddings.data() + t0 * dim, rows, k, 0, 1);
     for (std::size_t q = 0; q < rows; ++q) {
-      sc.merged[q].clear();
-      sc.qnorms[q] = nn::squared_norm(embeddings.data() + (t0 + q) * dim, dim);
+      const std::vector<Candidate>& heap = sc.heaps[q];
+      result[t0 + q] = std::sqrt(heap.empty() ? detail::kFar : heap.front().first);
     }
-    detail::scan_tiles(references, embeddings.data() + t0 * dim, rows, 0, 1,
-                       [&](const ShardView& shard, std::size_t q, const float* dots) {
-                         shard_smallest(shard, dots, sc.qnorms[q], k + 1, sc.dists,
-                                        sc.merged[q]);
-                       });
-    for (std::size_t q = 0; q < rows; ++q)
-      result[t0 + q] = std::sqrt(merged_kth(sc.merged[q], k));
   });
   return result;
 }

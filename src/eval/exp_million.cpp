@@ -61,8 +61,8 @@ Corpus make_corpus(std::size_t n_refs, std::size_t n_queries) {
 }
 
 // Each query's 10 nearest reference rows (global insertion ids), extracted
-// from the scan's candidate lists: a single-slice scan_slice holds every
-// shard's k-best, so the global top-10 is a sort away. Row ids are the
+// from the scan's candidate lists: a single-slice scan_slice holds the
+// store's k best, so the global top-10 is a sort away. Row ids are the
 // store's insertion ids, which the IVF index preserves — the exact and the
 // pruned scan speak the same id space.
 std::vector<std::vector<std::uint64_t>> top_rows(const core::KnnClassifier& knn,

@@ -14,6 +14,31 @@
 
 namespace wf::index {
 
+namespace {
+
+// The ranking key of cluster c for a row with dot products `dots`:
+// margin(c) = ‖c‖² − 2·<row, c>, i.e. ‖row − c‖² without the constant ‖row‖².
+double margin(const double* norms, const float* dots, std::size_t c) {
+  return norms[c] - 2.0 * static_cast<double>(dots[c]);
+}
+
+// The cluster of least margin; strict less keeps the lowest index on ties,
+// exactly as the (margin, cluster) pair order of nearest_centroids does.
+std::size_t argmin_margin(const double* norms, const float* dots, std::size_t n) {
+  std::size_t best = 0;
+  double best_margin = margin(norms, dots, 0);
+  for (std::size_t c = 1; c < n; ++c) {
+    const double m = margin(norms, dots, c);
+    if (m < best_margin) {
+      best_margin = m;
+      best = c;
+    }
+  }
+  return best;
+}
+
+}  // namespace
+
 namespace detail {
 
 const IndexMetrics& index_metrics() {
@@ -27,28 +52,36 @@ const IndexMetrics& index_metrics() {
   return metrics;
 }
 
+void nearest_centroids(const float* row, const float* centroids, const double* norms,
+                       std::size_t n, std::size_t dim, std::size_t count,
+                       std::vector<std::size_t>& out) {
+  out.clear();
+  if (count >= n) {
+    for (std::size_t c = 0; c < n; ++c) out.push_back(c);
+    return;
+  }
+  if (count == 0) return;
+  thread_local std::vector<float> dots;
+  dots.resize(n);
+  nn::gemm_nt_serial(row, 1, centroids, n, dim, dots.data());
+  if (count == 1) {
+    out.push_back(argmin_margin(norms, dots.data(), n));
+    return;
+  }
+  thread_local std::vector<std::pair<double, std::size_t>> ranked;
+  ranked.resize(n);
+  for (std::size_t c = 0; c < n; ++c) ranked[c] = {margin(norms, dots.data(), c), c};
+  // pair's lexicographic < breaks margin ties toward the lower cluster.
+  std::partial_sort(ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(count),
+                    ranked.end());
+  for (std::size_t p = 0; p < count; ++p) out.push_back(ranked[p].second);
+}
+
 }  // namespace detail
 
 namespace {
 
 constexpr std::size_t kAssignTile = 256;  // rows per centroid-assignment GEMM
-
-// argmin over clusters of ‖row − c‖², dropping the constant ‖row‖² term:
-// margin(c) = ‖c‖² − 2·<row, c>. Strict less keeps the lowest cluster index
-// on ties — every assignment in this file (bulk, add(), k-means) goes
-// through the same margin + tie-break so they can never disagree.
-std::size_t argmin_margin(const double* norms, const float* dots, std::size_t n) {
-  std::size_t best = 0;
-  double best_margin = norms[0] - 2.0 * static_cast<double>(dots[0]);
-  for (std::size_t c = 1; c < n; ++c) {
-    const double margin = norms[c] - 2.0 * static_cast<double>(dots[c]);
-    if (margin < best_margin) {
-      best_margin = margin;
-      best = c;
-    }
-  }
-  return best;
-}
 
 // Nearest-centroid assignment of `n` contiguous rows, GEMM-tiled and
 // parallel over the pool; each row's answer is schedule-independent.
@@ -242,22 +275,8 @@ void IvfReferenceStore::probe_shards(std::span<const float> query,
   const std::size_t n_clusters = cells_.size();
   if (n_clusters == 0) return;
   WF_CHECK(query.size() == dim_, "IvfReferenceStore::probe_shards: query width mismatch");
-  const std::size_t n_probes = effective_probes();
-  if (n_probes >= n_clusters) {
-    for (std::size_t c = 0; c < n_clusters; ++c) out.push_back(c);
-  } else {
-    thread_local std::vector<float> dots;
-    thread_local std::vector<std::pair<double, std::size_t>> ranked;
-    dots.resize(n_clusters);
-    nn::gemm_nt_serial(query.data(), 1, centroids_.data(), n_clusters, dim_, dots.data());
-    ranked.resize(n_clusters);
-    for (std::size_t c = 0; c < n_clusters; ++c)
-      ranked[c] = {centroid_norms_[c] - 2.0 * static_cast<double>(dots[c]), c};
-    // pair's lexicographic < breaks margin ties toward the lower cluster.
-    std::partial_sort(ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(n_probes),
-                      ranked.end());
-    for (std::size_t p = 0; p < n_probes; ++p) out.push_back(ranked[p].second);
-  }
+  detail::nearest_centroids(query.data(), centroids_.data(), centroid_norms_.data(), n_clusters,
+                            dim_, effective_probes(), out);
   count_probe(out);
 }
 
@@ -283,7 +302,11 @@ std::vector<int> IvfReferenceStore::classes() const {
 
 void IvfReferenceStore::add(std::span<const float> embedding, int label) {
   WF_CHECK(!cells_.empty(), "IvfReferenceStore::add: store has no clusters");
-  add_pinned(nearest_centroid(embedding.data()), label, next_row_id_, embedding);
+  WF_CHECK(embedding.size() == dim_, "IvfReferenceStore::add: width mismatch");
+  thread_local std::vector<std::size_t> nearest;
+  detail::nearest_centroids(embedding.data(), centroids_.data(), centroid_norms_.data(),
+                            cells_.size(), dim_, 1, nearest);
+  add_pinned(nearest.front(), label, next_row_id_, embedding);
 }
 
 void IvfReferenceStore::add_pinned(std::size_t cluster, int label, std::uint64_t row_id,
@@ -302,13 +325,6 @@ void IvfReferenceStore::add_pinned(std::size_t cluster, int label, std::uint64_t
   next_row_id_ = std::max(next_row_id_, row_id + 1);
   ++size_;
   ++churn_;
-}
-
-std::size_t IvfReferenceStore::nearest_centroid(const float* row) const {
-  thread_local std::vector<float> dots;
-  dots.resize(cells_.size());
-  nn::gemm_nt_serial(row, 1, centroids_.data(), cells_.size(), dim_, dots.data());
-  return argmin_margin(centroid_norms_.data(), dots.data(), cells_.size());
 }
 
 void IvfReferenceStore::remove_class(int label) {

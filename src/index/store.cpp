@@ -253,26 +253,6 @@ void scan_journal(const std::string& journal_path, std::uint64_t dim, std::uint6
   }
 }
 
-// The same margin + strict-less tie-break as the in-memory store's
-// nearest_centroid: the journal writer must pick the cluster the live store
-// would have picked, or replay diverges.
-std::size_t nearest_centroid_of(std::span<const float> row, const float* centroids,
-                                const double* norms, std::size_t n, std::size_t dim) {
-  thread_local std::vector<float> dots;
-  dots.resize(n);
-  nn::gemm_nt_serial(row.data(), 1, centroids, n, dim, dots.data());
-  std::size_t best = 0;
-  double best_margin = norms[0] - 2.0 * static_cast<double>(dots[0]);
-  for (std::size_t c = 1; c < n; ++c) {
-    const double margin = norms[c] - 2.0 * static_cast<double>(dots[c]);
-    if (margin < best_margin) {
-      best_margin = margin;
-      best = c;
-    }
-  }
-  return best;
-}
-
 IvfConfig config_of(const Header& h) {
   IvfConfig config;
   // The stored cluster count is pinned (not the original "0 = auto"), so a
@@ -465,9 +445,11 @@ IndexJournalWriter::IndexJournalWriter(const std::string& index_path)
 void IndexJournalWriter::add(std::span<const float> embedding, int label) {
   if (embedding.size() != dim_)
     throw io::IoError("IndexJournalWriter::add: embedding width mismatch");
-  const std::size_t cluster = nearest_centroid_of(embedding, centroids_.data(),
-                                                  centroid_norms_.data(),
-                                                  centroid_norms_.size(), dim_);
+  // The cluster the live store's add() would pick, or replay diverges.
+  thread_local std::vector<std::size_t> nearest;
+  detail::nearest_centroids(embedding.data(), centroids_.data(), centroid_norms_.data(),
+                            centroid_norms_.size(), dim_, 1, nearest);
+  const std::size_t cluster = nearest.front();
   std::ostringstream buf;
   io::Writer w(buf);
   w.u8(1);
@@ -615,22 +597,8 @@ void MappedIndex::probe_shards(std::span<const float> query,
   WF_CHECK(query.size() == dim_, "MappedIndex::probe_shards: query width mismatch");
   const std::size_t n_probes = probes_ == 0 ? n_clusters_ : std::min(probes_, n_clusters_);
   thread_local std::vector<std::size_t> picked;
-  picked.clear();
-  if (n_probes >= n_clusters_) {
-    for (std::size_t c = 0; c < n_clusters_; ++c) picked.push_back(c);
-  } else {
-    thread_local std::vector<float> dots;
-    thread_local std::vector<std::pair<double, std::size_t>> ranked;
-    dots.resize(n_clusters_);
-    nn::gemm_nt_serial(query.data(), 1, centroids_, n_clusters_, dim_, dots.data());
-    ranked.resize(n_clusters_);
-    for (std::size_t c = 0; c < n_clusters_; ++c)
-      ranked[c] = {centroid_norms_[c] - 2.0 * static_cast<double>(dots[c]), c};
-    // pair's lexicographic < breaks margin ties toward the lower cluster.
-    std::partial_sort(ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(n_probes),
-                      ranked.end());
-    for (std::size_t p = 0; p < n_probes; ++p) picked.push_back(ranked[p].second);
-  }
+  detail::nearest_centroids(query.data(), centroids_, centroid_norms_.data(), n_clusters_, dim_,
+                            n_probes, picked);
   // Each probed cluster scans its mapped base shard plus its journal tail:
   // together they hold exactly the rows an in-memory replay would have
   // merged into cell c, so rankings agree bit for bit.

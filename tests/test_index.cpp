@@ -1,7 +1,9 @@
 // wf::index invariants: the IVF-pruned scan at P = C is bit-identical to
 // the exact sharded scan (rankings AND open-world kth distances) for
 // several cluster counts; the seeded k-means is deterministic and depends
-// only on content, not on how the base store was sharded; recall@10 at a
+// only on content, not on how the base store was sharded; P < C rankings
+// and kth distances (in-memory and mapped, with journal-added classes) equal
+// a brute-force scan of exactly the probed clusters; recall@10 at a
 // pinned (C, P) clears 0.95; an index written to disk and reopened (mmap
 // base, journal tails, full reload, rebuild) answers bit-identically to the
 // in-memory store mutated the same way; every supported SIMD mode agrees
@@ -11,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/knn.hpp"
@@ -74,8 +77,8 @@ void check_rankings_identical(const std::vector<std::vector<core::RankedLabel>>&
   }
 }
 
-// Each query's 10 nearest row ids, via a single-slice scan (every shard's
-// k-best candidates, globally sorted).
+// Each query's 10 nearest row ids, via a single-slice scan (the store's k
+// best candidates, sorted).
 std::vector<std::vector<std::uint64_t>> top10_rows(const core::KnnClassifier& knn,
                                                    const core::ReferenceStore& store,
                                                    const nn::Matrix& queries) {
@@ -93,6 +96,116 @@ std::vector<std::vector<std::uint64_t>> top10_rows(const core::KnnClassifier& kn
 
 bool is_aligned(const void* p) {
   return reinterpret_cast<std::uintptr_t>(p) % util::kSimdAlignment == 0;
+}
+
+// One row of a probed cluster as the pruned-scan oracle sees it.
+struct ProbedRow {
+  double dist;
+  std::uint64_t row_id;
+  std::size_t class_id;
+};
+
+// Every row of exactly the shards `store` probes for `query`, sorted by
+// (dist, insertion id). Distances use the scan's own formula and the active
+// dot kernel, so they match the GEMM's bit for bit; everything else — the
+// selection, votes, per-class minima, ranking order — is independent of the
+// tile/heap machinery under test.
+std::vector<ProbedRow> probed_rows(const core::ReferenceStore& store,
+                                   std::span<const float> query) {
+  const std::size_t dim = store.dim();
+  const double qnorm = nn::squared_norm(query.data(), dim);
+  std::vector<std::size_t> shards;
+  store.probe_shards(query, shards);
+  std::vector<ProbedRow> out;
+  for (const std::size_t s : shards) {
+    const core::ShardView view = store.shard_view(s);
+    for (std::size_t j = 0; j < view.rows; ++j) {
+      const float* row = view.data + j * dim;
+      double dist = qnorm + nn::squared_norm(row, dim) -
+                    2.0 * static_cast<double>(nn::simd_dot(query.data(), row, dim));
+      if (dist < 0.0) dist = 0.0;
+      out.push_back({dist, view.row_ids[j], static_cast<std::size_t>(view.class_ids[j])});
+    }
+  }
+  std::sort(out.begin(), out.end(), [](const ProbedRow& a, const ProbedRow& b) {
+    return a.dist != b.dist ? a.dist < b.dist : a.row_id < b.row_id;
+  });
+  return out;
+}
+
+// The ranking contract over the probed rows: the k nearest vote, every class
+// id of the store appears once, and a class no probed row belongs to ranks
+// with 0 votes at distance 1e300.
+std::vector<core::RankedLabel> oracle_rank(const core::ReferenceStore& store,
+                                           std::span<const float> query, int k_cfg) {
+  const std::vector<ProbedRow> rows = probed_rows(store, query);
+  const std::size_t k =
+      std::min<std::size_t>(static_cast<std::size_t>(std::max(0, k_cfg)), store.size());
+  std::vector<core::RankedLabel> ranking(store.n_class_ids());
+  for (std::size_t id = 0; id < ranking.size(); ++id)
+    ranking[id] = {store.label_of_id(id), 0, 1e300};
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    core::RankedLabel& entry = ranking[rows[i].class_id];
+    if (i < k) ++entry.votes;
+    entry.distance = std::min(entry.distance, rows[i].dist);
+  }
+  std::sort(ranking.begin(), ranking.end(),
+            [](const core::RankedLabel& a, const core::RankedLabel& b) {
+              if (a.votes != b.votes) return a.votes > b.votes;
+              if (a.distance != b.distance) return a.distance < b.distance;
+              return a.label < b.label;
+            });
+  return ranking;
+}
+
+// The open-world statistic over the probed rows: the neighbour-th nearest,
+// clamped to the farthest probed row, sqrt(1e300) when nothing was probed.
+double oracle_kth(const core::ReferenceStore& store, std::span<const float> query,
+                  int neighbour) {
+  const std::vector<ProbedRow> rows = probed_rows(store, query);
+  if (rows.empty()) return std::sqrt(1e300);
+  const std::size_t k = std::min<std::size_t>(
+      std::min<std::size_t>(static_cast<std::size_t>(neighbour), store.size()), rows.size());
+  return std::sqrt(rows[k - 1].dist);
+}
+
+// Checks one pruned store against the probed-rows oracle: full rankings
+// bit for bit, the untouched tail (0 votes, 1e300, ascending label), and
+// the open-world distances at two neighbour counts. Returns how many
+// queries ranked one of `early_labels` inside their untouched tail.
+std::size_t check_pruned_against_oracle(const core::ReferenceStore& store,
+                                        const core::KnnClassifier& knn,
+                                        const nn::Matrix& queries,
+                                        const std::vector<int>& early_labels) {
+  std::size_t tails_with_early = 0;
+  const auto rankings = knn.rank_batch(store, queries);
+  CHECK(rankings.size() == queries.rows());
+  for (std::size_t q = 0; q < rankings.size(); ++q) {
+    const auto want = oracle_rank(store, queries.row_span(q), knn.k());
+    check_rankings_identical({want}, {rankings[q]});
+    std::size_t tail = rankings[q].size();
+    while (tail > 0 && rankings[q][tail - 1].votes == 0 &&
+           rankings[q][tail - 1].distance == 1e300)
+      --tail;
+    CHECK(tail < rankings[q].size());  // P < C: some class is never probed
+    bool early = false;
+    for (std::size_t i = tail; i < rankings[q].size(); ++i) {
+      if (i > tail) CHECK(rankings[q][i - 1].label < rankings[q][i].label);
+      early = early || std::find(early_labels.begin(), early_labels.end(),
+                                 rankings[q][i].label) != early_labels.end();
+    }
+    for (std::size_t i = 0; i < tail; ++i)
+      CHECK(rankings[q][i].votes > 0 || rankings[q][i].distance < 1e300);
+    if (early) ++tails_with_early;
+  }
+  for (const int neighbour : {3, 40}) {
+    const core::OpenWorldDetector detector{core::OpenWorldConfig{neighbour, 0.95}};
+    const std::vector<double> kth = detector.kth_distances(store, queries);
+    CHECK(kth.size() == queries.rows());
+    for (std::size_t q = 0; q < kth.size(); ++q)
+      CHECK(kth[q] == oracle_kth(store, queries.row_span(q), neighbour));
+  }
+  return tails_with_early;
 }
 
 }  // namespace
@@ -273,6 +386,40 @@ int main() {
     const std::unique_ptr<core::ReferenceStore> rebuilt = index::open_index(path);
     check_rankings_identical(knn.rank_batch(churned, queries),
                              knn.rank_batch(*rebuilt, queries));
+  }
+
+  // --- P < C against a brute-force scan of exactly the probed clusters -----
+  // Journal-added classes carry labels below every base label but the
+  // highest class ids, so the untouched tail's label order differs from
+  // class-id order; neighbour = 40 exceeds every probed cluster at P = 1,
+  // which exercises the pruned-probe clamp.
+  {
+    const std::string oracle_path = temp_path("wf_test_index_oracle.wfx");
+    index::IvfConfig config;
+    config.clusters = 6;
+    index::IvfReferenceStore live(flat, config);
+    index::write_index_file(oracle_path, live);
+    index::IndexJournalWriter journal(oracle_path);
+    const std::vector<int> early_labels = {42, 7, 3};
+    util::Rng fresh(4242);
+    for (int i = 0; i < 6; ++i) {
+      const std::vector<float> e = random_point(fresh, dim);
+      const int label = early_labels[static_cast<std::size_t>(i) % early_labels.size()];
+      live.add(e, label);
+      journal.add(e, label);
+    }
+    CHECK(live.label_of_id(live.n_class_ids() - 1) < live.label_of_id(0));
+    std::size_t tails_with_early = 0;
+    for (const std::size_t probes : {std::size_t{1}, std::size_t{2}}) {
+      live.set_probes(probes);
+      const std::unique_ptr<core::ReferenceStore> mapped = index::open_index(oracle_path, probes);
+      CHECK(mapped->n_class_ids() == live.n_class_ids());
+      tails_with_early += check_pruned_against_oracle(live, knn, queries, early_labels);
+      tails_with_early += check_pruned_against_oracle(*mapped, knn, queries, early_labels);
+    }
+    CHECK(tails_with_early > 0);
+    std::filesystem::remove(journal.journal_path());
+    std::filesystem::remove(oracle_path);
   }
 
   // --- churn accounting drives maybe_rebuild --------------------------------

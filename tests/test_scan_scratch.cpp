@@ -1,0 +1,177 @@
+// Reuse of the scan's thread-local scratch: every pool thread keeps its
+// per-class nearest distances, touched-class lists and vote counts between
+// calls and resets them lazily at the next tile. Calls that alternate
+// between two stores of different class-id counts and k — rank_batch,
+// scan_slice (plus merge_slice_scans) and kth_distances, on the same pool
+// threads — must each return exactly what the same call returns on fresh
+// scratch. The fresh-scratch answers are computed one query at a time, each
+// on a new thread (a one-row call runs inline on its caller), so they also
+// pin that a query's answer does not depend on the tile it shares.
+//
+// ctest runs this binary twice: with the default pool and with
+// WF_THREADS=1, where every tile runs on the calling thread.
+#include <cstddef>
+#include <functional>
+#include <thread>
+#include <vector>
+
+#include "core/knn.hpp"
+#include "core/openworld.hpp"
+#include "core/sharded_reference_set.hpp"
+#include "index/ivf.hpp"
+#include "nn/matrix.hpp"
+#include "test_common.hpp"
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
+
+namespace {
+
+using namespace wf;
+
+constexpr std::size_t kDim = 12;
+constexpr std::size_t kSlices = 2;
+
+std::vector<float> random_point(util::Rng& rng) {
+  std::vector<float> v(kDim);
+  for (float& x : v) x = static_cast<float>(rng.normal());
+  return v;
+}
+
+// `n_classes` gaussian classes of `per_class` rows; labels are scrambled so
+// that label order differs from class-id (first appearance) order.
+core::ShardedReferenceSet make_store(util::Rng& rng, int n_classes, int per_class,
+                                     std::size_t shards) {
+  core::ShardedReferenceSet store(kDim, shards);
+  for (int c = 0; c < n_classes; ++c) {
+    const std::vector<float> centre = random_point(rng);
+    for (int s = 0; s < per_class; ++s) {
+      std::vector<float> row = centre;
+      for (float& x : row) x += static_cast<float>(rng.normal(0.0, 0.3));
+      store.add(row, 5000 - 37 * c % 1009);
+    }
+  }
+  return store;
+}
+
+void on_fresh_thread(const std::function<void()>& fn) {
+  std::thread thread(fn);
+  thread.join();
+}
+
+nn::Matrix one_row(const nn::Matrix& queries, std::size_t q) {
+  nn::Matrix row(1, queries.cols());
+  row.set_row(0, queries.row_span(q));
+  return row;
+}
+
+std::vector<int> labels_by_id(const core::ReferenceStore& store) {
+  std::vector<int> labels(store.n_class_ids());
+  for (std::size_t id = 0; id < labels.size(); ++id) labels[id] = store.label_of_id(id);
+  return labels;
+}
+
+bool same_rankings(const std::vector<std::vector<core::RankedLabel>>& a,
+                   const std::vector<std::vector<core::RankedLabel>>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t q = 0; q < a.size(); ++q) {
+    if (a[q].size() != b[q].size()) return false;
+    for (std::size_t i = 0; i < a[q].size(); ++i)
+      if (a[q][i].label != b[q][i].label || a[q][i].votes != b[q][i].votes ||
+          a[q][i].distance != b[q][i].distance)
+        return false;
+  }
+  return true;
+}
+
+bool same_scan(const core::SliceScan& a, const core::SliceScan& b) {
+  return a.n_queries == b.n_queries && a.n_class_ids == b.n_class_ids &&
+         a.n_rows_scanned == b.n_rows_scanned && a.candidates == b.candidates &&
+         a.best == b.best;
+}
+
+// One store under test with its classifier, detector and the answers of
+// every call on fresh scratch.
+struct Case {
+  const core::ReferenceStore* store;
+  core::KnnClassifier knn;
+  core::OpenWorldDetector detector;
+  std::vector<std::vector<core::RankedLabel>> rankings;
+  std::vector<core::SliceScan> slices;  // one per slice, queries concatenated
+  std::vector<double> kth;
+
+  Case(const core::ReferenceStore& s, int k, int neighbour)
+      : store(&s), knn(k), detector(core::OpenWorldConfig{neighbour, 0.95}) {}
+
+  void compute_fresh(const nn::Matrix& queries) {
+    const std::size_t m = queries.rows();
+    rankings.resize(m);
+    kth.resize(m);
+    slices.assign(kSlices, core::SliceScan{});
+    for (std::size_t slice = 0; slice < kSlices; ++slice) {
+      core::SliceScan& scan = slices[slice];
+      scan.n_queries = m;
+      scan.n_class_ids = store->n_class_ids();
+    }
+    for (std::size_t q = 0; q < m; ++q) {
+      const nn::Matrix row = one_row(queries, q);
+      on_fresh_thread([&] { rankings[q] = knn.rank_batch(*store, row).front(); });
+      on_fresh_thread([&] { kth[q] = detector.kth_distances(*store, row).front(); });
+      for (std::size_t slice = 0; slice < kSlices; ++slice) {
+        core::SliceScan one;
+        on_fresh_thread([&] { one = knn.scan_slice(*store, row, slice, kSlices); });
+        core::SliceScan& scan = slices[slice];
+        scan.n_rows_scanned = one.n_rows_scanned;
+        scan.candidates.push_back(one.candidates.front());
+        scan.best.insert(scan.best.end(), one.best.begin(), one.best.end());
+      }
+    }
+  }
+
+  // Call `op` (0 = rank_batch, 1 = scan_slice + merge, 2 = kth_distances)
+  // on the warm pool and compare with the fresh-scratch answer.
+  void check(int op, const nn::Matrix& queries) const {
+    if (op == 0) {
+      CHECK(same_rankings(knn.rank_batch(*store, queries), rankings));
+    } else if (op == 1) {
+      std::vector<core::SliceScan> warm;
+      for (std::size_t slice = 0; slice < kSlices; ++slice) {
+        warm.push_back(knn.scan_slice(*store, queries, slice, kSlices));
+        CHECK(same_scan(warm.back(), slices[slice]));
+      }
+      const std::vector<int> labels = labels_by_id(*store);
+      CHECK(same_rankings(core::merge_slice_scans(labels, knn.k(), store->size(), warm),
+                          rankings));
+    } else {
+      CHECK(detector.kth_distances(*store, queries) == kth);
+    }
+  }
+};
+
+}  // namespace
+
+int main() {
+  util::Rng rng(8080);
+  // Many classes, exhaustive, small k.
+  const core::ShardedReferenceSet wide = make_store(rng, 60, 4, 3);
+  // Few classes, IVF-pruned (P < C), larger k.
+  const core::ShardedReferenceSet narrow_base = make_store(rng, 7, 20, 2);
+  index::IvfConfig config;
+  config.clusters = 5;
+  config.probes = 2;
+  const index::IvfReferenceStore narrow(narrow_base, config);
+  CHECK(wide.n_class_ids() != narrow.n_class_ids());
+
+  nn::Matrix queries(77, kDim);  // two full tiles and a partial one
+  for (std::size_t q = 0; q < queries.rows(); ++q) queries.set_row(q, random_point(rng));
+
+  // The narrow store first, so the wide one later grows the scratch and the
+  // narrow one then runs inside a wider stride.
+  Case cases[] = {Case(narrow, 11, 5), Case(wide, 3, 2)};
+  for (Case& c : cases) c.compute_fresh(queries);
+
+  // Every (store, op) pair twice, the store alternating on every call.
+  for (int call = 0; call < 12; ++call) cases[call % 2].check(call % 3, queries);
+
+  std::cout << "pool threads: " << util::global_pool().size() << "\n";
+  return TEST_MAIN_RESULT();
+}

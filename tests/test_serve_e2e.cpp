@@ -3,8 +3,8 @@
 // bit-identically — for any request batch size, under concurrent clients
 // (coalesced batches), and through the scatter/gather coordinator at
 // several shard-slice counts. Also: slice-scan + merge equals rank_batch
-// in-process, protocol errors come back as ERRR frames, and STOP shuts
-// the daemon down cleanly.
+// in-process with at most k candidates per query and slice, protocol
+// errors come back as ERRR frames, and STOP shuts the daemon down cleanly.
 #include <memory>
 #include <string>
 #include <thread>
@@ -77,8 +77,14 @@ int main() {
   // --- scan_slice + merge_slice_scans == rank_batch, in process -----------
   for (const std::size_t slice_count : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
     std::vector<core::SliceScan> slices;
-    for (std::size_t slice = 0; slice < slice_count; ++slice)
+    for (std::size_t slice = 0; slice < slice_count; ++slice) {
       slices.push_back(attacker.scan_slice(test, slice, slice_count));
+      // One k-heap per query across the slice's shards: a SCAN frame ships
+      // at most k candidates per query, whatever the shard count.
+      for (const std::vector<core::Candidate>& candidates : slices.back().candidates)
+        CHECK(candidates.size() <=
+              static_cast<std::size_t>(attacker.classifier().k()));
+    }
     const auto merged = core::merge_slice_scans(
         attacker.references().id_to_label(), attacker.classifier().k(),
         attacker.references().size(), slices);
