@@ -1,11 +1,13 @@
 // Component micro-benchmarks (google-benchmark): simulator throughput,
 // Fig. 4 encoding, embedding forward pass, contrastive training step,
-// k-NN query (scalar, batched and IVF-pruned), random-forest prediction,
-// FL padding and the parallel crawler.
+// SIMD dot kernels and the distance GEMM, k-NN query (scalar, batched and
+// IVF-pruned), random-forest prediction, FL padding and the parallel
+// crawler.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "baselines/features.hpp"
 #include "baselines/random_forest.hpp"
@@ -13,6 +15,7 @@
 #include "data/pairs.hpp"
 #include "eval/scenario.hpp"
 #include "index/ivf.hpp"
+#include "nn/matrix.hpp"
 #include "nn/simd.hpp"
 #include "trace/defense.hpp"
 #include "util/thread_pool.hpp"
@@ -316,6 +319,42 @@ BENCHMARK(BM_SimdDot)
     ->Args({static_cast<int>(nn::SimdMode::kAvx2), 512})
     ->Args({static_cast<int>(nn::SimdMode::kNeon), 64})
     ->Args({static_cast<int>(nn::SimdMode::kNeon), 512});
+
+// The distance GEMM alone under each SIMD mode: m queries against a 512-row
+// shard at the index dimension (32), as the scan's per-shard GEMM runs it.
+// Items are (query, row) pairs; AVX2 takes the 1 x 8 register tile, scalar
+// and NEON the per-pair kernel.
+void BM_GemmNt(benchmark::State& state) {
+  const auto mode = static_cast<nn::SimdMode>(state.range(0));
+  if (!nn::simd_supported(mode)) {
+    state.SkipWithError("SIMD mode not supported on this CPU");
+    return;
+  }
+  const nn::SimdMode previous = nn::simd_mode();
+  nn::set_simd_mode(mode);
+  const std::size_t m = static_cast<std::size_t>(state.range(1));
+  const std::size_t n = 512, dim = 32;
+  util::Rng rng(29);
+  const nn::Matrix queries = random_unit_queries(m, dim, rng);
+  const nn::Matrix rows = random_unit_queries(n, dim, rng);
+  std::vector<float> dots(m * n);
+  for (auto _ : state) {
+    nn::gemm_nt_serial(queries.data(), m, rows.data(), n, dim, dots.data());
+    benchmark::DoNotOptimize(dots.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(nn::simd_mode_name(mode));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(m * n));
+  nn::set_simd_mode(previous);
+}
+BENCHMARK(BM_GemmNt)
+    ->Args({static_cast<int>(nn::SimdMode::kScalar), 1})
+    ->Args({static_cast<int>(nn::SimdMode::kScalar), 32})
+    ->Args({static_cast<int>(nn::SimdMode::kAvx2), 1})
+    ->Args({static_cast<int>(nn::SimdMode::kAvx2), 32})
+    ->Args({static_cast<int>(nn::SimdMode::kNeon), 1})
+    ->Args({static_cast<int>(nn::SimdMode::kNeon), 32});
 
 // The batched k-NN scan under each supported SIMD mode: the GEMM tile is
 // where the kernel above actually spends its cycles in production.

@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -53,15 +54,26 @@ inline std::size_t class_of(const Candidate& c) {
   return static_cast<std::size_t>(c.second & kClassMask);
 }
 
-// Offers `entry` to the bounded max-heap of the k smallest candidates.
+// Offers `entry` to the bounded max-heap of the k smallest candidates. A
+// full heap takes `entry` in place of its top with one sift-down, about half
+// the moves of pop_heap + push_heap. Only the heap's set and top are part of
+// any result (callers read the top, count the set or sort it), so its
+// internal order may differ from the std::pop_heap one.
 inline void offer(std::vector<Candidate>& heap, std::size_t k, const Candidate& entry) {
   if (heap.size() < k) {
     heap.push_back(entry);
     std::push_heap(heap.begin(), heap.end());
   } else if (k > 0 && entry < heap.front()) {
-    std::pop_heap(heap.begin(), heap.end());
-    heap.back() = entry;
-    std::push_heap(heap.begin(), heap.end());
+    Candidate* const h = heap.data();
+    const std::size_t n = heap.size();
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+      if (child + 1 < n && h[child] < h[child + 1]) ++child;
+      if (!(entry < h[child])) break;
+      h[hole] = h[child];
+      hole = child;
+    }
+    h[hole] = entry;
   }
 }
 
@@ -129,41 +141,55 @@ void scan_tiles(const ReferenceStore& refs, const float* queries, std::size_t ro
 // The calling thread's accumulators for one query tile, reused across tiles
 // and calls so the hot paths allocate nothing in steady state. `best` holds
 // kQueryTile rows of `stride` class ids and is kFar everywhere except at
-// the ids listed in `touched`; begin() restores that by resetting only the
-// touched entries, so a tile costs O(touched), not O(classes).
+// the first n_touched[q] ids of touched_of(q); begin() restores that by
+// resetting only those entries, so a tile costs O(touched), not O(classes).
+// A touched row has room for stride + 1 ids: every class id at most once,
+// plus the slot the branch-free append writes before deciding to keep it.
 struct TileScan {
   std::vector<double> qnorms = std::vector<double>(kQueryTile);
   std::vector<std::vector<Candidate>> heaps =
       std::vector<std::vector<Candidate>>(kQueryTile);  // per query: bounded k-heap
-  std::vector<std::vector<std::uint32_t>> touched =
-      std::vector<std::vector<std::uint32_t>>(kQueryTile);  // per query: ids below kFar
   std::vector<double> best;  // kQueryTile x stride
+  std::vector<std::uint32_t> touched = std::vector<std::uint32_t>(kQueryTile);  // x (stride + 1)
+  std::vector<std::size_t> n_touched = std::vector<std::size_t>(kQueryTile);
   std::size_t stride = 0;
 
   double* best_of(std::size_t q) { return best.data() + q * stride; }
+  std::uint32_t* touched_of(std::size_t q) { return touched.data() + q * (stride + 1); }
 
   void begin(std::size_t n_class_ids) {
     if (n_class_ids > stride) {
       stride = n_class_ids;
       best.assign(kQueryTile * stride, kFar);
-      for (std::vector<std::uint32_t>& ids : touched) ids.clear();
+      touched.assign(kQueryTile * (stride + 1), 0);
     } else {
       for (std::size_t q = 0; q < kQueryTile; ++q) {
         double* row = best_of(q);
-        for (const std::uint32_t id : touched[q]) row[id] = kFar;
-        touched[q].clear();
+        const std::uint32_t* ids = touched_of(q);
+        for (std::size_t t = 0; t < n_touched[q]; ++t) row[ids[t]] = kFar;
       }
     }
+    std::fill(n_touched.begin(), n_touched.end(), 0);
     for (std::vector<Candidate>& heap : heaps) heap.clear();
   }
 };
 
+// The distance at or below which scan_tile offers a row to `heap`: +inf
+// while it holds fewer than k candidates, its top once full, and -inf for
+// k = 0, where nothing is kept.
+inline double heap_bound(const std::vector<Candidate>& heap, std::size_t k) {
+  if (heap.size() < k) return std::numeric_limits<double>::infinity();
+  return k == 0 ? -std::numeric_limits<double>::infinity() : heap.front().first;
+}
+
 // Scans the `rows`-query tile at `queries` over the slice's shards with the
 // fused visitor and returns the calling thread's TileScan: heaps[q] holds
 // query q's k smallest (dist, key) candidates over every row it scanned,
-// and, when kPerClass, best_of(q) / touched[q] its per-class nearest
-// distances. A cheap dist <= heap-top test rejects most rows before their
-// key is built.
+// and, when kPerClass, best_of(q) and the first n_touched[q] ids of
+// touched_of(q) its per-class nearest distances. The per-row work has no
+// data-dependent branch except the rare heap offer: a row is offered only
+// when dist <= the local heap bound (or, while the heap fills, always — a
+// NaN distance included), and its key is built only then.
 template <bool kPerClass>
 TileScan& scan_tile(const ReferenceStore& refs, const float* queries, std::size_t rows,
                     std::size_t k, std::size_t slice_index, std::size_t slice_count) {
@@ -179,21 +205,27 @@ TileScan& scan_tile(const ReferenceStore& refs, const float* queries, std::size_
                const double qnorm = sc.qnorms[q];
                std::vector<Candidate>& heap = sc.heaps[q];
                [[maybe_unused]] double* best = sc.best_of(q);
-               [[maybe_unused]] std::vector<std::uint32_t>& touched = sc.touched[q];
+               [[maybe_unused]] std::uint32_t* touched = sc.touched_of(q);
+               [[maybe_unused]] std::size_t n_touched = sc.n_touched[q];
+               bool filling = heap.size() < k;
+               double bound = heap_bound(heap, k);
                for (std::size_t j = 0; j < shard.rows; ++j) {
                  double dist = qnorm + shard.sq_norms[j] - 2.0 * static_cast<double>(dots[j]);
                  if (dist < 0.0) dist = 0.0;
                  const int id = shard.class_ids[j];
                  if constexpr (kPerClass) {
                    double& b = best[static_cast<std::size_t>(id)];
-                   if (dist < b) {
-                     if (b >= kFar) touched.push_back(static_cast<std::uint32_t>(id));
-                     b = dist;
-                   }
+                   touched[n_touched] = static_cast<std::uint32_t>(id);
+                   n_touched += static_cast<std::size_t>((b >= kFar) & (dist < b));
+                   b = dist < b ? dist : b;
                  }
-                 if (heap.size() < k || (k > 0 && dist <= heap.front().first))
+                 if (dist <= bound || filling) {
                    offer(heap, k, {dist, pack_key(shard.row_ids[j], id)});
+                   filling = heap.size() < k;
+                   bound = heap_bound(heap, k);
+                 }
                }
+               if constexpr (kPerClass) sc.n_touched[q] = n_touched;
              });
   return sc;
 }

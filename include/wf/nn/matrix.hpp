@@ -97,8 +97,8 @@ inline double squared_distance(std::span<const float> a, std::span<const float> 
 // pool = nullptr uses util::global_pool().
 
 // c = a · bᵀ (b stored row-major as n x k, i.e. one reference per row).
-// a: m x k, c: m x n. accumulate adds into c instead of overwriting.
-void matmul_transposed(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate = false,
+// a: m x k, c: m x n. Row blocks of a run through gemm_nt_serial.
+void matmul_transposed(const Matrix& a, const Matrix& b, Matrix& c,
                        util::ThreadPool* pool = nullptr);
 Matrix matmul_transposed(const Matrix& a, const Matrix& b);
 
@@ -112,8 +112,10 @@ void matmul_at_b(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate = 
                  util::ThreadPool* pool = nullptr);
 
 // Serial raw-pointer core of matmul_transposed for callers that already run
-// inside a parallel region (k-NN shards, open-world shards): computes
-// dots[i * n + j] = <a_i, b_j> for a: m x k and b: n x k, both row-major.
+// inside a parallel region (the reference-store scan, centroid ranking):
+// computes dots[i * n + j] = <a_i, b_j> for a: m x k and b: n x k, both
+// row-major, on the active SIMD mode's row kernel (nn/simd.hpp). Every
+// element is bit-identical to that mode's per-pair dot product.
 void gemm_nt_serial(const float* a, std::size_t m, const float* b, std::size_t n, std::size_t k,
                     float* dots);
 

@@ -11,6 +11,17 @@
 // bit-identical to the scalar path, which in turn is bit-identical to every
 // result the project has ever produced — WF_SIMD is a speed knob, not an
 // accuracy knob, and CI diffs the modes against each other to prove it.
+//
+// gemm_nt_serial runs on the row kernels below (one query against n
+// reference rows, dispatched once per call). Under AVX2 they use a register
+// tile of 1 query x 8 rows: each row keeps its own 8-lane accumulator, the
+// query is loaded once per tile, and the eight reductions run in registers —
+// hadd(hadd(acc0, acc1), hadd(acc2, acc3)) and its rows 4-7 twin give every
+// row's (l0+l1)+(l2+l3) and (l4+l5)+(l6+l7) halves, permute2f128 lines the
+// halves up, one add joins them and a second adds the scalar tail. That is
+// the same tree as above, so the tile is bit-identical to the per-pair
+// kernel. Rows past the last full tile, and the scalar and NEON modes, call
+// the per-pair kernel for every row.
 
 #include <cstddef>
 #include <cstdint>
@@ -45,8 +56,12 @@ namespace detail {
 using DotFn = float (*)(const float*, const float*, std::size_t);
 // Kernel for an explicit mode (callers hoist this out of their loops).
 DotFn dot_kernel(SimdMode mode);
-// Kernel for simd_mode().
-DotFn active_dot_kernel();
+
+// out[j] = <a, b_j> for the n rows b_j = b + j * k, each bit-identical to
+// the mode's DotFn on that pair.
+using DotRowsFn = void (*)(const float* a, const float* b, std::size_t n, std::size_t k,
+                           float* out);
+DotRowsFn dot_rows_kernel(SimdMode mode);
 }  // namespace detail
 
 }  // namespace wf::nn

@@ -36,27 +36,29 @@ struct ClassOrder {
 };
 
 // Emits one query's total ranking from its k best candidates (`kbest`, any
-// order) and its per-class nearest distances (`best`, kFar except at the ids
-// in `touched`). An untouched class has no votes and distance kFar, so it
-// sorts after every touched one and among its peers by label alone: only the
-// touched classes are sorted, and the rest follow in the precomputed label
-// order. `touched` may grow: a voted class whose best stayed at kFar (a NaN
-// distance, or a peer's inconsistent slice) joins it, so the output always
-// holds every class exactly once.
-void finalize(const std::vector<Candidate>& kbest, const double* best,
-              std::vector<std::uint32_t>& touched, const ClassOrder& order,
-              std::vector<RankedLabel>& out) {
+// order) and its per-class nearest distances (`best`, kFar except at the
+// first n_touched ids of `touched`). An untouched class has no votes and
+// distance kFar, so it sorts after every touched one and among its peers by
+// label alone: only the touched classes are sorted, and the rest follow in
+// the precomputed label order. A voted class whose best stayed at kFar (a
+// NaN distance, or a peer's inconsistent slice) is appended to `touched`,
+// which has room for every class id, so the output always holds every
+// class exactly once.
+void finalize(const std::vector<Candidate>& kbest, const double* best, std::uint32_t* touched,
+              std::size_t n_touched, const ClassOrder& order, std::vector<RankedLabel>& out) {
   const std::size_t n_ids = order.labels.size();
   thread_local std::vector<int> votes;  // all zero between calls
   if (votes.size() < n_ids) votes.resize(n_ids, 0);
   for (const Candidate& c : kbest) {
     const std::size_t id = detail::class_of(c);
     WF_DCHECK(id < n_ids, "finalize: candidate class id out of range");
-    if (votes[id]++ == 0 && !(best[id] < kFar)) touched.push_back(static_cast<std::uint32_t>(id));
+    if (votes[id]++ == 0 && !(best[id] < kFar))
+      touched[n_touched++] = static_cast<std::uint32_t>(id);
   }
   out.clear();
   out.reserve(n_ids);
-  for (const std::uint32_t id : touched) out.push_back({order.labels[id], votes[id], best[id]});
+  for (std::size_t t = 0; t < n_touched; ++t)
+    out.push_back({order.labels[touched[t]], votes[touched[t]], best[touched[t]]});
   std::sort(out.begin(), out.end(), ranked_before);
   if (out.size() < n_ids)  // an exhaustive scan touches every class: no tail
     for (const auto& [label, id] : order.by_label)
@@ -93,7 +95,8 @@ std::vector<std::vector<RankedLabel>> KnnClassifier::rank_batch(
     detail::TileScan& sc =
         detail::scan_tile<true>(references, queries.data() + t0 * dim, rows, k, 0, 1);
     for (std::size_t q = 0; q < rows; ++q)
-      finalize(sc.heaps[q], sc.best_of(q), sc.touched[q], order, rankings[t0 + q]);
+      finalize(sc.heaps[q], sc.best_of(q), sc.touched_of(q), sc.n_touched[q], order,
+               rankings[t0 + q]);
   });
   return rankings;
 }
@@ -125,7 +128,8 @@ SliceScan KnnClassifier::scan_slice(const ReferenceStore& references, const nn::
     for (std::size_t q = 0; q < rows; ++q) {
       const double* best = sc.best_of(q);
       double* slice_best = out.best.data() + (t0 + q) * out.n_class_ids;
-      for (const std::uint32_t id : sc.touched[q]) slice_best[id] = best[id];
+      const std::uint32_t* touched = sc.touched_of(q);
+      for (std::size_t t = 0; t < sc.n_touched[q]; ++t) slice_best[touched[t]] = best[touched[t]];
       std::sort_heap(sc.heaps[q].begin(), sc.heaps[q].end());
       out.candidates[t0 + q] = sc.heaps[q];
     }
@@ -151,11 +155,12 @@ std::vector<std::vector<RankedLabel>> merge_slice_scans(std::span<const int> lab
   const ClassOrder order(n_ids, [&](std::size_t id) { return labels_by_id[id]; });
   std::vector<Candidate> kbest;
   std::vector<double> best(n_ids, kFar);
-  std::vector<std::uint32_t> touched;
+  std::vector<std::uint32_t> touched(n_ids);
+  std::size_t n_touched = 0;
   for (std::size_t q = 0; q < m; ++q) {
     kbest.clear();
-    for (const std::uint32_t id : touched) best[id] = kFar;
-    touched.clear();
+    for (std::size_t t = 0; t < n_touched; ++t) best[touched[t]] = kFar;
+    n_touched = 0;
     for (const SliceScan& slice : slices) {
       for (const Candidate& c : slice.candidates[q]) {
         WF_CHECK(detail::class_of(c) < n_ids, "merge_slice_scans: candidate class id out of range");
@@ -164,12 +169,12 @@ std::vector<std::vector<RankedLabel>> merge_slice_scans(std::span<const int> lab
       const double* slice_best = slice.best_of(q);
       for (std::size_t id = 0; id < n_ids; ++id) {
         if (slice_best[id] < best[id]) {
-          if (best[id] >= kFar) touched.push_back(static_cast<std::uint32_t>(id));
+          if (best[id] >= kFar) touched[n_touched++] = static_cast<std::uint32_t>(id);
           best[id] = slice_best[id];
         }
       }
     }
-    finalize(kbest, best.data(), touched, order, rankings[q]);
+    finalize(kbest, best.data(), touched.data(), n_touched, order, rankings[q]);
   }
   return rankings;
 }

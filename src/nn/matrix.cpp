@@ -9,11 +9,10 @@ namespace wf::nn {
 
 namespace {
 
-// The dot product behind every GEMM here lives in nn/simd.cpp: the scalar
+// The dot products behind gemm_nt_serial live in nn/simd.cpp: the scalar
 // kernel fixes the float summation order (eight independent lanes, pairwise
-// reduction) and the AVX2/NEON kernels replay the exact same operation
-// sequence, so WF_SIMD changes speed, never bits. Callers hoist the
-// dispatched pointer out of their loops via detail::active_dot_kernel().
+// reduction) and the AVX2 register tile and NEON kernel replay the exact
+// same operation sequence, so WF_SIMD changes speed, never bits.
 
 constexpr std::size_t kRowBlock = 32;   // rows of a per task
 constexpr std::size_t kColBlock = 128;  // rows of b kept hot in cache
@@ -26,36 +25,21 @@ util::ThreadPool& pool_or_global(util::ThreadPool* pool) {
 
 void gemm_nt_serial(const float* a, std::size_t m, const float* b, std::size_t n, std::size_t k,
                     float* dots) {
-  const detail::DotFn dot = detail::active_dot_kernel();
+  const detail::DotRowsFn dot_rows = detail::dot_rows_kernel(simd_mode());
   for (std::size_t j0 = 0; j0 < n; j0 += kColBlock) {
     const std::size_t j1 = j0 + kColBlock < n ? j0 + kColBlock : n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* ai = a + i * k;
-      float* out = dots + i * n;
-      for (std::size_t j = j0; j < j1; ++j) out[j] = dot(ai, b + j * k, k);
-    }
+    for (std::size_t i = 0; i < m; ++i)
+      dot_rows(a + i * k, b + j0 * k, j1 - j0, k, dots + i * n + j0);
   }
 }
 
-void matmul_transposed(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate,
-                       util::ThreadPool* pool) {
+void matmul_transposed(const Matrix& a, const Matrix& b, Matrix& c, util::ThreadPool* pool) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   if (b.cols() != k) throw std::invalid_argument("matmul_transposed: inner dim mismatch");
   if (c.rows() != m || c.cols() != n)
     throw std::invalid_argument("matmul_transposed: output shape mismatch");
-  const detail::DotFn dot = detail::active_dot_kernel();
   pool_or_global(pool).parallel_blocks(0, m, kRowBlock, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t j0 = 0; j0 < n; j0 += kColBlock) {
-      const std::size_t j1 = j0 + kColBlock < n ? j0 + kColBlock : n;
-      for (std::size_t i = lo; i < hi; ++i) {
-        const float* ai = a.data() + i * k;
-        float* out = c.data() + i * n;
-        for (std::size_t j = j0; j < j1; ++j) {
-          const float d = dot(ai, b.data() + j * k, k);
-          out[j] = accumulate ? out[j] + d : d;
-        }
-      }
-    }
+    gemm_nt_serial(a.data() + lo * k, hi - lo, b.data(), n, k, c.data() + lo * n);
   });
 }
 

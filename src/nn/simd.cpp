@@ -21,8 +21,9 @@ namespace {
 // The scalar reference kernel: eight independent accumulator lanes, mul
 // then add, reduced pairwise. Every vector kernel below replays exactly
 // this operation sequence (lane l holds the same partial sums), so all
-// modes return bit-identical floats. Keep the three implementations in
-// lockstep — a change to one is a change to all.
+// modes return bit-identical floats. Keep the implementations (the three
+// dot kernels and the AVX2 row tile) in lockstep — a change to one is a
+// change to all.
 float dot_scalar(const float* a, const float* b, std::size_t k) {
   float acc[8] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
   const std::size_t k8 = k & ~static_cast<std::size_t>(7);
@@ -50,6 +51,46 @@ __attribute__((target("avx2"))) float dot_avx2(const float* a, const float* b, s
   return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
          ((lane[4] + lane[5]) + (lane[6] + lane[7])) + tail;
 }
+
+// The 1 query x 8 rows register tile (reduction tree: nn/simd.hpp). Row r
+// keeps its own accumulator, so each output replays dot_avx2's operation
+// sequence; hadd adds l1+l0 where the scalar kernel adds l0+l1, which IEEE
+// commutativity makes the same bits.
+__attribute__((target("avx2"))) void dot_rows_avx2(const float* a, const float* b,
+                                                   std::size_t n, std::size_t k, float* out) {
+  const std::size_t k8 = k & ~static_cast<std::size_t>(7);
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const float* r = b + j * k;
+    __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
+    __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
+    __m256 acc4 = _mm256_setzero_ps(), acc5 = _mm256_setzero_ps();
+    __m256 acc6 = _mm256_setzero_ps(), acc7 = _mm256_setzero_ps();
+    for (std::size_t i = 0; i < k8; i += 8) {
+      const __m256 x = _mm256_loadu_ps(a + i);
+      acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(x, _mm256_loadu_ps(r + i)));
+      acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(x, _mm256_loadu_ps(r + k + i)));
+      acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(x, _mm256_loadu_ps(r + 2 * k + i)));
+      acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(x, _mm256_loadu_ps(r + 3 * k + i)));
+      acc4 = _mm256_add_ps(acc4, _mm256_mul_ps(x, _mm256_loadu_ps(r + 4 * k + i)));
+      acc5 = _mm256_add_ps(acc5, _mm256_mul_ps(x, _mm256_loadu_ps(r + 5 * k + i)));
+      acc6 = _mm256_add_ps(acc6, _mm256_mul_ps(x, _mm256_loadu_ps(r + 6 * k + i)));
+      acc7 = _mm256_add_ps(acc7, _mm256_mul_ps(x, _mm256_loadu_ps(r + 7 * k + i)));
+    }
+    alignas(32) float tail[8];
+    for (std::size_t t = 0; t < 8; ++t) {
+      float s = 0.0f;
+      for (std::size_t i = k8; i < k; ++i) s += a[i] * r[t * k + i];
+      tail[t] = s;
+    }
+    const __m256 lo = _mm256_hadd_ps(_mm256_hadd_ps(acc0, acc1), _mm256_hadd_ps(acc2, acc3));
+    const __m256 hi = _mm256_hadd_ps(_mm256_hadd_ps(acc4, acc5), _mm256_hadd_ps(acc6, acc7));
+    const __m256 sum = _mm256_add_ps(_mm256_permute2f128_ps(lo, hi, 0x20),
+                                     _mm256_permute2f128_ps(lo, hi, 0x31));
+    _mm256_storeu_ps(out + j, _mm256_add_ps(sum, _mm256_load_ps(tail)));
+  }
+  for (; j < n; ++j) out[j] = dot_avx2(a, b + j * k, k);
+}
 #endif
 
 #ifdef WF_SIMD_HAVE_NEON
@@ -72,6 +113,13 @@ float dot_neon(const float* a, const float* b, std::size_t k) {
          ((lane[4] + lane[5]) + (lane[6] + lane[7])) + tail;
 }
 #endif
+
+// One query against n rows, one per-pair kernel call each: the scalar and
+// NEON row kernels, which have no register tile.
+template <detail::DotFn Dot>
+void dot_rows_each(const float* a, const float* b, std::size_t n, std::size_t k, float* out) {
+  for (std::size_t j = 0; j < n; ++j) out[j] = Dot(a, b + j * k, k);
+}
 
 SimdMode resolve_mode() {
   const std::string requested = util::Env::simd();
@@ -152,7 +200,7 @@ bool set_simd_mode(SimdMode mode) {
 }
 
 float simd_dot(const float* a, const float* b, std::size_t k) {
-  return detail::active_dot_kernel()(a, b, k);
+  return detail::dot_kernel(simd_mode())(a, b, k);
 }
 
 namespace detail {
@@ -177,7 +225,25 @@ DotFn dot_kernel(SimdMode mode) {
   return &dot_scalar;
 }
 
-DotFn active_dot_kernel() { return dot_kernel(simd_mode()); }
+DotRowsFn dot_rows_kernel(SimdMode mode) {
+  switch (mode) {
+    case SimdMode::kAvx2:
+#ifdef WF_SIMD_HAVE_AVX2
+      return &dot_rows_avx2;
+#else
+      break;
+#endif
+    case SimdMode::kNeon:
+#ifdef WF_SIMD_HAVE_NEON
+      return &dot_rows_each<&dot_neon>;
+#else
+      break;
+#endif
+    case SimdMode::kScalar:
+      break;
+  }
+  return &dot_rows_each<&dot_scalar>;
+}
 
 }  // namespace detail
 

@@ -7,10 +7,12 @@
 // pinned (C, P) clears 0.95; an index written to disk and reopened (mmap
 // base, journal tails, full reload, rebuild) answers bit-identically to the
 // in-memory store mutated the same way; every supported SIMD mode agrees
-// with scalar; and the aligned allocation the kernels rely on really is
-// 64-byte aligned.
+// with scalar, per dot product and through the tiled GEMM; and the aligned
+// allocation the kernels rely on really is 64-byte aligned.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <span>
@@ -454,6 +456,40 @@ int main() {
       CHECK(nn::set_simd_mode(mode));
       check_rankings_identical(exact_rankings, knn.rank_batch(flat, queries));
       check_rankings_identical(exact_rankings, knn.rank_batch(mem, queries));
+    }
+    nn::set_simd_mode(previous);
+  }
+
+  // --- the tiled GEMM equals per-pair scalar dots bit for bit ---------------
+  // Shapes straddle the 8-lane inner loop (k), the 8-row register tile and
+  // the 128-row column block (n). Row 3 (or the last) of b makes every
+  // product with query 0 equal -0.0: the scalar kernel returns +0.0 because
+  // its lanes and tail start at +0.0, and a kernel that skips those seeds
+  // returns -0.0.
+  {
+    const nn::SimdMode previous = nn::simd_mode();
+    const nn::detail::DotFn scalar = nn::detail::dot_kernel(nn::SimdMode::kScalar);
+    util::Rng gemm_rng(43);
+    for (const nn::SimdMode mode : nn::supported_simd_modes()) {
+      CHECK(nn::set_simd_mode(mode));
+      for (const std::size_t k : {1, 7, 8, 9, 31, 32, 33, 259}) {
+        for (const std::size_t n : {1, 7, 8, 9, 127, 128, 129}) {
+          for (const std::size_t m : {1, 3, 32}) {
+            const std::vector<float> a = random_point(gemm_rng, m * k);
+            std::vector<float> b = random_point(gemm_rng, n * k);
+            const std::size_t zero_row = std::min<std::size_t>(3, n - 1);
+            for (std::size_t i = 0; i < k; ++i)
+              b[zero_row * k + i] = std::copysign(0.0f, -a[i]);
+            std::vector<float> dots(m * n), expected(m * n);
+            nn::gemm_nt_serial(a.data(), m, b.data(), n, k, dots.data());
+            for (std::size_t i = 0; i < m; ++i)
+              for (std::size_t j = 0; j < n; ++j)
+                expected[i * n + j] = scalar(a.data() + i * k, b.data() + j * k, k);
+            CHECK(std::memcmp(dots.data(), expected.data(), dots.size() * sizeof(float)) == 0);
+            CHECK(!std::signbit(expected[zero_row]));
+          }
+        }
+      }
     }
     nn::set_simd_mode(previous);
   }

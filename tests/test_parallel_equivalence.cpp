@@ -139,8 +139,8 @@ int main() {
       for (std::size_t j = 0; j < b.cols(); ++j) b(i, j) = static_cast<float>(rng.normal());
     util::ThreadPool one(1), many(7);
     nn::Matrix c1(a.rows(), b.rows()), cn(a.rows(), b.rows());
-    nn::matmul_transposed(a, b, c1, false, &one);
-    nn::matmul_transposed(a, b, cn, false, &many);
+    nn::matmul_transposed(a, b, c1, &one);
+    nn::matmul_transposed(a, b, cn, &many);
     bool equal = true;
     for (std::size_t i = 0; i < c1.rows(); ++i)
       for (std::size_t j = 0; j < c1.cols(); ++j) equal = equal && (c1(i, j) == cn(i, j));

@@ -8,8 +8,18 @@
 // on a new thread (a one-row call runs inline on its caller), so they also
 // pin that a query's answer does not depend on the tile it shares.
 //
+// The cases also cover the visitor's local heap bound and its branch-free
+// touched list: k = 0 (nothing is ever offered), k above every query's
+// scanned row count (the heap never fills), exact duplicate rows whose
+// equal distances sit at the heap top (a row with dist == bound must still
+// be offered — checked against a brute-force ranking too, since the fresh
+// answers share the visitor), and a store with more class ids than any
+// earlier tile touched, so the scratch grows mid-sequence and every class
+// is touched (the append's spare slot is used on every later row).
+//
 // ctest runs this binary twice: with the default pool and with
 // WF_THREADS=1, where every tile runs on the calling thread.
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <thread>
@@ -50,6 +60,25 @@ core::ShardedReferenceSet make_store(util::Rng& rng, int n_classes, int per_clas
       store.add(row, 5000 - 37 * c % 1009);
     }
   }
+  return store;
+}
+
+// `points` random points, each added `copies` times with the copies
+// `points` ids apart and labelled 7 - copy, over `shards` shards. Shard s
+// holds the ids ≡ s (mod shards), so the scan meets many copies in an
+// order other than their id order: a later, smaller-id copy at the heap
+// top's distance must replace the top.
+core::ShardedReferenceSet make_duplicates(util::Rng& rng, int points, int copies,
+                                          std::size_t shards,
+                                          std::vector<test::LabeledRow>& rows) {
+  std::vector<std::vector<float>> unique;
+  for (int p = 0; p < points; ++p) unique.push_back(random_point(rng));
+  core::ShardedReferenceSet store(kDim, shards);
+  for (int c = 0; c < copies; ++c)
+    for (const std::vector<float>& point : unique) {
+      store.add(point, 7 - c);
+      rows.push_back({point, 7 - c});
+    }
   return store;
 }
 
@@ -160,17 +189,50 @@ int main() {
   config.probes = 2;
   const index::IvfReferenceStore narrow(narrow_base, config);
   CHECK(wide.n_class_ids() != narrow.n_class_ids());
+  // Four exact copies of 30 points over 7 shards.
+  std::vector<test::LabeledRow> duplicate_rows;
+  const core::ShardedReferenceSet duplicates = make_duplicates(rng, 30, 4, 7, duplicate_rows);
+  // More class ids than any store above.
+  const core::ShardedReferenceSet widest = make_store(rng, 150, 2, 2);
+  CHECK(widest.n_class_ids() > wide.n_class_ids());
 
   nn::Matrix queries(77, kDim);  // two full tiles and a partial one
   for (std::size_t q = 0; q < queries.rows(); ++q) queries.set_row(q, random_point(rng));
 
   // The narrow store first, so the wide one later grows the scratch and the
-  // narrow one then runs inside a wider stride.
-  Case cases[] = {Case(narrow, 11, 5), Case(wide, 3, 2)};
+  // narrow one then runs inside a wider stride; the widest store, last in
+  // each round, grows it once more.
+  Case cases[] = {Case(narrow, 11, 5),
+                  Case(wide, 3, 2),
+                  Case(wide, 0, 1),            // k = 0: no candidate is kept
+                  Case(narrow, 1000, 1000),    // k capped at every row: never fills
+                  Case(duplicates, 2, 3),      // ties at the heap top
+                  Case(widest, 5, 4)};
+  constexpr int kCases = sizeof(cases) / sizeof(cases[0]);
   for (Case& c : cases) c.compute_fresh(queries);
 
-  // Every (store, op) pair twice, the store alternating on every call.
-  for (int call = 0; call < 12; ++call) cases[call % 2].check(call % 3, queries);
+  // A pruned probe covers fewer rows than the capped k, so its heap never
+  // fills: every candidate of the k-above-rows case is a scanned row.
+  for (const core::SliceScan& slice : cases[3].slices)
+    for (const std::vector<core::Candidate>& candidates : slice.candidates)
+      CHECK(candidates.size() < narrow.size());
+  for (const core::SliceScan& slice : cases[2].slices)
+    for (const std::vector<core::Candidate>& candidates : slice.candidates)
+      CHECK(candidates.empty());
+  for (std::size_t q = 0; q < queries.rows(); ++q) {
+    const std::vector<core::RankedLabel> oracle =
+        test::brute_force_rank(duplicate_rows, queries.row_span(q), 2);
+    const std::vector<core::RankedLabel>& ranked = cases[4].rankings[q];
+    CHECK(ranked.size() == oracle.size());
+    for (std::size_t i = 0; i < std::min(ranked.size(), oracle.size()); ++i) {
+      CHECK(ranked[i].label == oracle[i].label);
+      CHECK(ranked[i].votes == oracle[i].votes);
+    }
+  }
+
+  // Every (store, op) pair twice, the case changing on every call.
+  for (int call = 0; call < 6 * kCases; ++call)
+    cases[call % kCases].check((call / kCases + call) % 3, queries);
 
   std::cout << "pool threads: " << util::global_pool().size() << "\n";
   return TEST_MAIN_RESULT();
