@@ -55,12 +55,15 @@ class AdaptiveFingerprinter final : public Attacker {
   std::vector<RankedLabel> fingerprint(std::span<const float> features) const override;
 
   // Fraction of probe loads of `label` classified correctly at top-1 —
-  // the §IV-C health check deciding whether to refresh a class.
+  // the §IV-C health check deciding whether to refresh a class. Ranks to
+  // depth 1, which reads each query's k-heap and skips per-class work.
   double probe_class_accuracy(int label, const data::Dataset& probe) const;
 
   // Replace the reference embeddings of `label` with fresh loads: a
-  // per-shard remove_class compaction plus round-robin re-adds (embedding +
-  // swap only; the trained model is untouched).
+  // remove_class that moves each shard's (and IVF cell's) last row into
+  // each gap and hands the freed class id to the last one, plus
+  // round-robin re-adds (embedding + swap only; the trained model is
+  // untouched). The cost scales with the class-id column, not the store.
   void adapt_class(int label, const data::Dataset& fresh);
 
   // Scatter half of a distributed query (`wf serve` shard backends): embed
@@ -98,7 +101,7 @@ class AdaptiveFingerprinter final : public Attacker {
   const ReferenceStore& store() const;
   // Cluster the current reference set into an IVF index and route queries
   // through it. initialize() re-buckets the index; adapt_class() mirrors its
-  // churn into it (append + compact + maybe_rebuild).
+  // churn into it (append + swap-with-last removal + maybe_rebuild).
   void build_index(const index::IvfConfig& config);
   void clear_index() { ivf_.reset(); }
   const index::IvfReferenceStore* ivf_index() const { return ivf_.get(); }

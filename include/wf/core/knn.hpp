@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -19,12 +21,14 @@ struct RankedLabel {
 
 // One top-k candidate as exchanged between scatter/gather nodes: the
 // squared distance plus a packed key carrying the row's global insertion id
-// (upper bits) and its dense global class id (lower kCandidateClassBits).
-// Keys are unique per row, so the pair's lexicographic < totally orders
-// candidates by (dist, insertion id) — the exact merge tie-break of the
-// sharded scan.
-inline constexpr std::uint64_t kCandidateClassBits = 24;
+// (upper bits) and its dense global class id (lower kCandidateClassBits; the
+// limits live in core/reference_store.hpp). Keys are unique per row, so the
+// pair's lexicographic < totally orders candidates by (dist, insertion id)
+// — the exact merge tie-break of the sharded scan.
 using Candidate = std::pair<double, std::uint64_t>;
+
+// KnnClassifier::rank_batch depth that ranks every class of the store.
+inline constexpr std::size_t kTotalRanking = std::numeric_limits<std::size_t>::max();
 
 // The scatter half of a distributed query: one node's scan of the shards
 // s ≡ slice_index (mod slice_count). Holds, per query, the slice's k best
@@ -57,7 +61,8 @@ std::vector<std::vector<RankedLabel>> merge_slice_scans(std::span<const int> lab
 // k-nearest-neighbour voting in embedding space. Produces a *total* ranking
 // over every class in the reference store (voted classes first, the rest
 // ordered by nearest-reference distance) so top-n curves and per-class
-// guess counts are well defined for any n.
+// guess counts are well defined for any n — or, on request, just its first
+// entries (rank_batch's depth).
 //
 // Queries run shard-by-shard against any ReferenceStore: one blocked GEMM
 // tile per shard (distances via ‖q‖² + ‖r‖² − 2·q·r with the reference
@@ -76,9 +81,23 @@ class KnnClassifier {
   std::vector<RankedLabel> rank(const ReferenceStore& references,
                                 std::span<const float> query) const;
 
-  // One ranking per row of `queries` (queries.cols() == references.dim()).
+  // One ranking per row of `queries` (queries.cols() == references.dim()):
+  // the first min(depth, n_class_ids) entries of the total ranking, bit for
+  // bit (labels, votes, distances, order). Finalize partial-sorts the
+  // touched classes to `depth` and appends the label-ordered untouched tail
+  // only when `depth` reaches past them; kTotalRanking is today's full sort.
+  //
+  // depth == 1 with k >= 1 skips the per-class rows altogether: the scan
+  // keeps only each query's k-heap, and the front is the voted class best by
+  // (votes, distance, label), its distance the minimum over its candidates.
+  // That is exact because the heap holds the k smallest (dist, row id) keys,
+  // so a voted class's nearest row is always one of them. A query whose heap
+  // ends empty (every probed shard empty) or holding a NaN distance (which
+  // can enter while the heap fills and never leaves) is re-ranked through
+  // the per-class path.
   std::vector<std::vector<RankedLabel>> rank_batch(const ReferenceStore& references,
-                                                   const nn::Matrix& queries) const;
+                                                   const nn::Matrix& queries,
+                                                   std::size_t depth = kTotalRanking) const;
 
   // Scan only the shards s with s % slice_count == slice_index of
   // `references` (which must be the full store — k is bounded by the

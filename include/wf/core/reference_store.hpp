@@ -7,6 +7,16 @@
 
 namespace wf::core {
 
+// Candidate keys (core/knn.hpp) pack a row's global insertion id into the
+// upper 40 bits and its dense class id into the lower kCandidateClassBits,
+// so a store holds row ids below kMaxRowIds and at most kMaxClassIds class
+// ids. Every store rejects input past either limit: a wider id would
+// collide with another row's key and break the unique (dist, row id)
+// tie-break.
+inline constexpr std::uint64_t kCandidateClassBits = 24;
+inline constexpr std::uint64_t kMaxClassIds = std::uint64_t{1} << kCandidateClassBits;
+inline constexpr std::uint64_t kMaxRowIds = std::uint64_t{1} << (64 - kCandidateClassBits);
+
 // Read-only view of one shard's dense side tables, consumed by the k-NN and
 // open-world query kernels. `class_ids` indexes the *store-global* dense
 // class-id space so per-class stats merged across shards land in one flat

@@ -1,0 +1,81 @@
+#pragma once
+
+// The row layout both in-memory reference stores hold: ShardedReferenceSet
+// keeps one RowTables per shard and IvfReferenceStore one per cluster cell,
+// each with its dense class-id space in a ClassIdSpace. remove_class_rows is
+// the one removal routine behind both stores' remove_class().
+
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <unordered_map>
+#include <vector>
+
+#include "core/reference_store.hpp"
+#include "util/aligned.hpp"
+
+namespace wf::core {
+
+// One shard's (or cell's) rows as five row-aligned columns. Row order within
+// the tables never reaches a result: candidate keys (dist, row id) are
+// unique, per-class values are minima, ranking ties break by label, and IVF
+// builds gather rows by row id. So a removal may move rows.
+struct RowTables {
+  // 64-byte aligned so the SIMD distance kernels can tile straight off the
+  // base (util::kSimdAlignment, like nn::Matrix).
+  util::AlignedVector<float> data;  // rows x dim, row-major
+  std::vector<int> labels;
+  std::vector<double> sq_norms;        // cached ‖r‖² per row
+  std::vector<int> class_ids;          // dense store-global class id per row
+  std::vector<std::uint64_t> row_ids;  // global insertion id per row: the tie-break key
+
+  std::size_t rows() const { return labels.size(); }
+  ShardView view() const {
+    return {data.data(), sq_norms.data(), class_ids.data(), row_ids.data(), rows()};
+  }
+  void append(std::span<const float> embedding, int label, double sq_norm, int class_id,
+              std::uint64_t row_id);
+};
+
+// A store's dense class-id space: ids 0 .. size() - 1, each naming one
+// distinct label that has at least one row.
+class ClassIdSpace {
+ public:
+  ClassIdSpace() = default;
+  // Adopts a serialized id -> label table. Throws std::invalid_argument when
+  // a label repeats or the table holds more than kMaxClassIds ids.
+  explicit ClassIdSpace(std::vector<int> labels_by_id);
+
+  std::size_t size() const { return labels_.size(); }
+  int label_of(std::size_t id) const { return labels_[id]; }
+  const std::vector<int>& labels() const { return labels_; }
+  // The id of `label`, or -1 when the space does not hold it.
+  int find(int label) const;
+  // The id of `label`, taking the next dense id on first sight. Throws
+  // std::invalid_argument when that would exceed kMaxClassIds ids.
+  int intern(int label);
+  // Frees `id` and keeps the space dense: the last id's label moves into the
+  // slot, so rows holding the last id must be renumbered to `id`.
+  void release(int id);
+
+ private:
+  std::vector<int> labels_;
+  std::unordered_map<int, int> ids_;
+};
+
+// Drops every row of `label` from `tables` and frees its class id; returns
+// the number of rows removed (0, touching nothing, for an absent label).
+// Each table's last row moves into each gap, and the rows of the class that
+// held the last id take the freed id, so only the class_ids column is
+// rewritten in place: no row shifts and no hash map is rebuilt.
+std::size_t remove_class_rows(int label, std::size_t dim, ClassIdSpace& ids,
+                              std::span<RowTables> tables);
+
+// Cross-table validation for the restore paths: every table's columns agree
+// with its row count (and `dim`), every class id names its row's label in
+// `ids`, and every row id lies below `next_row_id`, which may not exceed
+// kMaxRowIds. Throws std::invalid_argument naming the first violation.
+void check_row_tables(std::span<const RowTables> tables, std::size_t dim,
+                      const ClassIdSpace& ids, std::uint64_t next_row_id);
+
+}  // namespace wf::core

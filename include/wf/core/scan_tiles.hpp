@@ -15,7 +15,8 @@
 // (dist, key) candidates across every shard it scans — the standard IVF
 // per-query heap — plus, for rankings, a per-class nearest-distance row and
 // the list of class ids whose nearest distance dropped below kFar. Callers
-// finalize straight from the heap and only ever sort the touched classes.
+// finalize straight from the heap and only ever sort the touched classes; a
+// depth-1 ranking skips the per-class row and reads the heap alone.
 //
 // Determinism: shards are visited in ascending index order and queries in
 // ascending tile order within a shard. Candidate keys (dist, insertion id)

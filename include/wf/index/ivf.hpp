@@ -11,8 +11,9 @@
 // top-k bit for bit. Smaller P trades recall for speed — the exactness knob.
 //
 // adapt's swap-references churn is absorbed without re-clustering: add()
-// appends to the nearest centroid's cell, remove_class() compacts cells in
-// place, and once the accumulated churn passes a configurable fraction of
+// appends to the nearest centroid's cell, remove_class() fills each gap with
+// its cell's last row (the removal routine shared with the sharded store),
+// and once the accumulated churn passes a configurable fraction of
 // the built size, maybe_rebuild() re-runs the k-means (the in-memory
 // counterpart of the on-disk base store + journal + `wf index rebuild` flow
 // in index/store.hpp).
@@ -20,10 +21,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/reference_store.hpp"
+#include "core/row_tables.hpp"
 #include "util/aligned.hpp"
 
 namespace wf::obs {
@@ -53,16 +54,9 @@ struct IvfConfig {
 class IvfReferenceStore final : public core::ReferenceStore {
  public:
   // One cluster's dense side tables, laid out exactly like a store shard
-  // (rows in insertion order; row_ids are the base store's global ids, so
-  // rankings keep the exact scan's tie-break).
-  struct Cell {
-    util::AlignedVector<float> data;  // rows x dim
-    std::vector<double> sq_norms;
-    std::vector<int> class_ids;
-    std::vector<std::uint64_t> row_ids;
-    std::vector<int> labels;  // per row, survives class-id renumbering
-    std::size_t rows() const { return sq_norms.size(); }
-  };
+  // (row_ids are the base store's global ids, so rankings keep the exact
+  // scan's tie-break; labels survive class-id renumbering).
+  using Cell = core::RowTables;
 
   IvfReferenceStore() = default;
   // Seeded k-means over the rows of `base`. Rows are gathered in global
@@ -75,8 +69,8 @@ class IvfReferenceStore final : public core::ReferenceStore {
   std::size_t size() const override { return size_; }
   std::size_t shard_count() const override { return cells_.size(); }
   core::ShardView shard_view(std::size_t shard) const override;
-  std::size_t n_class_ids() const override { return id_to_label_.size(); }
-  int label_of_id(std::size_t id) const override { return id_to_label_[id]; }
+  std::size_t n_class_ids() const override { return ids_.size(); }
+  int label_of_id(std::size_t id) const override { return ids_.label_of(id); }
   bool pruned() const override { return true; }
   void probe_shards(std::span<const float> query,
                     std::vector<std::size_t>& out) const override;
@@ -90,16 +84,20 @@ class IvfReferenceStore final : public core::ReferenceStore {
   std::span<const float> centroid(std::size_t c) const;
   std::span<const float> centroids() const { return centroids_; }
   const Cell& cell(std::size_t c) const { return cells_[c]; }
-  const std::vector<int>& id_to_label() const { return id_to_label_; }
+  const std::vector<int>& id_to_label() const { return ids_.labels(); }
   std::vector<int> classes() const;  // sorted labels
   std::uint64_t next_row_id() const { return next_row_id_; }
 
   // Churn path (adapt's swap-references): append to the nearest centroid's
-  // cell / compact every cell. Neither moves existing rows or centroids.
+  // cell / drop a class with core::remove_class_rows (each cell's last row
+  // fills each gap; the last class id takes over the freed one). Neither
+  // moves centroids or rows of other cells.
   void add(std::span<const float> embedding, int label);
   // Journal replay (index/store.cpp): append to an explicit cluster with an
   // explicit global id — the values recorded when the row was journaled —
-  // so a replayed store is identical to one mutated live.
+  // so a replayed store ranks identically to one mutated live. Throws
+  // std::invalid_argument for a row id at or past core::kMaxRowIds or a new
+  // class past core::kMaxClassIds.
   void add_pinned(std::size_t cluster, int label, std::uint64_t row_id,
                   std::span<const float> embedding);
   void remove_class(int label);
@@ -113,7 +111,8 @@ class IvfReferenceStore final : public core::ReferenceStore {
   bool maybe_rebuild();
 
   // Reassembles a store from its serialized tables (index/store.cpp load
-  // path). Throws io::IoError when the tables are inconsistent.
+  // path). Throws io::IoError when the tables are inconsistent, a label
+  // repeats, or an id passes the candidate-key limits.
   static IvfReferenceStore restore(std::size_t dim, std::uint64_t next_row_id,
                                    const IvfConfig& config,
                                    util::AlignedVector<float> centroids,
@@ -122,7 +121,6 @@ class IvfReferenceStore final : public core::ReferenceStore {
  private:
   void build_from_rows(const float* data, const int* labels, const std::uint64_t* row_ids,
                        std::size_t n);
-  void rebuild_class_ids();
   void count_probe(const std::vector<std::size_t>& out) const;
 
   IvfConfig config_;
@@ -132,8 +130,7 @@ class IvfReferenceStore final : public core::ReferenceStore {
   util::AlignedVector<float> centroids_;  // clusters x dim
   std::vector<double> centroid_norms_;    // cached ‖c‖² per centroid
   std::vector<Cell> cells_;
-  std::vector<int> id_to_label_;
-  std::unordered_map<int, int> label_to_id_;
+  core::ClassIdSpace ids_;
   std::size_t built_rows_ = 0;
   std::size_t churn_ = 0;
 

@@ -85,7 +85,10 @@ double AdaptiveFingerprinter::probe_class_accuracy(int label, const data::Datase
   if (probe.empty()) return 0.0;
   const data::Dataset mine = probe.filter([label](int l) { return l == label; });
   if (mine.empty()) return 0.0;
-  const std::vector<std::vector<RankedLabel>> rankings = fingerprint_batch(mine);
+  const obs::Span span("rank");
+  // Only the front is read: a depth-1 ranking comes straight off the k-heap.
+  const std::vector<std::vector<RankedLabel>> rankings =
+      knn_.rank_batch(store(), model_.embed(mine.to_matrix()), 1);
   std::size_t hits = 0;
   for (const std::vector<RankedLabel>& ranking : rankings)
     if (!ranking.empty() && ranking.front().label == label) ++hits;

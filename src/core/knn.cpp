@@ -1,7 +1,10 @@
 #include "core/knn.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "core/scan_tiles.hpp"
@@ -35,17 +38,19 @@ struct ClassOrder {
   }
 };
 
-// Emits one query's total ranking from its k best candidates (`kbest`, any
-// order) and its per-class nearest distances (`best`, kFar except at the
-// first n_touched ids of `touched`). An untouched class has no votes and
-// distance kFar, so it sorts after every touched one and among its peers by
-// label alone: only the touched classes are sorted, and the rest follow in
-// the precomputed label order. A voted class whose best stayed at kFar (a
-// NaN distance, or a peer's inconsistent slice) is appended to `touched`,
-// which has room for every class id, so the output always holds every
-// class exactly once.
+// Emits the first `depth` entries of one query's total ranking from its k
+// best candidates (`kbest`, any order) and its per-class nearest distances
+// (`best`, kFar except at the first n_touched ids of `touched`). An
+// untouched class has no votes and distance kFar, so it sorts after every
+// touched one and among its peers by label alone: only the touched classes
+// are sorted (to `depth`), and the rest follow in the precomputed label
+// order only when `depth` reaches past them. A voted class whose best
+// stayed at kFar (a NaN distance, or a peer's inconsistent slice) is
+// appended to `touched`, which has room for every class id, so a total
+// ranking always holds every class exactly once.
 void finalize(const std::vector<Candidate>& kbest, const double* best, std::uint32_t* touched,
-              std::size_t n_touched, const ClassOrder& order, std::vector<RankedLabel>& out) {
+              std::size_t n_touched, const ClassOrder& order, std::size_t depth,
+              std::vector<RankedLabel>& out) {
   const std::size_t n_ids = order.labels.size();
   thread_local std::vector<int> votes;  // all zero between calls
   if (votes.size() < n_ids) votes.resize(n_ids, 0);
@@ -55,15 +60,62 @@ void finalize(const std::vector<Candidate>& kbest, const double* best, std::uint
     if (votes[id]++ == 0 && !(best[id] < kFar))
       touched[n_touched++] = static_cast<std::uint32_t>(id);
   }
+  const std::size_t n_out = std::min(depth, n_ids);
   out.clear();
-  out.reserve(n_ids);
+  out.reserve(std::max(n_touched, n_out));
   for (std::size_t t = 0; t < n_touched; ++t)
     out.push_back({order.labels[touched[t]], votes[touched[t]], best[touched[t]]});
-  std::sort(out.begin(), out.end(), ranked_before);
-  if (out.size() < n_ids)  // an exhaustive scan touches every class: no tail
-    for (const auto& [label, id] : order.by_label)
-      if (best[id] >= kFar && votes[id] == 0) out.push_back({label, 0, kFar});
+  // ranked_before is a total order (labels are distinct), so the partial
+  // sort's prefix is the full sort's prefix.
+  if (n_out < out.size()) {
+    const auto mid = out.begin() + static_cast<std::ptrdiff_t>(n_out);
+    std::partial_sort(out.begin(), mid, out.end(), ranked_before);
+    out.erase(mid, out.end());
+  } else {
+    std::sort(out.begin(), out.end(), ranked_before);
+  }
+  // An exhaustive scan touches every class: no tail.
+  for (auto it = order.by_label.begin(); out.size() < n_out && it != order.by_label.end(); ++it)
+    if (best[it->second] >= kFar && votes[it->second] == 0) out.push_back({it->first, 0, kFar});
   for (const Candidate& c : kbest) votes[detail::class_of(c)] = 0;
+}
+
+// Depth 1 from the k-heap alone (`kbest`, any order, from a scan without
+// per-class rows): votes per class, and each voted class's distance as the
+// minimum over its candidates with the per-class scan's own `d < b ? d : b`
+// fold from kFar. A voted class's nearest row is always among the k kept
+// candidates, so this is the total ranking's front exactly — unless the heap
+// is empty (a pruned store whose probed shards hold no rows) or holds a NaN
+// distance, which scan_tile can admit while filling and never evicts, and
+// which can displace a class's nearest row. Then it returns false and
+// leaves `out` alone, and the caller ranks the query through finalize.
+bool front_from_heap(const std::vector<Candidate>& kbest, const ReferenceStore& refs,
+                     std::vector<RankedLabel>& out) {
+  const auto is_nan = [](const Candidate& c) { return std::isnan(c.first); };
+  if (kbest.empty() || std::any_of(kbest.begin(), kbest.end(), is_nan)) return false;
+  thread_local std::vector<int> votes;       // all zero between calls
+  thread_local std::vector<double> nearest;  // all kFar between calls
+  if (votes.size() < refs.n_class_ids()) {
+    votes.resize(refs.n_class_ids(), 0);
+    nearest.resize(refs.n_class_ids(), kFar);
+  }
+  for (const Candidate& c : kbest) {
+    const std::size_t id = detail::class_of(c);
+    WF_DCHECK(id < refs.n_class_ids(), "front_from_heap: candidate class id out of range");
+    ++votes[id];
+    nearest[id] = c.first < nearest[id] ? c.first : nearest[id];
+  }
+  RankedLabel front;
+  for (const Candidate& c : kbest) {
+    const std::size_t id = detail::class_of(c);
+    if (votes[id] == 0) continue;  // class already weighed
+    const RankedLabel entry{refs.label_of_id(id), votes[id], nearest[id]};
+    if (front.votes == 0 || ranked_before(entry, front)) front = entry;
+    votes[id] = 0;
+    nearest[id] = kFar;
+  }
+  out.assign(1, front);
+  return true;
 }
 
 }  // namespace
@@ -77,7 +129,7 @@ std::vector<RankedLabel> KnnClassifier::rank(const ReferenceStore& references,
 }
 
 std::vector<std::vector<RankedLabel>> KnnClassifier::rank_batch(
-    const ReferenceStore& references, const nn::Matrix& queries) const {
+    const ReferenceStore& references, const nn::Matrix& queries, std::size_t depth) const {
   const std::size_t m = queries.rows();
   std::vector<std::vector<RankedLabel>> rankings(m);
   const std::size_t n = references.size();
@@ -86,17 +138,34 @@ std::vector<std::vector<RankedLabel>> KnnClassifier::rank_batch(
     throw std::invalid_argument("KnnClassifier::rank_batch: query width mismatch");
   const std::size_t n_ids = references.n_class_ids();
   const std::size_t k = std::min<std::size_t>(static_cast<std::size_t>(std::max(0, k_)), n);
-  const ClassOrder order(n_ids, [&](std::size_t id) { return references.label_of_id(id); });
   const std::size_t dim = references.dim();
+  // Built once, by the first tile that ranks through finalize.
+  std::once_flag order_once;
+  std::optional<ClassOrder> order;
 
   // Tile-local accumulators, finalized before the next tile: memory stays
   // bounded by the tile size, not the query count.
-  detail::for_each_tile(m, [&](std::size_t t0, std::size_t rows) {
+  const auto rank_per_class = [&](std::size_t t0, std::size_t rows) {
+    std::call_once(order_once, [&] {
+      order.emplace(n_ids, [&](std::size_t id) { return references.label_of_id(id); });
+    });
     detail::TileScan& sc =
         detail::scan_tile<true>(references, queries.data() + t0 * dim, rows, k, 0, 1);
     for (std::size_t q = 0; q < rows; ++q)
-      finalize(sc.heaps[q], sc.best_of(q), sc.touched_of(q), sc.n_touched[q], order,
+      finalize(sc.heaps[q], sc.best_of(q), sc.touched_of(q), sc.n_touched[q], *order, depth,
                rankings[t0 + q]);
+  };
+  const bool front_only = depth == 1 && k > 0;
+  detail::for_each_tile(m, [&](std::size_t t0, std::size_t rows) {
+    if (!front_only) return rank_per_class(t0, rows);
+    detail::TileScan& sc =
+        detail::scan_tile<false>(references, queries.data() + t0 * dim, rows, k, 0, 1);
+    std::size_t redo[detail::kQueryTile];
+    std::size_t n_redo = 0;
+    for (std::size_t q = 0; q < rows; ++q)
+      if (!front_from_heap(sc.heaps[q], references, rankings[t0 + q])) redo[n_redo++] = t0 + q;
+    // rank_per_class reuses this thread's TileScan: only after the heaps are read.
+    for (std::size_t r = 0; r < n_redo; ++r) rank_per_class(redo[r], 1);
   });
   return rankings;
 }
@@ -174,7 +243,7 @@ std::vector<std::vector<RankedLabel>> merge_slice_scans(std::span<const int> lab
         }
       }
     }
-    finalize(kbest, best.data(), touched.data(), n_touched, order, rankings[q]);
+    finalize(kbest, best.data(), touched.data(), n_touched, order, kTotalRanking, rankings[q]);
   }
   return rankings;
 }

@@ -1,0 +1,109 @@
+#include "core/row_tables.hpp"
+
+#include <algorithm>
+#include <stdexcept>
+#include <utility>
+
+namespace wf::core {
+
+void RowTables::append(std::span<const float> embedding, int label, double sq_norm,
+                       int class_id, std::uint64_t row_id) {
+  data.insert(data.end(), embedding.begin(), embedding.end());
+  labels.push_back(label);
+  sq_norms.push_back(sq_norm);
+  class_ids.push_back(class_id);
+  row_ids.push_back(row_id);
+}
+
+ClassIdSpace::ClassIdSpace(std::vector<int> labels_by_id) : labels_(std::move(labels_by_id)) {
+  if (labels_.size() > kMaxClassIds)
+    throw std::invalid_argument("class-id table holds more than 2^24 ids");
+  for (std::size_t id = 0; id < labels_.size(); ++id)
+    if (!ids_.emplace(labels_[id], static_cast<int>(id)).second)
+      throw std::invalid_argument("class-id table repeats a label");
+}
+
+int ClassIdSpace::find(int label) const {
+  const auto it = ids_.find(label);
+  return it == ids_.end() ? -1 : it->second;
+}
+
+int ClassIdSpace::intern(int label) {
+  if (const int id = find(label); id >= 0) return id;
+  if (labels_.size() == kMaxClassIds)
+    throw std::invalid_argument("class-id space full: more than 2^24 classes");
+  const int id = static_cast<int>(labels_.size());
+  ids_.emplace(label, id);
+  labels_.push_back(label);
+  return id;
+}
+
+void ClassIdSpace::release(int id) {
+  const auto slot = static_cast<std::size_t>(id);
+  ids_.erase(labels_[slot]);
+  if (slot + 1 != labels_.size()) {
+    labels_[slot] = labels_.back();
+    ids_[labels_[slot]] = id;
+  }
+  labels_.pop_back();
+}
+
+std::size_t remove_class_rows(int label, std::size_t dim, ClassIdSpace& ids,
+                              std::span<RowTables> tables) {
+  const int victim = ids.find(label);
+  if (victim < 0) return 0;
+  const int last = static_cast<int>(ids.size()) - 1;
+  std::size_t removed = 0;
+  for (RowTables& t : tables) {
+    std::size_t n = t.rows();
+    // A row moved into slot i is examined again before i advances.
+    for (std::size_t i = 0; i < n;) {
+      if (t.class_ids[i] != victim) {
+        if (t.class_ids[i] == last) t.class_ids[i] = victim;
+        ++i;
+        continue;
+      }
+      if (--n != i) {
+        std::copy_n(t.data.data() + n * dim, dim, t.data.data() + i * dim);
+        t.labels[i] = t.labels[n];
+        t.sq_norms[i] = t.sq_norms[n];
+        t.class_ids[i] = t.class_ids[n];
+        t.row_ids[i] = t.row_ids[n];
+      }
+    }
+    removed += t.rows() - n;
+    t.data.resize(n * dim);
+    t.labels.resize(n);
+    t.sq_norms.resize(n);
+    t.class_ids.resize(n);
+    t.row_ids.resize(n);
+  }
+  ids.release(victim);
+  return removed;
+}
+
+void check_row_tables(std::span<const RowTables> tables, std::size_t dim,
+                      const ClassIdSpace& ids, std::uint64_t next_row_id) {
+  if (next_row_id > kMaxRowIds)
+    throw std::invalid_argument("row ids beyond 2^40 do not fit a candidate key");
+  for (const RowTables& t : tables) {
+    const std::size_t rows = t.rows();
+    // Overflow-safe rows x dim check: divide instead of multiplying.
+    const bool data_consistent =
+        rows == 0 ? t.data.empty()
+                  : (dim != 0 && t.data.size() / dim == rows && t.data.size() % dim == 0);
+    if (!data_consistent || t.sq_norms.size() != rows || t.class_ids.size() != rows ||
+        t.row_ids.size() != rows)
+      throw std::invalid_argument("row tables disagree on their row count");
+    for (std::size_t i = 0; i < rows; ++i) {
+      const int id = t.class_ids[i];
+      if (id < 0 || static_cast<std::size_t>(id) >= ids.size() ||
+          ids.label_of(static_cast<std::size_t>(id)) != t.labels[i])
+        throw std::invalid_argument("row class id does not name the row's label");
+      if (t.row_ids[i] >= next_row_id)
+        throw std::invalid_argument("row id not below the next row id");
+    }
+  }
+}
+
+}  // namespace wf::core

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/env.hpp"
@@ -22,18 +24,15 @@ std::size_t ShardedReferenceSet::default_shard_count() {
 void ShardedReferenceSet::add(std::span<const float> embedding, int label) {
   if (embedding.size() != dim_)
     throw std::invalid_argument("ShardedReferenceSet::add: embedding width mismatch");
+  if (next_row_id_ >= kMaxRowIds)
+    throw std::invalid_argument("ShardedReferenceSet::add: row ids exhausted (2^40)");
   if (shards_.empty()) shards_.resize(1);
-  Shard& shard = shards_[next_row_id_ % shards_.size()];
-  shard.data.insert(shard.data.end(), embedding.begin(), embedding.end());
-  shard.labels.push_back(label);
+  const int class_id = ids_.intern(label);
   double norm = 0.0;
   for (const float v : embedding) norm += static_cast<double>(v) * v;
-  shard.sq_norms.push_back(norm);
-  const auto [it, inserted] =
-      label_to_id_.try_emplace(label, static_cast<int>(id_to_label_.size()));
-  if (inserted) id_to_label_.push_back(label);
-  shard.class_ids.push_back(it->second);
-  shard.row_ids.push_back(next_row_id_++);
+  shards_[next_row_id_ % shards_.size()].append(embedding, label, norm, class_id,
+                                                next_row_id_);
+  ++next_row_id_;
   ++size_;
 }
 
@@ -44,47 +43,7 @@ void ShardedReferenceSet::add_all(const nn::Matrix& embeddings, const std::vecto
 }
 
 void ShardedReferenceSet::remove_class(int label) {
-  for (Shard& shard : shards_) {
-    std::size_t write = 0;
-    for (std::size_t read = 0; read < shard.labels.size(); ++read) {
-      if (shard.labels[read] == label) continue;
-      if (write != read) {
-        std::copy(shard.data.begin() + static_cast<std::ptrdiff_t>(read * dim_),
-                  shard.data.begin() + static_cast<std::ptrdiff_t>((read + 1) * dim_),
-                  shard.data.begin() + static_cast<std::ptrdiff_t>(write * dim_));
-        shard.labels[write] = shard.labels[read];
-        shard.sq_norms[write] = shard.sq_norms[read];
-        shard.row_ids[write] = shard.row_ids[read];
-      }
-      ++write;
-    }
-    shard.labels.resize(write);
-    shard.data.resize(write * dim_);
-    shard.sq_norms.resize(write);
-    shard.class_ids.resize(write);
-    shard.row_ids.resize(write);
-  }
-  rebuild_class_ids();
-}
-
-void ShardedReferenceSet::rebuild_class_ids() {
-  label_to_id_.clear();
-  id_to_label_.clear();
-  size_ = 0;
-  for (Shard& shard : shards_) {
-    size_ += shard.labels.size();
-    for (std::size_t i = 0; i < shard.labels.size(); ++i) {
-      const auto [it, inserted] =
-          label_to_id_.try_emplace(shard.labels[i], static_cast<int>(id_to_label_.size()));
-      if (inserted) id_to_label_.push_back(shard.labels[i]);
-      shard.class_ids[i] = it->second;
-    }
-  }
-}
-
-ShardedReferenceSet::ShardTables ShardedReferenceSet::shard_tables(std::size_t shard) const {
-  const Shard& s = shards_[shard];
-  return {s.data, s.labels, s.sq_norms, s.class_ids, s.row_ids};
+  size_ -= remove_class_rows(label, dim_, ids_, shards_);
 }
 
 ShardedReferenceSet ShardedReferenceSet::restore(std::size_t dim, std::uint64_t next_row_id,
@@ -92,47 +51,25 @@ ShardedReferenceSet ShardedReferenceSet::restore(std::size_t dim, std::uint64_t 
                                                  std::vector<ShardTables> shards) {
   if (shards.empty()) throw std::invalid_argument("ShardedReferenceSet::restore: no shards");
   ShardedReferenceSet out(dim, shards.size());
-  out.next_row_id_ = next_row_id;
-  out.id_to_label_ = std::move(id_to_label);
-  for (std::size_t id = 0; id < out.id_to_label_.size(); ++id)
-    out.label_to_id_.emplace(out.id_to_label_[id], static_cast<int>(id));
-  for (std::size_t si = 0; si < shards.size(); ++si) {
-    ShardTables& t = shards[si];
-    const std::size_t rows = t.labels.size();
-    // Overflow-safe rows x dim check: divide instead of multiplying.
-    const bool data_consistent =
-        rows == 0 ? t.data.empty()
-                  : (dim != 0 && t.data.size() / dim == rows && t.data.size() % dim == 0);
-    if (!data_consistent || t.sq_norms.size() != rows || t.class_ids.size() != rows ||
-        t.row_ids.size() != rows)
-      throw std::invalid_argument("ShardedReferenceSet::restore: inconsistent shard tables");
-    for (std::size_t i = 0; i < rows; ++i) {
-      if (t.class_ids[i] < 0 ||
-          static_cast<std::size_t>(t.class_ids[i]) >= out.id_to_label_.size() ||
-          out.id_to_label_[static_cast<std::size_t>(t.class_ids[i])] != t.labels[i] ||
-          t.row_ids[i] >= next_row_id)
-        throw std::invalid_argument("ShardedReferenceSet::restore: corrupt id tables");
-    }
-    Shard& s = out.shards_[si];
-    s.data = std::move(t.data);
-    s.labels = std::move(t.labels);
-    s.sq_norms = std::move(t.sq_norms);
-    s.class_ids = std::move(t.class_ids);
-    s.row_ids = std::move(t.row_ids);
-    out.size_ += rows;
+  try {
+    out.ids_ = ClassIdSpace(std::move(id_to_label));
+    check_row_tables(shards, dim, out.ids_, next_row_id);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string("ShardedReferenceSet::restore: ") + e.what());
   }
+  out.next_row_id_ = next_row_id;
+  out.shards_ = std::move(shards);
+  for (const RowTables& s : out.shards_) out.size_ += s.rows();
   return out;
 }
 
 ShardView ShardedReferenceSet::shard_view(std::size_t shard) const {
   WF_CHECK(shard < shards_.size(), "shard_view: shard index out of range");
-  const Shard& s = shards_[shard];
-  return {s.data.data(), s.sq_norms.data(), s.class_ids.data(), s.row_ids.data(),
-          s.labels.size()};
+  return shards_[shard].view();
 }
 
 std::vector<int> ShardedReferenceSet::classes() const {
-  std::vector<int> out = id_to_label_;
+  std::vector<int> out = ids_.labels();
   std::sort(out.begin(), out.end());
   return out;
 }

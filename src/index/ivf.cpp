@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "io/binary.hpp"
@@ -157,8 +159,7 @@ void IvfReferenceStore::build_from_rows(const float* data, const int* labels,
   centroids_.assign(n_clusters * dim_, 0.0f);
   centroid_norms_.assign(n_clusters, 0.0);
   cells_.assign(n_clusters, {});
-  id_to_label_.clear();
-  label_to_id_.clear();
+  ids_ = core::ClassIdSpace();
   size_ = n;
   built_rows_ = n;
   churn_ = 0;
@@ -243,24 +244,15 @@ void IvfReferenceStore::build_from_rows(const float* data, const int* labels,
   // order and class ids are dense in first-appearance order.
   assign_rows(data, n, dim_, centroids_.data(), centroid_norms_.data(), n_clusters, assign);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto [it, inserted] =
-        label_to_id_.try_emplace(labels[i], static_cast<int>(id_to_label_.size()));
-    if (inserted) id_to_label_.push_back(labels[i]);
-    Cell& cell = cells_[assign[i]];
     const float* row = data + i * dim_;
-    cell.data.insert(cell.data.end(), row, row + dim_);
-    cell.sq_norms.push_back(nn::squared_norm(row, dim_));
-    cell.class_ids.push_back(it->second);
-    cell.row_ids.push_back(row_ids[i]);
-    cell.labels.push_back(labels[i]);
+    cells_[assign[i]].append({row, dim_}, labels[i], nn::squared_norm(row, dim_),
+                             ids_.intern(labels[i]), row_ids[i]);
   }
 }
 
 core::ShardView IvfReferenceStore::shard_view(std::size_t shard) const {
   WF_CHECK(shard < cells_.size(), "IvfReferenceStore::shard_view: cluster out of range");
-  const Cell& cell = cells_[shard];
-  return {cell.data.data(), cell.sq_norms.data(), cell.class_ids.data(), cell.row_ids.data(),
-          cell.rows()};
+  return cells_[shard].view();
 }
 
 std::size_t IvfReferenceStore::effective_probes() const {
@@ -295,7 +287,7 @@ std::span<const float> IvfReferenceStore::centroid(std::size_t c) const {
 }
 
 std::vector<int> IvfReferenceStore::classes() const {
-  std::vector<int> labels = id_to_label_;
+  std::vector<int> labels = ids_.labels();
   std::sort(labels.begin(), labels.end());
   return labels;
 }
@@ -313,61 +305,20 @@ void IvfReferenceStore::add_pinned(std::size_t cluster, int label, std::uint64_t
                                    std::span<const float> embedding) {
   WF_CHECK(embedding.size() == dim_, "IvfReferenceStore::add: width mismatch");
   WF_CHECK(cluster < cells_.size(), "IvfReferenceStore::add: cluster out of range");
-  const auto [it, inserted] =
-      label_to_id_.try_emplace(label, static_cast<int>(id_to_label_.size()));
-  if (inserted) id_to_label_.push_back(label);
-  Cell& cell = cells_[cluster];
-  cell.data.insert(cell.data.end(), embedding.begin(), embedding.end());
-  cell.sq_norms.push_back(nn::squared_norm(embedding.data(), dim_));
-  cell.class_ids.push_back(it->second);
-  cell.row_ids.push_back(row_id);
-  cell.labels.push_back(label);
+  if (row_id >= core::kMaxRowIds)
+    throw std::invalid_argument("IvfReferenceStore::add: row id past 2^40");
+  const int class_id = ids_.intern(label);
+  cells_[cluster].append(embedding, label, nn::squared_norm(embedding.data(), dim_), class_id,
+                         row_id);
   next_row_id_ = std::max(next_row_id_, row_id + 1);
   ++size_;
   ++churn_;
 }
 
 void IvfReferenceStore::remove_class(int label) {
-  if (label_to_id_.find(label) == label_to_id_.end()) return;
-  std::size_t removed = 0;
-  for (Cell& cell : cells_) {
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < cell.rows(); ++i) {
-      if (cell.labels[i] == label) continue;
-      if (keep != i) {
-        std::copy_n(cell.data.data() + i * dim_, dim_, cell.data.data() + keep * dim_);
-        cell.sq_norms[keep] = cell.sq_norms[i];
-        cell.class_ids[keep] = cell.class_ids[i];
-        cell.row_ids[keep] = cell.row_ids[i];
-        cell.labels[keep] = cell.labels[i];
-      }
-      ++keep;
-    }
-    removed += cell.rows() - keep;
-    cell.data.resize(keep * dim_);
-    cell.sq_norms.resize(keep);
-    cell.class_ids.resize(keep);
-    cell.row_ids.resize(keep);
-    cell.labels.resize(keep);
-  }
+  const std::size_t removed = core::remove_class_rows(label, dim_, ids_, cells_);
   size_ -= removed;
   churn_ += removed;
-  rebuild_class_ids();
-}
-
-void IvfReferenceStore::rebuild_class_ids() {
-  // Re-derive the dense id space in cell-then-row order, exactly like the
-  // sharded store after a removal: ids stay dense, labels stay attached.
-  id_to_label_.clear();
-  label_to_id_.clear();
-  for (Cell& cell : cells_) {
-    for (std::size_t i = 0; i < cell.rows(); ++i) {
-      const auto [it, inserted] =
-          label_to_id_.try_emplace(cell.labels[i], static_cast<int>(id_to_label_.size()));
-      if (inserted) id_to_label_.push_back(cell.labels[i]);
-      cell.class_ids[i] = it->second;
-    }
-  }
 }
 
 void IvfReferenceStore::rebuild() {
@@ -426,31 +377,19 @@ IvfReferenceStore IvfReferenceStore::restore(std::size_t dim, std::uint64_t next
 
   if (dim == 0 || cells.empty() || centroids.size() != cells.size() * dim)
     throw io::IoError("index tables inconsistent: centroid shape");
-  const int n_ids = static_cast<int>(id_to_label.size());
-  std::size_t rows = 0;
-  for (const Cell& cell : cells) {
-    if (cell.data.size() != cell.rows() * dim || cell.class_ids.size() != cell.rows() ||
-        cell.row_ids.size() != cell.rows() || cell.labels.size() != cell.rows())
-      throw io::IoError("index tables inconsistent: cell shape");
-    for (std::size_t i = 0; i < cell.rows(); ++i) {
-      const int id = cell.class_ids[i];
-      if (id < 0 || id >= n_ids)
-        throw io::IoError("index tables inconsistent: class id out of range");
-      if (id_to_label[static_cast<std::size_t>(id)] != cell.labels[i])
-        throw io::IoError("index tables inconsistent: label/id mismatch");
-      if (cell.row_ids[i] >= next_row_id)
-        throw io::IoError("index tables inconsistent: row id out of range");
-    }
-    rows += cell.rows();
+  try {
+    store.ids_ = core::ClassIdSpace(std::move(id_to_label));
+    core::check_row_tables(cells, dim, store.ids_, next_row_id);
+  } catch (const std::invalid_argument& e) {
+    throw io::IoError(std::string("index tables inconsistent: ") + e.what());
   }
+  std::size_t rows = 0;
+  for (const Cell& cell : cells) rows += cell.rows();
   store.centroids_ = std::move(centroids);
   store.centroid_norms_.resize(cells.size());
   for (std::size_t c = 0; c < cells.size(); ++c)
     store.centroid_norms_[c] = nn::squared_norm(store.centroids_.data() + c * dim, dim);
   store.cells_ = std::move(cells);
-  store.id_to_label_ = std::move(id_to_label);
-  for (std::size_t id = 0; id < store.id_to_label_.size(); ++id)
-    store.label_to_id_.emplace(store.id_to_label_[id], static_cast<int>(id));
   store.size_ = rows;
   store.built_rows_ = rows;
   return store;

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -131,9 +132,12 @@ Header parse_header(const io::MappedFile& map) {
     throw io::IoError("index header implausible: dim " + std::to_string(h.dim));
   if (h.clusters == 0 || h.clusters > (std::uint64_t{1} << 24))
     throw io::IoError("index header implausible: clusters " + std::to_string(h.clusters));
-  if (h.rows > (std::uint64_t{1} << 40))
+  if (h.rows > core::kMaxRowIds)
     throw io::IoError("index header implausible: rows " + std::to_string(h.rows));
-  if (h.n_class_ids > (std::uint64_t{1} << 24))
+  // Row and class ids must fit a packed candidate key (core/reference_store.hpp).
+  if (h.next_row_id > core::kMaxRowIds)
+    throw io::IoError("index header implausible: next_row_id " + std::to_string(h.next_row_id));
+  if (h.n_class_ids > core::kMaxClassIds)
     throw io::IoError("index header implausible: class ids " + std::to_string(h.n_class_ids));
   const Layout l = layout_of(h);
   if (h.file_bytes != l.total)
@@ -244,6 +248,8 @@ void scan_journal(const std::string& journal_path, std::uint64_t dim, std::uint6
       for (float& x : embedding) x = r.f32();
       if (cluster >= clusters)
         throw io::IoError("journal add record: cluster out of range");
+      if (row_id >= core::kMaxRowIds)
+        throw io::IoError("journal add record: row id past 2^40");
       on_add(cluster, label, row_id, sq_norm, embedding);
     } else if (record == 2) {
       on_remove(r.i32());
@@ -381,7 +387,11 @@ IvfReferenceStore load_index(const std::string& path) {
       journal_path_of(path), t.header.dim, t.header.clusters,
       [&](std::uint64_t cluster, int label, std::uint64_t row_id, double,
           const std::vector<float>& embedding) {
-        store.add_pinned(cluster, label, row_id, {embedding.data(), embedding.size()});
+        try {
+          store.add_pinned(cluster, label, row_id, {embedding.data(), embedding.size()});
+        } catch (const std::invalid_argument& e) {
+          throw io::IoError(std::string("journal add record: ") + e.what());
+        }
       },
       [&](int label) { store.remove_class(label); });
   detail::index_metrics().journal_bytes->set(journal_size_or_zero(journal_path_of(path)));
@@ -556,7 +566,11 @@ MappedIndex::MappedIndex(const std::string& path, std::size_t probes) : map_(pat
           const std::vector<float>& embedding) {
         const auto [it, inserted] = label_to_id.try_emplace(
             label, static_cast<int>(n_base_ids_ + extra_labels_.size()));
-        if (inserted) extra_labels_.push_back(label);
+        if (inserted) {
+          if (n_base_ids_ + extra_labels_.size() == core::kMaxClassIds)
+            throw io::IoError("journal for " + path + " adds more than 2^24 classes");
+          extra_labels_.push_back(label);
+        }
         Tail& tail = tails_[cluster];
         tail.data.insert(tail.data.end(), embedding.begin(), embedding.end());
         tail.sq_norms.push_back(sq_norm);

@@ -203,7 +203,7 @@ void save_reference_set(Writer& out, const core::ShardedReferenceSet& refs) {
   out.u64(refs.next_row_id());
   out.i32_vec(refs.id_to_label());
   for (std::size_t s = 0; s < refs.shard_count(); ++s) {
-    const core::ShardedReferenceSet::ShardTables tables = refs.shard_tables(s);
+    const core::ShardedReferenceSet::ShardTables& tables = refs.shard_tables(s);
     out.f32_vec(tables.data);
     out.i32_vec(tables.labels);
     out.f64_vec(tables.sq_norms);

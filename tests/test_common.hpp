@@ -5,6 +5,8 @@
 // exits nonzero.
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <span>
@@ -12,6 +14,7 @@
 #include <vector>
 
 #include "core/knn.hpp"
+#include "core/reference_store.hpp"
 #include "nn/matrix.hpp"
 
 namespace wf::test {
@@ -99,3 +102,30 @@ inline double brute_force_kth_distance(const std::vector<LabeledRow>& refs,
   (wf::test::failures == 0                                                       \
        ? (std::cout << "OK\n", 0)                                                \
        : (std::cerr << wf::test::failures << " check(s) failed\n", 1))
+
+namespace wf::test {
+
+// The rank_batch depth contract: to depth D every query's ranking is the
+// first min(D, classes) entries of its total ranking, bit for bit, for D in
+// {1, 2, 10, n_ids, n_ids + 3} — D = 1 being the read of the k-heap alone.
+inline void check_depth_prefixes(const core::KnnClassifier& knn,
+                                 const core::ReferenceStore& store, const nn::Matrix& queries) {
+  const auto total = knn.rank_batch(store, queries);
+  const std::size_t n_ids = store.n_class_ids();
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{2}, std::size_t{10}, n_ids,
+                                  n_ids + 3}) {
+    const auto got = knn.rank_batch(store, queries, depth);
+    CHECK(got.size() == total.size());
+    for (std::size_t q = 0; q < got.size() && q < total.size(); ++q) {
+      const std::size_t want = std::min(depth, total[q].size());
+      CHECK(got[q].size() == want);
+      for (std::size_t i = 0; i < want && i < got[q].size(); ++i) {
+        CHECK(got[q][i].label == total[q][i].label);
+        CHECK(got[q][i].votes == total[q][i].votes);
+        CHECK(std::memcmp(&got[q][i].distance, &total[q][i].distance, sizeof(double)) == 0);
+      }
+    }
+  }
+}
+
+}  // namespace wf::test

@@ -7,7 +7,9 @@
 // pinned (C, P) clears 0.95; an index written to disk and reopened (mmap
 // base, journal tails, full reload, rebuild) answers bit-identically to the
 // in-memory store mutated the same way; every supported SIMD mode agrees
-// with scalar, per dot product and through the tiled GEMM; and the aligned
+// with scalar, per dot product and through the tiled GEMM; rankings to a
+// depth D are the total ranking's first D entries on IVF (P < C and P = C)
+// and mapped stores, NaN rows and queries included; and the aligned
 // allocation the kernels rely on really is 64-byte aligned.
 #include <algorithm>
 #include <cmath>
@@ -342,6 +344,34 @@ int main() {
     index::IvfReferenceStore mem2 = mem;
     mem2.set_probes(2);
     check_rankings_identical(knn.rank_batch(mem2, queries), knn.rank_batch(*mapped2, queries));
+
+    // Depth oracle on every IVF flavour, at k = 0, within and beyond the
+    // row count, with a NaN query; a NaN row appended to a cell (and
+    // written to a second file) sits in the heap of every query at k > n.
+    std::vector<float> nan_row(dim, 0.0f);
+    nan_row[0] = std::nanf("");
+    nn::Matrix odd(queries.rows() + 1, dim);
+    for (std::size_t q = 0; q < queries.rows(); ++q) odd.set_row(q, queries.row_span(q));
+    odd.set_row(queries.rows(), nan_row);
+    index::IvfReferenceStore with_nan = mem;
+    with_nan.add(nan_row, 700);
+    const std::string nan_path = temp_path("wf_test_index_nan.wfx");
+    index::write_index_file(nan_path, with_nan);
+    const std::unique_ptr<core::ReferenceStore> mapped_nan = index::open_index(nan_path, 2);
+    // One row left in one cell at P = 1: most queries probe only empty cells,
+    // so their heaps stay empty and their rankings are all untouched tail.
+    index::IvfReferenceStore hollow = mem;
+    hollow.set_probes(1);
+    for (const int label : hollow.classes()) hollow.remove_class(label);
+    hollow.add(rows.front().embedding, 7000);
+    for (const int k : {0, 1, 15, 1000}) {
+      const core::KnnClassifier depth_knn(k);
+      const std::vector<const core::ReferenceStore*> stores = {
+          &mem, &mem2, mapped.get(), mapped2.get(), &with_nan, mapped_nan.get(), &hollow};
+      for (const core::ReferenceStore* store : stores)
+        test::check_depth_prefixes(depth_knn, *store, odd);
+    }
+    std::filesystem::remove(nan_path);
 
     // The info reader sees the same shape without touching the data.
     const index::IndexInfo info = index::read_index_info(path);

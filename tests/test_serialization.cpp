@@ -2,6 +2,7 @@
 // reproduce every ranking bit-identically (labels, votes, distances) and
 // the open-world calibration exactly; corrupt, truncated, wrong-kind and
 // future-version files must raise clean IoError.
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -335,6 +336,35 @@ int main() {
       bytes[12] = 99;
       write_file(path, bytes);
       CHECK(throws_io_error([&] { index::open_index(path); }));
+    }
+
+    // Ids past the packed candidate key (40-bit row ids): next_row_id =
+    // 2^40 + 1 with row_ids[0] = 2^40 passes "row id < next_row_id", but the
+    // row's key would collide with row 0's, so the header is rejected.
+    const auto put_u64 = [](std::string& bytes, std::size_t at, std::uint64_t v) {
+      for (std::size_t i = 0; i < 8; ++i) bytes[at + i] = static_cast<char>(v >> (8 * i));
+    };
+    {
+      std::string bytes = valid_index;
+      put_u64(bytes, 40, core::kMaxRowIds + 1);  // header: next_row_id
+      // row_ids is the file's last array.
+      put_u64(bytes, bytes.size() - 8 * built.size(), core::kMaxRowIds);
+      write_file(path, bytes);
+      CHECK(throws_io_error([&] { index::load_index(path); }));
+      CHECK(throws_io_error([&] { index::open_index(path); }));
+      CHECK(throws_io_error([&] { index::read_index_info(path); }));
+    }
+    // The same id in a journal add record (after the 32-byte journal header:
+    // u8 kind, u64 cluster, i32 label, then the u64 row id at byte 45).
+    {
+      write_file(path, valid_index);
+      index::IndexJournalWriter(path).add(std::vector<float>(built.dim(), 0.5f), 77);
+      std::string journal = read_file(path + ".journal");
+      put_u64(journal, 45, core::kMaxRowIds);
+      write_file(path + ".journal", journal);
+      CHECK(throws_io_error([&] { index::load_index(path); }));
+      CHECK(throws_io_error([&] { index::open_index(path); }));
+      std::remove((path + ".journal").c_str());
     }
 
     // Wrong kind: an attacker file is not an index, and an index file is

@@ -3,7 +3,9 @@
 // linear scans of test_common.hpp (labels and votes exactly, distances
 // within 1e-4), and S = 2 / 7 are bit-identical to S = 1 — before and after
 // probe-and-swap (remove_class + re-add), with empty shards, and with k
-// beyond the row count.
+// beyond the row count. Rankings to a depth D are the total ranking's first
+// D entries, also with k = 0, k beyond the row count, an empty store, a NaN
+// query and a NaN reference row.
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -104,6 +106,7 @@ void check_store(const core::ShardedReferenceSet& store, const std::vector<Label
   // The scalar rank() is a one-row rank_batch.
   for (std::size_t q = 0; q < queries.rows() && q < rankings.size(); q += 5)
     check_rankings_identical(rankings[q], knn.rank(store, queries.row_span(q)));
+  test::check_depth_prefixes(knn, store, queries);
 
   if (baseline.rankings.empty()) {
     baseline = {rankings, kth};
@@ -182,6 +185,27 @@ int main() {
     for (std::size_t q = 0; q < queries.rows() && q < kth.size(); ++q)
       CHECK_NEAR(kth[q], test::brute_force_kth_distance(few, queries.row_span(q), kNeighbour),
                  1e-4);
+  }
+
+  // Depth oracle on awkward inputs. The NaN reference row goes in first, so
+  // it is scanned while every heap fills and stays there; the NaN query's
+  // heap holds nothing but NaN distances. Both force the depth-1 fallback
+  // through the per-class path.
+  {
+    std::vector<float> nan_row(dim, 0.0f);
+    nan_row[3] = std::nanf("");
+    nn::Matrix odd(queries.rows() + 1, dim);
+    for (std::size_t q = 0; q < queries.rows(); ++q) odd.set_row(q, queries.row_span(q));
+    odd.set_row(queries.rows(), nan_row);
+    for (const std::size_t n_shards : {1u, 2u, 7u}) {
+      core::ShardedReferenceSet store(dim, n_shards);
+      store.add(nan_row, 400);
+      for (const LabeledRow& r : rows) store.add(r.embedding, r.label);
+      for (const int k : {0, 1, 17, 1000})
+        test::check_depth_prefixes(core::KnnClassifier(k), store, odd);
+      const core::ShardedReferenceSet empty(dim, n_shards);
+      test::check_depth_prefixes(knn, empty, odd);
+    }
   }
 
   return TEST_MAIN_RESULT();
