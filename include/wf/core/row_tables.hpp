@@ -1,9 +1,11 @@
 #pragma once
 
-// The row layout both in-memory reference stores hold: ShardedReferenceSet
-// keeps one RowTables per shard and IvfReferenceStore one per cluster cell,
-// each with its dense class-id space in a ClassIdSpace. remove_class_rows is
-// the one removal routine behind both stores' remove_class().
+// The row layout every reference store holds: ShardedReferenceSet keeps one
+// RowTables per shard, IvfReferenceStore one per cluster cell and
+// index::MappedIndex one per journal tail, each store with its dense
+// class-id space in a ClassIdSpace. A mapped IVFX cluster has the same four
+// columns in place. remove_class_rows is the one removal loop behind every
+// store's class removal.
 
 #include <cstddef>
 #include <cstdint>
@@ -16,24 +18,37 @@
 
 namespace wf::core {
 
-// One shard's (or cell's) rows as five row-aligned columns. Row order within
-// the tables never reaches a result: candidate keys (dist, row id) are
-// unique, per-class values are minima, ranking ties break by label, and IVF
-// builds gather rows by row id. So a removal may move rows.
+// Writable counterpart of ShardView: one table's four columns plus its row
+// count, over an owned RowTables or a copy-on-write mapped cluster.
+struct RowColumns {
+  float* data = nullptr;
+  double* sq_norms = nullptr;
+  int* class_ids = nullptr;
+  std::uint64_t* row_ids = nullptr;
+  std::size_t rows = 0;
+};
+
+// One shard's (or cell's) rows as four row-aligned columns; a row's label is
+// the label of its class id. Row order within the tables never reaches a
+// result: candidate keys (dist, row id) are unique, per-class values are
+// minima, ranking ties break by label, and IVF builds gather rows by row id.
+// So a removal may move rows.
 struct RowTables {
   // 64-byte aligned so the SIMD distance kernels can tile straight off the
   // base (util::kSimdAlignment, like nn::Matrix).
-  util::AlignedVector<float> data;  // rows x dim, row-major
-  std::vector<int> labels;
+  util::AlignedVector<float> data;     // rows x dim, row-major
   std::vector<double> sq_norms;        // cached ‖r‖² per row
   std::vector<int> class_ids;          // dense store-global class id per row
   std::vector<std::uint64_t> row_ids;  // global insertion id per row: the tie-break key
 
-  std::size_t rows() const { return labels.size(); }
+  std::size_t rows() const { return row_ids.size(); }
   ShardView view() const {
     return {data.data(), sq_norms.data(), class_ids.data(), row_ids.data(), rows()};
   }
-  void append(std::span<const float> embedding, int label, double sq_norm, int class_id,
+  RowColumns columns() {
+    return {data.data(), sq_norms.data(), class_ids.data(), row_ids.data(), rows()};
+  }
+  void append(std::span<const float> embedding, double sq_norm, int class_id,
               std::uint64_t row_id);
 };
 
@@ -63,18 +78,23 @@ class ClassIdSpace {
   std::unordered_map<int, int> ids_;
 };
 
-// Drops every row of `label` from `tables` and frees its class id; returns
-// the number of rows removed (0, touching nothing, for an absent label).
-// Each table's last row moves into each gap, and the rows of the class that
-// held the last id take the freed id, so only the class_ids column is
-// rewritten in place: no row shifts and no hash map is rebuilt.
-std::size_t remove_class_rows(int label, std::size_t dim, ClassIdSpace& ids,
-                              std::span<RowTables> tables);
+// Drops every row of class id `victim` from `table` and renumbers the rows
+// of class id `last` to `victim`; returns the rows that survive, which then
+// fill [0, result). The table's last row moves into each gap, so only the
+// class_ids column is rewritten in place: no row shifts.
+std::size_t remove_class_rows(const RowColumns& table, std::size_t dim, int victim, int last);
+
+// Drops every row of `label` from owned `tables` and frees its class id
+// (ClassIdSpace::release, with remove_class_rows renumbering the last id's
+// rows); returns the number of rows removed (0, touching nothing, for an
+// absent label). No hash map is rebuilt.
+std::size_t erase_class(int label, std::size_t dim, ClassIdSpace& ids,
+                        std::span<RowTables> tables);
 
 // Cross-table validation for the restore paths: every table's columns agree
-// with its row count (and `dim`), every class id names its row's label in
-// `ids`, and every row id lies below `next_row_id`, which may not exceed
-// kMaxRowIds. Throws std::invalid_argument naming the first violation.
+// with its row count (and `dim`), every class id lies in `ids`, and every
+// row id lies below `next_row_id`, which may not exceed kMaxRowIds. Throws
+// std::invalid_argument naming the first violation.
 void check_row_tables(std::span<const RowTables> tables, std::size_t dim,
                       const ClassIdSpace& ids, std::uint64_t next_row_id);
 

@@ -32,7 +32,7 @@ class ShardedReferenceSet final : public ReferenceStore {
   void add(std::span<const float> embedding, int label);
   void add_all(const nn::Matrix& embeddings, const std::vector<int>& labels);
 
-  // Drop every reference of `label` (core::remove_class_rows): each shard's
+  // Drop every reference of `label` (core::erase_class): each shard's
   // last row moves into each gap and the class holding the last dense id
   // takes over the freed one, so stale ids never survive a swap and the
   // cost is one pass over the class-id column, not a rewrite of the store.

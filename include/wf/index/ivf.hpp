@@ -12,7 +12,7 @@
 //
 // adapt's swap-references churn is absorbed without re-clustering: add()
 // appends to the nearest centroid's cell, remove_class() fills each gap with
-// its cell's last row (the removal routine shared with the sharded store),
+// its cell's last row (core::erase_class, shared with the sharded store),
 // and once the accumulated churn passes a configurable fraction of
 // the built size, maybe_rebuild() re-runs the k-means (the in-memory
 // counterpart of the on-disk base store + journal + `wf index rebuild` flow
@@ -55,7 +55,7 @@ class IvfReferenceStore final : public core::ReferenceStore {
  public:
   // One cluster's dense side tables, laid out exactly like a store shard
   // (row_ids are the base store's global ids, so rankings keep the exact
-  // scan's tie-break; labels survive class-id renumbering).
+  // scan's tie-break).
   using Cell = core::RowTables;
 
   IvfReferenceStore() = default;
@@ -89,17 +89,12 @@ class IvfReferenceStore final : public core::ReferenceStore {
   std::uint64_t next_row_id() const { return next_row_id_; }
 
   // Churn path (adapt's swap-references): append to the nearest centroid's
-  // cell / drop a class with core::remove_class_rows (each cell's last row
-  // fills each gap; the last class id takes over the freed one). Neither
-  // moves centroids or rows of other cells.
+  // cell / drop a class with core::erase_class (each cell's last row fills
+  // each gap; the last class id takes over the freed one). Neither moves
+  // centroids or rows of other cells. add() throws std::invalid_argument
+  // once row ids reach core::kMaxRowIds or for a new class past
+  // core::kMaxClassIds.
   void add(std::span<const float> embedding, int label);
-  // Journal replay (index/store.cpp): append to an explicit cluster with an
-  // explicit global id — the values recorded when the row was journaled —
-  // so a replayed store ranks identically to one mutated live. Throws
-  // std::invalid_argument for a row id at or past core::kMaxRowIds or a new
-  // class past core::kMaxClassIds.
-  void add_pinned(std::size_t cluster, int label, std::uint64_t row_id,
-                  std::span<const float> embedding);
   void remove_class(int label);
   // Rows added + removed since the last (re)build.
   std::size_t churn() const { return churn_; }
@@ -121,7 +116,6 @@ class IvfReferenceStore final : public core::ReferenceStore {
  private:
   void build_from_rows(const float* data, const int* labels, const std::uint64_t* row_ids,
                        std::size_t n);
-  void count_probe(const std::vector<std::size_t>& out) const;
 
   IvfConfig config_;
   std::size_t dim_ = 0;
@@ -133,12 +127,6 @@ class IvfReferenceStore final : public core::ReferenceStore {
   core::ClassIdSpace ids_;
   std::size_t built_rows_ = 0;
   std::size_t churn_ = 0;
-
-  // wf::obs instruments, shared by every index store (see wf stats).
-  obs::Counter* probes_total_ = nullptr;
-  obs::Counter* clusters_scanned_ = nullptr;
-  obs::Counter* rows_scanned_ = nullptr;
-  obs::Counter* rebuilds_total_ = nullptr;
 };
 
 namespace detail {
@@ -164,6 +152,14 @@ const IndexMetrics& index_metrics();
 void nearest_centroids(const float* row, const float* centroids, const double* norms,
                        std::size_t n, std::size_t dim, std::size_t count,
                        std::vector<std::size_t>& out);
+
+// probe_shards() of both IVF stores. `store`'s shards [0, C) are its
+// clusters (C = norms.size()) and, when it has 2C shards, [C, 2C) are their
+// journal tails. Writes the `probes` clusters nearest to `query` (0 = all),
+// then the non-empty tail of each, and counts the probe in index.* metrics.
+void probe_clusters(const core::ReferenceStore& store, std::span<const float> query,
+                    const float* centroids, std::span<const double> norms, std::size_t probes,
+                    std::vector<std::size_t>& out);
 }  // namespace detail
 
 }  // namespace wf::index

@@ -28,10 +28,14 @@
 // Journal ("<base>.journal", "WFIO" | v1 | "IVFJ" | layout v1 | u64 dim |
 // u64 clusters, then records): u8 kind 1 = add {u64 cluster, i32 label,
 // u64 row_id, f64 sq_norm, f32 embedding[dim]}, u8 kind 2 = remove-class
-// {i32 label}. Appends replay as in-memory tail cells at open; a journal
-// holding removals cannot be masked onto a read-only mapping, so that case
-// degrades to a full in-memory load (open_index logs it) until the next
-// rebuild.
+// {i32 label}. Add row ids start at the base's next_row_id and strictly
+// increase; a journal that breaks this (e.g. one left behind by a rebuild
+// killed after its rename, whose adds the base already holds) is rejected
+// with IoError instead of replayed twice. MappedIndex replays the journal
+// once, in record order, at open: adds become in-memory tail rows, and the
+// first removal of a present class turns the private mapping copy-on-write
+// before the stores' removal loop moves rows in it. The moved rows live in
+// process memory; the file is never written.
 
 #include <cstddef>
 #include <cstdint>
@@ -51,18 +55,19 @@ inline constexpr std::uint32_t kJournalLayoutVersion = 1;
 // Writes `store` to `path` in the base-store layout above (no journal).
 void write_index_file(const std::string& path, const IvfReferenceStore& store);
 
-// Full in-memory load: base store + ordered journal replay (adds and
-// removals). The only path that honours remove-class records.
+// Full in-memory copy of the store MappedIndex opens (base + journal), for
+// rebuilds: each cluster's base rows plus its tail become one cell.
 IvfReferenceStore load_index(const std::string& path);
 
-// The serving entry point: mmap the base store, replay journal appends as
-// tail cells, or fall back to load_index() when the journal holds
-// removals. `probes` overrides the file's default when nonzero.
+// The serving entry point: a MappedIndex of `path` and its journal.
+// `probes` overrides the file's default when nonzero.
 std::unique_ptr<core::ReferenceStore> open_index(const std::string& path,
                                                  std::size_t probes = 0);
 
 // Re-clusters base + journal and atomically replaces `path` (tmp + rename),
-// deleting the journal. Returns the compacted row count.
+// then deletes the journal. Returns the compacted row count. Killed between
+// the two steps, it leaves a stale journal that every open rejects (above)
+// until it is deleted.
 std::size_t rebuild_index_file(const std::string& path);
 
 // Sidecar-journal appender: records churn against an existing base store
@@ -106,60 +111,47 @@ struct IndexInfo {
 };
 IndexInfo read_index_info(const std::string& path);
 
-// The mmap-backed store: ShardViews point into the mapping. Shards [0, C)
-// are the mapped base clusters; shards [C, 2C) are the journal tails of the
-// same clusters, so probing cluster c scans both its base rows and its
-// appended rows.
+// The mmap-backed store. Shards [0, C) are the base clusters, their columns
+// in place in the mapping; shards [C, 2C) are the journal tails of the same
+// clusters (core::RowTables), so probing cluster c scans both its base rows
+// and its appended rows. The class-id space continues the file's id table
+// in journal order, exactly as IvfReferenceStore::add and remove_class
+// would have changed it.
 class MappedIndex final : public core::ReferenceStore {
  public:
   explicit MappedIndex(const std::string& path, std::size_t probes = 0);
 
   std::size_t dim() const override { return dim_; }
   std::size_t size() const override { return size_; }
-  std::size_t shard_count() const override { return 2 * n_clusters_; }
+  std::size_t shard_count() const override { return 2 * base_.size(); }
   core::ShardView shard_view(std::size_t shard) const override;
-  std::size_t n_class_ids() const override { return n_base_ids_ + extra_labels_.size(); }
-  int label_of_id(std::size_t id) const override;
+  std::size_t n_class_ids() const override { return ids_.size(); }
+  int label_of_id(std::size_t id) const override { return ids_.label_of(id); }
   bool pruned() const override { return true; }
   void probe_shards(std::span<const float> query,
                     std::vector<std::size_t>& out) const override;
 
-  std::size_t clusters() const { return n_clusters_; }
-  std::size_t journal_rows() const { return journal_rows_; }
-  std::size_t probes() const { return probes_; }
-  void set_probes(std::size_t probes) { probes_ = probes; }
-  const std::string& path() const { return map_.path(); }
+  void set_probes(std::size_t probes) { config_.probes = probes; }
+  // What load_index copies besides the rows.
+  const IvfConfig& config() const { return config_; }
+  std::uint64_t next_row_id() const { return next_row_id_; }
+  std::span<const float> centroids() const { return {centroids_, base_.size() * dim_}; }
 
  private:
-  struct Tail {
-    util::AlignedVector<float> data;
-    std::vector<double> sq_norms;
-    std::vector<int> class_ids;
-    std::vector<std::uint64_t> row_ids;
-  };
+  void remove_class(int label);
 
   io::MappedFile map_;
+  IvfConfig config_;  // the file's; probes 0 = all clusters (exact)
   std::size_t dim_ = 0;
-  std::size_t n_clusters_ = 0;
   std::size_t size_ = 0;
-  std::size_t probes_ = 0;  // 0 = all clusters (exact)
-  std::size_t n_base_ids_ = 0;
-  std::size_t journal_rows_ = 0;
-  const std::uint64_t* cluster_rows_ = nullptr;
-  std::vector<std::uint64_t> cluster_offsets_;  // row offset of each cluster
-  const int* id_to_label_ = nullptr;
+  std::uint64_t next_row_id_ = 0;
   const float* centroids_ = nullptr;
   std::vector<double> centroid_norms_;
-  const float* data_ = nullptr;
-  const double* sq_norms_ = nullptr;
-  const int* class_ids_ = nullptr;
-  const std::uint64_t* row_ids_ = nullptr;
-  std::vector<int> extra_labels_;  // class ids appended by journal adds
-  std::vector<Tail> tails_;
-
-  obs::Counter* probes_total_ = nullptr;
-  obs::Counter* clusters_scanned_ = nullptr;
-  obs::Counter* rows_scanned_ = nullptr;
+  // Base clusters, pointing into the mapping: written only by
+  // remove_class, after the mapping is made copy-on-write.
+  std::vector<core::RowColumns> base_;
+  std::vector<core::RowTables> tails_;
+  core::ClassIdSpace ids_;
 };
 
 }  // namespace wf::index

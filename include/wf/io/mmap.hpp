@@ -1,9 +1,10 @@
 #pragma once
 
-// RAII read-only memory mapping. This class (src/io/mmap.cpp) is the one
-// sanctioned home of raw mmap/munmap calls in the tree — the wf-lint
-// mmap-discipline rule enforces it — so lifetime bugs (double unmap, leaked
-// mappings, use-after-close) have exactly one place to hide.
+// RAII private memory mapping, read-only unless made copy-on-write. This
+// class (src/io/mmap.cpp) is the one sanctioned home of raw
+// mmap/munmap/mprotect calls in the tree — the wf-lint mmap-discipline rule
+// enforces it — so lifetime bugs (double unmap, leaked mappings,
+// use-after-close) have exactly one place to hide.
 
 #include <cstddef>
 #include <cstdint>
@@ -24,6 +25,12 @@ class MappedFile {
   MappedFile& operator=(MappedFile&& other) noexcept;
   MappedFile(const MappedFile&) = delete;
   MappedFile& operator=(const MappedFile&) = delete;
+
+  // Turns the private mapping copy-on-write: pages written afterwards are
+  // copied into process memory and never reach the file. Until this call
+  // the mapping is read-only and a write through it faults. Throws IoError
+  // when the protection cannot be changed.
+  void make_writable();
 
   const std::uint8_t* data() const { return static_cast<const std::uint8_t*>(addr_); }
   std::size_t size() const { return size_; }

@@ -6,10 +6,9 @@
 
 namespace wf::core {
 
-void RowTables::append(std::span<const float> embedding, int label, double sq_norm,
-                       int class_id, std::uint64_t row_id) {
+void RowTables::append(std::span<const float> embedding, double sq_norm, int class_id,
+                       std::uint64_t row_id) {
   data.insert(data.end(), embedding.begin(), embedding.end());
-  labels.push_back(label);
   sq_norms.push_back(sq_norm);
   class_ids.push_back(class_id);
   row_ids.push_back(row_id);
@@ -48,32 +47,35 @@ void ClassIdSpace::release(int id) {
   labels_.pop_back();
 }
 
-std::size_t remove_class_rows(int label, std::size_t dim, ClassIdSpace& ids,
-                              std::span<RowTables> tables) {
+std::size_t remove_class_rows(const RowColumns& t, std::size_t dim, int victim, int last) {
+  std::size_t n = t.rows;
+  // A row moved into slot i is examined again before i advances.
+  for (std::size_t i = 0; i < n;) {
+    if (t.class_ids[i] != victim) {
+      if (t.class_ids[i] == last) t.class_ids[i] = victim;
+      ++i;
+      continue;
+    }
+    if (--n != i) {
+      std::copy_n(t.data + n * dim, dim, t.data + i * dim);
+      t.sq_norms[i] = t.sq_norms[n];
+      t.class_ids[i] = t.class_ids[n];
+      t.row_ids[i] = t.row_ids[n];
+    }
+  }
+  return n;
+}
+
+std::size_t erase_class(int label, std::size_t dim, ClassIdSpace& ids,
+                        std::span<RowTables> tables) {
   const int victim = ids.find(label);
   if (victim < 0) return 0;
   const int last = static_cast<int>(ids.size()) - 1;
   std::size_t removed = 0;
   for (RowTables& t : tables) {
-    std::size_t n = t.rows();
-    // A row moved into slot i is examined again before i advances.
-    for (std::size_t i = 0; i < n;) {
-      if (t.class_ids[i] != victim) {
-        if (t.class_ids[i] == last) t.class_ids[i] = victim;
-        ++i;
-        continue;
-      }
-      if (--n != i) {
-        std::copy_n(t.data.data() + n * dim, dim, t.data.data() + i * dim);
-        t.labels[i] = t.labels[n];
-        t.sq_norms[i] = t.sq_norms[n];
-        t.class_ids[i] = t.class_ids[n];
-        t.row_ids[i] = t.row_ids[n];
-      }
-    }
+    const std::size_t n = remove_class_rows(t.columns(), dim, victim, last);
     removed += t.rows() - n;
     t.data.resize(n * dim);
-    t.labels.resize(n);
     t.sq_norms.resize(n);
     t.class_ids.resize(n);
     t.row_ids.resize(n);
@@ -92,14 +94,12 @@ void check_row_tables(std::span<const RowTables> tables, std::size_t dim,
     const bool data_consistent =
         rows == 0 ? t.data.empty()
                   : (dim != 0 && t.data.size() / dim == rows && t.data.size() % dim == 0);
-    if (!data_consistent || t.sq_norms.size() != rows || t.class_ids.size() != rows ||
-        t.row_ids.size() != rows)
+    if (!data_consistent || t.sq_norms.size() != rows || t.class_ids.size() != rows)
       throw std::invalid_argument("row tables disagree on their row count");
     for (std::size_t i = 0; i < rows; ++i) {
       const int id = t.class_ids[i];
-      if (id < 0 || static_cast<std::size_t>(id) >= ids.size() ||
-          ids.label_of(static_cast<std::size_t>(id)) != t.labels[i])
-        throw std::invalid_argument("row class id does not name the row's label");
+      if (id < 0 || static_cast<std::size_t>(id) >= ids.size())
+        throw std::invalid_argument("row class id out of range");
       if (t.row_ids[i] >= next_row_id)
         throw std::invalid_argument("row id not below the next row id");
     }

@@ -30,8 +30,7 @@ void ShardedReferenceSet::add(std::span<const float> embedding, int label) {
   const int class_id = ids_.intern(label);
   double norm = 0.0;
   for (const float v : embedding) norm += static_cast<double>(v) * v;
-  shards_[next_row_id_ % shards_.size()].append(embedding, label, norm, class_id,
-                                                next_row_id_);
+  shards_[next_row_id_ % shards_.size()].append(embedding, norm, class_id, next_row_id_);
   ++next_row_id_;
   ++size_;
 }
@@ -43,7 +42,7 @@ void ShardedReferenceSet::add_all(const nn::Matrix& embeddings, const std::vecto
 }
 
 void ShardedReferenceSet::remove_class(int label) {
-  size_ -= remove_class_rows(label, dim_, ids_, shards_);
+  size_ -= erase_class(label, dim_, ids_, shards_);
 }
 
 ShardedReferenceSet ShardedReferenceSet::restore(std::size_t dim, std::uint64_t next_row_id,

@@ -79,6 +79,32 @@ void nearest_centroids(const float* row, const float* centroids, const double* n
   for (std::size_t p = 0; p < count; ++p) out.push_back(ranked[p].second);
 }
 
+void probe_clusters(const core::ReferenceStore& store, std::span<const float> query,
+                    const float* centroids, std::span<const double> norms, std::size_t probes,
+                    std::vector<std::size_t>& out) {
+  out.clear();
+  const std::size_t n = norms.size();
+  if (n == 0) return;
+  WF_CHECK(query.size() == store.dim(), "probe_shards: query width mismatch");
+  nearest_centroids(query.data(), centroids, norms.data(), n, store.dim(),
+                    probes == 0 ? n : std::min(probes, n), out);
+  const std::size_t picked = out.size();
+  std::uint64_t rows = 0;
+  for (std::size_t p = 0; p < picked; ++p) rows += store.shard_view(out[p]).rows;
+  // A probed cluster's journal tail holds the rows appended to it since the
+  // base was written; together they are exactly the cluster's live rows.
+  if (store.shard_count() > n)
+    for (std::size_t p = 0; p < picked; ++p)
+      if (const std::size_t tail = store.shard_view(n + out[p]).rows; tail > 0) {
+        out.push_back(n + out[p]);
+        rows += tail;
+      }
+  const IndexMetrics& metrics = index_metrics();
+  metrics.probes_total->inc();
+  metrics.clusters_scanned->inc(picked);
+  metrics.rows_scanned->inc(rows);
+}
+
 }  // namespace detail
 
 namespace {
@@ -104,46 +130,52 @@ void assign_rows(const float* rows, std::size_t n, std::size_t dim, const float*
   });
 }
 
-}  // namespace
+// A store's rows as one table in global insertion-id order.
+struct Rows {
+  util::AlignedVector<float> data;  // n x dim
+  std::vector<int> labels;
+  std::vector<std::uint64_t> row_ids;
+};
 
-IvfReferenceStore::IvfReferenceStore(const core::ReferenceStore& base, const IvfConfig& config)
-    : config_(config), dim_(base.dim()), next_row_id_(0) {
-  const auto& metrics = detail::index_metrics();
-  probes_total_ = metrics.probes_total;
-  clusters_scanned_ = metrics.clusters_scanned;
-  rows_scanned_ = metrics.rows_scanned;
-  rebuilds_total_ = metrics.rebuilds_total;
-
-  // Gather the base rows in global insertion-id order: the clustering (and
-  // therefore the file layout) is a function of the content, not of how
-  // the base store happened to be sharded.
+// Every build clusters rows gathered by row id, so the clustering (and
+// therefore the file layout) is a function of the content, not of how the
+// source store is sharded or of the add/remove history that produced it.
+Rows rows_by_id(const core::ReferenceStore& store) {
   struct Ref {
     std::uint64_t row_id;
     std::size_t shard;
     std::size_t row;
   };
   std::vector<Ref> refs;
-  refs.reserve(base.size());
-  for (std::size_t s = 0; s < base.shard_count(); ++s) {
-    const core::ShardView shard = base.shard_view(s);
-    for (std::size_t j = 0; j < shard.rows; ++j)
-      refs.push_back({shard.row_ids[j], s, j});
+  refs.reserve(store.size());
+  for (std::size_t s = 0; s < store.shard_count(); ++s) {
+    const core::ShardView shard = store.shard_view(s);
+    for (std::size_t j = 0; j < shard.rows; ++j) refs.push_back({shard.row_ids[j], s, j});
   }
   std::sort(refs.begin(), refs.end(),
             [](const Ref& a, const Ref& b) { return a.row_id < b.row_id; });
 
   const std::size_t n = refs.size();
-  util::AlignedVector<float> data(n * dim_);
-  std::vector<int> labels(n);
-  std::vector<std::uint64_t> row_ids(n);
+  const std::size_t dim = store.dim();
+  Rows rows{util::AlignedVector<float>(n * dim), std::vector<int>(n),
+            std::vector<std::uint64_t>(n)};
   for (std::size_t i = 0; i < n; ++i) {
-    const core::ShardView shard = base.shard_view(refs[i].shard);
-    std::copy_n(shard.data + refs[i].row * dim_, dim_, data.data() + i * dim_);
-    labels[i] = base.label_of_id(static_cast<std::size_t>(shard.class_ids[refs[i].row]));
-    row_ids[i] = refs[i].row_id;
-    next_row_id_ = std::max(next_row_id_, refs[i].row_id + 1);
+    const core::ShardView shard = store.shard_view(refs[i].shard);
+    std::copy_n(shard.data + refs[i].row * dim, dim, rows.data.data() + i * dim);
+    rows.labels[i] = store.label_of_id(static_cast<std::size_t>(shard.class_ids[refs[i].row]));
+    rows.row_ids[i] = refs[i].row_id;
   }
-  build_from_rows(data.data(), labels.data(), row_ids.data(), n);
+  return rows;
+}
+
+}  // namespace
+
+IvfReferenceStore::IvfReferenceStore(const core::ReferenceStore& base, const IvfConfig& config)
+    : config_(config), dim_(base.dim()) {
+  const Rows rows = rows_by_id(base);
+  const std::size_t n = rows.row_ids.size();
+  if (n > 0) next_row_id_ = rows.row_ids.back() + 1;
+  build_from_rows(rows.data.data(), rows.labels.data(), rows.row_ids.data(), n);
 }
 
 void IvfReferenceStore::build_from_rows(const float* data, const int* labels,
@@ -245,8 +277,8 @@ void IvfReferenceStore::build_from_rows(const float* data, const int* labels,
   assign_rows(data, n, dim_, centroids_.data(), centroid_norms_.data(), n_clusters, assign);
   for (std::size_t i = 0; i < n; ++i) {
     const float* row = data + i * dim_;
-    cells_[assign[i]].append({row, dim_}, labels[i], nn::squared_norm(row, dim_),
-                             ids_.intern(labels[i]), row_ids[i]);
+    cells_[assign[i]].append({row, dim_}, nn::squared_norm(row, dim_), ids_.intern(labels[i]),
+                             row_ids[i]);
   }
 }
 
@@ -263,22 +295,7 @@ std::size_t IvfReferenceStore::effective_probes() const {
 
 void IvfReferenceStore::probe_shards(std::span<const float> query,
                                      std::vector<std::size_t>& out) const {
-  out.clear();
-  const std::size_t n_clusters = cells_.size();
-  if (n_clusters == 0) return;
-  WF_CHECK(query.size() == dim_, "IvfReferenceStore::probe_shards: query width mismatch");
-  detail::nearest_centroids(query.data(), centroids_.data(), centroid_norms_.data(), n_clusters,
-                            dim_, effective_probes(), out);
-  count_probe(out);
-}
-
-void IvfReferenceStore::count_probe(const std::vector<std::size_t>& out) const {
-  if (probes_total_ == nullptr) return;
-  probes_total_->inc();
-  clusters_scanned_->inc(out.size());
-  std::uint64_t rows = 0;
-  for (const std::size_t c : out) rows += cells_[c].rows();
-  rows_scanned_->inc(rows);
+  detail::probe_clusters(*this, query, centroids_.data(), centroid_norms_, config_.probes, out);
 }
 
 std::span<const float> IvfReferenceStore::centroid(std::size_t c) const {
@@ -295,60 +312,29 @@ std::vector<int> IvfReferenceStore::classes() const {
 void IvfReferenceStore::add(std::span<const float> embedding, int label) {
   WF_CHECK(!cells_.empty(), "IvfReferenceStore::add: store has no clusters");
   WF_CHECK(embedding.size() == dim_, "IvfReferenceStore::add: width mismatch");
+  if (next_row_id_ >= core::kMaxRowIds)
+    throw std::invalid_argument("IvfReferenceStore::add: row ids exhausted (2^40)");
   thread_local std::vector<std::size_t> nearest;
   detail::nearest_centroids(embedding.data(), centroids_.data(), centroid_norms_.data(),
                             cells_.size(), dim_, 1, nearest);
-  add_pinned(nearest.front(), label, next_row_id_, embedding);
-}
-
-void IvfReferenceStore::add_pinned(std::size_t cluster, int label, std::uint64_t row_id,
-                                   std::span<const float> embedding) {
-  WF_CHECK(embedding.size() == dim_, "IvfReferenceStore::add: width mismatch");
-  WF_CHECK(cluster < cells_.size(), "IvfReferenceStore::add: cluster out of range");
-  if (row_id >= core::kMaxRowIds)
-    throw std::invalid_argument("IvfReferenceStore::add: row id past 2^40");
   const int class_id = ids_.intern(label);
-  cells_[cluster].append(embedding, label, nn::squared_norm(embedding.data(), dim_), class_id,
-                         row_id);
-  next_row_id_ = std::max(next_row_id_, row_id + 1);
+  cells_[nearest.front()].append(embedding, nn::squared_norm(embedding.data(), dim_), class_id,
+                                 next_row_id_++);
   ++size_;
   ++churn_;
 }
 
 void IvfReferenceStore::remove_class(int label) {
-  const std::size_t removed = core::remove_class_rows(label, dim_, ids_, cells_);
+  const std::size_t removed = core::erase_class(label, dim_, ids_, cells_);
   size_ -= removed;
   churn_ += removed;
 }
 
 void IvfReferenceStore::rebuild() {
-  // Gather the current rows back into insertion-id order and re-run the
-  // seeded k-means: the result depends only on the surviving content, not
-  // on the add/remove history that produced it.
-  struct Ref {
-    std::uint64_t row_id;
-    std::size_t cell;
-    std::size_t row;
-  };
-  std::vector<Ref> refs;
-  refs.reserve(size_);
-  for (std::size_t c = 0; c < cells_.size(); ++c)
-    for (std::size_t i = 0; i < cells_[c].rows(); ++i) refs.push_back({cells_[c].row_ids[i], c, i});
-  std::sort(refs.begin(), refs.end(),
-            [](const Ref& a, const Ref& b) { return a.row_id < b.row_id; });
-
-  const std::size_t n = refs.size();
-  util::AlignedVector<float> data(n * dim_);
-  std::vector<int> labels(n);
-  std::vector<std::uint64_t> row_ids(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Cell& cell = cells_[refs[i].cell];
-    std::copy_n(cell.data.data() + refs[i].row * dim_, dim_, data.data() + i * dim_);
-    labels[i] = cell.labels[refs[i].row];
-    row_ids[i] = refs[i].row_id;
-  }
-  build_from_rows(data.data(), labels.data(), row_ids.data(), n);
-  if (rebuilds_total_ != nullptr) rebuilds_total_->inc();
+  const Rows rows = rows_by_id(*this);
+  build_from_rows(rows.data.data(), rows.labels.data(), rows.row_ids.data(),
+                  rows.row_ids.size());
+  detail::index_metrics().rebuilds_total->inc();
 }
 
 bool IvfReferenceStore::maybe_rebuild() {
@@ -369,11 +355,6 @@ IvfReferenceStore IvfReferenceStore::restore(std::size_t dim, std::uint64_t next
   store.config_ = config;
   store.dim_ = dim;
   store.next_row_id_ = next_row_id;
-  const auto& metrics = detail::index_metrics();
-  store.probes_total_ = metrics.probes_total;
-  store.clusters_scanned_ = metrics.clusters_scanned;
-  store.rows_scanned_ = metrics.rows_scanned;
-  store.rebuilds_total_ = metrics.rebuilds_total;
 
   if (dim == 0 || cells.empty() || centroids.size() != cells.size() * dim)
     throw io::IoError("index tables inconsistent: centroid shape");

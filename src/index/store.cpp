@@ -8,7 +8,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -16,7 +15,6 @@
 #include "nn/matrix.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
-#include "util/log.hpp"
 
 namespace wf::index {
 
@@ -217,13 +215,18 @@ std::int64_t journal_size_or_zero(const std::string& journal_path) {
   return ec ? 0 : static_cast<std::int64_t>(size);
 }
 
-// Streams the journal (if one exists) through the two callbacks in record
-// order. on_add(cluster, label, row_id, sq_norm, embedding); on_remove(label).
-// Shared by every journal consumer so they cannot drift: a mid-record EOF is
-// an IoError, a clean end between records is the end of the journal.
+// Streams the journal (if one exists) of the base with header `h` through
+// the two callbacks in record order. on_add(cluster, label, row_id, sq_norm,
+// embedding); on_remove(label). Shared by every journal consumer so they
+// cannot drift: a mid-record EOF is an IoError, a clean end between records
+// is the end of the journal. Add row ids must start at h.next_row_id and
+// strictly increase, as IndexJournalWriter writes them; anything else is a
+// journal the base already absorbed (or a forged one) and raises IoError.
 template <typename OnAdd, typename OnRemove>
-void scan_journal(const std::string& journal_path, std::uint64_t dim, std::uint64_t clusters,
-                  OnAdd&& on_add, OnRemove&& on_remove) {
+void scan_journal(const std::string& journal_path, const Header& h, OnAdd&& on_add,
+                  OnRemove&& on_remove) {
+  const std::uint64_t dim = h.dim;
+  const std::uint64_t clusters = h.clusters;
   std::ifstream in(journal_path, std::ios::binary);
   if (!in) return;  // no journal: a bare base store
   io::Reader r(in);
@@ -237,6 +240,7 @@ void scan_journal(const std::string& journal_path, std::uint64_t dim, std::uint6
   if (r.u64() != clusters)
     throw io::IoError("journal/index cluster count mismatch: " + journal_path);
   std::vector<float> embedding(dim);
+  std::uint64_t next_row_id = h.next_row_id;
   for (;;) {
     if (in.peek() == std::char_traits<char>::eof()) break;
     const std::uint8_t record = r.u8();
@@ -250,6 +254,12 @@ void scan_journal(const std::string& journal_path, std::uint64_t dim, std::uint6
         throw io::IoError("journal add record: cluster out of range");
       if (row_id >= core::kMaxRowIds)
         throw io::IoError("journal add record: row id past 2^40");
+      if (row_id < next_row_id)
+        throw io::IoError("stale journal " + journal_path + ": add record row id " +
+                          std::to_string(row_id) + " precedes " + std::to_string(next_row_id) +
+                          " (the base holds it or the journal repeats it); delete the "
+                          "journal if a rebuild was interrupted");
+      next_row_id = row_id + 1;
       on_add(cluster, label, row_id, sq_norm, embedding);
     } else if (record == 2) {
       on_remove(r.i32());
@@ -357,65 +367,35 @@ void write_index_file(const std::string& path, const IvfReferenceStore& store) {
 }
 
 IvfReferenceStore load_index(const std::string& path) {
-  io::MappedFile map(path);
-  const BaseTables t = base_tables(map);
-  validate_ids(t);
-  const std::size_t dim = t.header.dim;
-
-  util::AlignedVector<float> centroids(t.centroids, t.centroids + t.header.clusters * dim);
-  std::vector<int> id_to_label(t.id_to_label, t.id_to_label + t.header.n_class_ids);
-  std::vector<IvfReferenceStore::Cell> cells(t.header.clusters);
-  std::uint64_t off = 0;
-  for (std::size_t c = 0; c < t.header.clusters; ++c) {
-    const std::uint64_t rows = t.cluster_rows[c];
+  const MappedIndex mapped(path);
+  const std::size_t dim = mapped.dim();
+  const std::size_t clusters = mapped.config().clusters;
+  std::vector<IvfReferenceStore::Cell> cells(clusters);
+  for (std::size_t c = 0; c < clusters; ++c) {
+    const core::ShardView base = mapped.shard_view(c);
+    const core::ShardView tail = mapped.shard_view(clusters + c);
     IvfReferenceStore::Cell& cell = cells[c];
-    cell.data.assign(t.data + off * dim, t.data + (off + rows) * dim);
-    cell.sq_norms.assign(t.sq_norms + off, t.sq_norms + off + rows);
-    cell.class_ids.assign(t.class_ids + off, t.class_ids + off + rows);
-    cell.row_ids.assign(t.row_ids + off, t.row_ids + off + rows);
-    cell.labels.resize(rows);
-    for (std::uint64_t i = 0; i < rows; ++i)
-      cell.labels[i] = id_to_label[static_cast<std::size_t>(cell.class_ids[i])];
-    off += rows;
+    const std::size_t rows = base.rows + tail.rows;
+    cell.data.reserve(rows * dim);
+    cell.sq_norms.reserve(rows);
+    cell.class_ids.reserve(rows);
+    cell.row_ids.reserve(rows);
+    for (const core::ShardView& v : {base, tail}) {
+      cell.data.insert(cell.data.end(), v.data, v.data + v.rows * dim);
+      cell.sq_norms.insert(cell.sq_norms.end(), v.sq_norms, v.sq_norms + v.rows);
+      cell.class_ids.insert(cell.class_ids.end(), v.class_ids, v.class_ids + v.rows);
+      cell.row_ids.insert(cell.row_ids.end(), v.row_ids, v.row_ids + v.rows);
+    }
   }
-
-  IvfReferenceStore store =
-      IvfReferenceStore::restore(dim, t.header.next_row_id, config_of(t.header),
-                                 std::move(centroids), std::move(id_to_label), std::move(cells));
-  // Ordered journal replay — the only path that honours remove-class records.
-  scan_journal(
-      journal_path_of(path), t.header.dim, t.header.clusters,
-      [&](std::uint64_t cluster, int label, std::uint64_t row_id, double,
-          const std::vector<float>& embedding) {
-        try {
-          store.add_pinned(cluster, label, row_id, {embedding.data(), embedding.size()});
-        } catch (const std::invalid_argument& e) {
-          throw io::IoError(std::string("journal add record: ") + e.what());
-        }
-      },
-      [&](int label) { store.remove_class(label); });
-  detail::index_metrics().journal_bytes->set(journal_size_or_zero(journal_path_of(path)));
-  return store;
+  std::vector<int> id_to_label(mapped.n_class_ids());
+  for (std::size_t id = 0; id < id_to_label.size(); ++id) id_to_label[id] = mapped.label_of_id(id);
+  const std::span<const float> centroids = mapped.centroids();
+  return IvfReferenceStore::restore(dim, mapped.next_row_id(), mapped.config(),
+                                    util::AlignedVector<float>(centroids.begin(), centroids.end()),
+                                    std::move(id_to_label), std::move(cells));
 }
 
 std::unique_ptr<core::ReferenceStore> open_index(const std::string& path, std::size_t probes) {
-  std::size_t removals = 0;
-  {
-    io::MappedFile map(path);
-    const Header h = parse_header(map);
-    scan_journal(
-        journal_path_of(path), h.dim, h.clusters,
-        [](std::uint64_t, int, std::uint64_t, double, const std::vector<float>&) {},
-        [&](int) { ++removals; });
-  }
-  if (removals > 0) {
-    util::log_warn() << "wf::index: journal for " << path << " holds " << removals
-                     << " class removal(s); serving from a full in-memory load "
-                        "(run `wf index rebuild` to compact)";
-    auto store = std::make_unique<IvfReferenceStore>(load_index(path));
-    if (probes != 0) store->set_probes(probes);
-    return store;
-  }
   return std::make_unique<MappedIndex>(path, probes);
 }
 
@@ -444,9 +424,9 @@ IndexJournalWriter::IndexJournalWriter(const std::string& index_path)
   // Continue the row-id sequence past anything already journaled, so replay
   // sees the same ids a live in-memory store would have handed out.
   scan_journal(
-      journal_path_, dim_, t.header.clusters,
+      journal_path_, t.header,
       [&](std::uint64_t, int, std::uint64_t row_id, double, const std::vector<float>&) {
-        next_row_id_ = std::max(next_row_id_, row_id + 1);
+        next_row_id_ = row_id + 1;
       },
       [](int) {});
   detail::index_metrics().journal_bytes->set(journal_size_or_zero(journal_path_));
@@ -516,7 +496,7 @@ IndexInfo read_index_info(const std::string& path) {
   }
   info.journal_bytes = static_cast<std::uint64_t>(journal_size_or_zero(journal_path_of(path)));
   scan_journal(
-      journal_path_of(path), t.header.dim, t.header.clusters,
+      journal_path_of(path), t.header,
       [&](std::uint64_t, int, std::uint64_t, double, const std::vector<float>&) {
         ++info.journal_adds;
       },
@@ -525,112 +505,87 @@ IndexInfo read_index_info(const std::string& path) {
 }
 
 MappedIndex::MappedIndex(const std::string& path, std::size_t probes) : map_(path) {
-  const auto& metrics = detail::index_metrics();
-  probes_total_ = metrics.probes_total;
-  clusters_scanned_ = metrics.clusters_scanned;
-  rows_scanned_ = metrics.rows_scanned;
-
   const BaseTables t = base_tables(map_);
   validate_ids(t);
+  config_ = config_of(t.header);
+  if (probes != 0) config_.probes = probes;
   dim_ = t.header.dim;
-  n_clusters_ = t.header.clusters;
   size_ = t.header.rows;
-  n_base_ids_ = t.header.n_class_ids;
-  probes_ = probes != 0 ? probes : t.header.default_probes;
-  cluster_rows_ = t.cluster_rows;
-  id_to_label_ = t.id_to_label;
+  next_row_id_ = t.header.next_row_id;
   centroids_ = t.centroids;
-  data_ = t.data;
-  sq_norms_ = t.sq_norms;
-  class_ids_ = t.class_ids;
-  row_ids_ = t.row_ids;
-  cluster_offsets_.resize(n_clusters_);
-  std::uint64_t off = 0;
-  for (std::size_t c = 0; c < n_clusters_; ++c) {
-    cluster_offsets_[c] = off;
-    off += cluster_rows_[c];
-  }
-  centroid_norms_.resize(n_clusters_);
-  for (std::size_t c = 0; c < n_clusters_; ++c)
+  const std::size_t n_clusters = t.header.clusters;
+  centroid_norms_.resize(n_clusters);
+  for (std::size_t c = 0; c < n_clusters; ++c)
     centroid_norms_[c] = nn::squared_norm(centroids_ + c * dim_, dim_);
+  // The mapping stays read-only until a removal makes it copy-on-write;
+  // only remove_class writes through these pointers.
+  base_.resize(n_clusters);
+  std::uint64_t off = 0;
+  for (std::size_t c = 0; c < n_clusters; ++c) {
+    base_[c] = {const_cast<float*>(t.data + off * dim_), const_cast<double*>(t.sq_norms + off),
+                const_cast<int*>(t.class_ids + off),
+                const_cast<std::uint64_t*>(t.row_ids + off), t.cluster_rows[c]};
+    off += t.cluster_rows[c];
+  }
+  tails_.resize(n_clusters);
+  try {
+    ids_ = core::ClassIdSpace(
+        std::vector<int>(t.id_to_label, t.id_to_label + t.header.n_class_ids));
+  } catch (const std::invalid_argument& e) {
+    throw io::IoError(std::string("index id table: ") + e.what());
+  }
 
-  // Replay journal appends as tail cells; class ids continue the base id
-  // space in journal order, exactly like add_pinned() on a loaded store.
-  tails_.resize(n_clusters_);
-  std::unordered_map<int, int> label_to_id;
-  for (std::size_t id = 0; id < n_base_ids_; ++id)
-    label_to_id.emplace(id_to_label_[id], static_cast<int>(id));
+  // The one journal replay, in record order.
+  bool writable = false;
   scan_journal(
-      journal_path_of(path), dim_, n_clusters_,
+      journal_path_of(path), t.header,
       [&](std::uint64_t cluster, int label, std::uint64_t row_id, double sq_norm,
           const std::vector<float>& embedding) {
-        const auto [it, inserted] = label_to_id.try_emplace(
-            label, static_cast<int>(n_base_ids_ + extra_labels_.size()));
-        if (inserted) {
-          if (n_base_ids_ + extra_labels_.size() == core::kMaxClassIds)
-            throw io::IoError("journal for " + path + " adds more than 2^24 classes");
-          extra_labels_.push_back(label);
+        int class_id = 0;
+        try {
+          class_id = ids_.intern(label);
+        } catch (const std::invalid_argument& e) {
+          throw io::IoError("journal for " + path + ": " + e.what());
         }
-        Tail& tail = tails_[cluster];
-        tail.data.insert(tail.data.end(), embedding.begin(), embedding.end());
-        tail.sq_norms.push_back(sq_norm);
-        tail.class_ids.push_back(it->second);
-        tail.row_ids.push_back(row_id);
-        ++journal_rows_;
+        tails_[cluster].append(embedding, sq_norm, class_id, row_id);
+        next_row_id_ = row_id + 1;
         ++size_;
       },
-      [&](int) {
-        throw io::IoError("journal for " + path +
-                          " holds class removals; load in memory or run `wf index rebuild`");
+      [&](int label) {
+        if (ids_.find(label) < 0) return;  // absent: nothing to write
+        if (!writable) {
+          map_.make_writable();
+          writable = true;
+        }
+        remove_class(label);
       });
-  metrics.journal_bytes->set(journal_size_or_zero(journal_path_of(path)));
+  detail::index_metrics().journal_bytes->set(journal_size_or_zero(journal_path_of(path)));
+}
+
+void MappedIndex::remove_class(int label) {
+  // The same removal IvfReferenceStore::remove_class runs over its cells,
+  // split across the base clusters and the tails: the victim and last ids
+  // are read before erase_class releases the victim.
+  const int victim = ids_.find(label);
+  const int last = static_cast<int>(ids_.size()) - 1;
+  for (core::RowColumns& cluster : base_) {
+    const std::size_t kept = core::remove_class_rows(cluster, dim_, victim, last);
+    size_ -= cluster.rows - kept;
+    cluster.rows = kept;
+  }
+  size_ -= core::erase_class(label, dim_, ids_, tails_);
 }
 
 core::ShardView MappedIndex::shard_view(std::size_t shard) const {
-  WF_CHECK(shard < 2 * n_clusters_, "MappedIndex::shard_view: shard out of range");
-  if (shard < n_clusters_) {
-    const std::uint64_t off = cluster_offsets_[shard];
-    return {data_ + off * dim_, sq_norms_ + off, class_ids_ + off, row_ids_ + off,
-            static_cast<std::size_t>(cluster_rows_[shard])};
-  }
-  const Tail& tail = tails_[shard - n_clusters_];
-  return {tail.data.data(), tail.sq_norms.data(), tail.class_ids.data(), tail.row_ids.data(),
-          tail.sq_norms.size()};
-}
-
-int MappedIndex::label_of_id(std::size_t id) const {
-  WF_CHECK(id < n_class_ids(), "MappedIndex::label_of_id: id out of range");
-  if (id < n_base_ids_) return id_to_label_[id];
-  return extra_labels_[id - n_base_ids_];
+  WF_CHECK(shard < 2 * base_.size(), "MappedIndex::shard_view: shard out of range");
+  if (shard >= base_.size()) return tails_[shard - base_.size()].view();
+  const core::RowColumns& c = base_[shard];
+  return {c.data, c.sq_norms, c.class_ids, c.row_ids, c.rows};
 }
 
 void MappedIndex::probe_shards(std::span<const float> query,
                                std::vector<std::size_t>& out) const {
-  out.clear();
-  if (n_clusters_ == 0) return;
-  WF_CHECK(query.size() == dim_, "MappedIndex::probe_shards: query width mismatch");
-  const std::size_t n_probes = probes_ == 0 ? n_clusters_ : std::min(probes_, n_clusters_);
-  thread_local std::vector<std::size_t> picked;
-  detail::nearest_centroids(query.data(), centroids_, centroid_norms_.data(), n_clusters_, dim_,
-                            n_probes, picked);
-  // Each probed cluster scans its mapped base shard plus its journal tail:
-  // together they hold exactly the rows an in-memory replay would have
-  // merged into cell c, so rankings agree bit for bit.
-  std::uint64_t rows = 0;
-  for (const std::size_t c : picked) {
-    out.push_back(c);
-    rows += cluster_rows_[c];
-  }
-  for (const std::size_t c : picked) {
-    const Tail& tail = tails_[c];
-    if (!tail.sq_norms.empty()) {
-      out.push_back(n_clusters_ + c);
-      rows += tail.sq_norms.size();
-    }
-  }
-  probes_total_->inc();
-  clusters_scanned_->inc(picked.size());
-  rows_scanned_->inc(rows);
+  detail::probe_clusters(*this, query, centroids_, centroid_norms_, config_.probes, out);
 }
 
 }  // namespace wf::index

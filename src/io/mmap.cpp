@@ -46,6 +46,11 @@ MappedFile::MappedFile(const std::string& path) : path_(path) {
   mapped_ = true;
 }
 
+void MappedFile::make_writable() {
+  if (addr_ != nullptr && ::mprotect(addr_, size_, PROT_READ | PROT_WRITE) != 0)
+    fail(path_, "mprotect");
+}
+
 MappedFile::~MappedFile() { reset(); }
 
 MappedFile::MappedFile(MappedFile&& other) noexcept

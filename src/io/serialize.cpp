@@ -205,7 +205,10 @@ void save_reference_set(Writer& out, const core::ShardedReferenceSet& refs) {
   for (std::size_t s = 0; s < refs.shard_count(); ++s) {
     const core::ShardedReferenceSet::ShardTables& tables = refs.shard_tables(s);
     out.f32_vec(tables.data);
-    out.i32_vec(tables.labels);
+    std::vector<int> labels(tables.rows());
+    for (std::size_t i = 0; i < labels.size(); ++i)
+      labels[i] = refs.label_of_id(static_cast<std::size_t>(tables.class_ids[i]));
+    out.i32_vec(labels);
     out.f64_vec(tables.sq_norms);
     out.i32_vec(tables.class_ids);
     out.u64_vec(tables.row_ids);
@@ -223,10 +226,20 @@ core::ShardedReferenceSet load_reference_set(Reader& in) {
   for (auto& shard : shards) {
     const std::vector<float> data = in.f32_vec();
     shard.data.assign(data.begin(), data.end());
-    shard.labels = in.i32_vec();
+    const std::vector<int> labels = in.i32_vec();
     shard.sq_norms = in.f64_vec();
     shard.class_ids = in.i32_vec();
     shard.row_ids = in.u64_vec();
+    // The format keeps each row's label; the tables derive it from the
+    // class id, so the two must agree.
+    if (labels.size() != shard.class_ids.size())
+      throw IoError("corrupt reference set: label and class-id columns disagree");
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      const int id = shard.class_ids[i];
+      if (id < 0 || static_cast<std::size_t>(id) >= id_to_label.size() ||
+          id_to_label[static_cast<std::size_t>(id)] != labels[i])
+        throw IoError("corrupt reference set: row class id does not name the row's label");
+    }
   }
   try {
     return core::ShardedReferenceSet::restore(dim, next_row_id, std::move(id_to_label),

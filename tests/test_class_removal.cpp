@@ -1,12 +1,15 @@
-// Class removal (core::remove_class_rows) in both in-memory stores. Removing,
-// in turn, the class holding id 0, the class holding the last id, a middle
-// class, an absent label (a no-op), a class held by a single shard or cell,
-// and finally every class, then re-adding rows: after each step the dense id
-// tables are consistent, a save -> load round trip is accepted, and rankings
-// equal those of a store built fresh from the surviving rows. A journal with
-// removals, opened through open_index's in-memory fallback, ranks like its
-// compacted file at P = C. Row and class ids past the packed candidate key
-// (40 + 24 bits) are rejected by restore and add.
+// Class removal (core::erase_class / remove_class_rows) in every store.
+// Removing, in turn, the class holding id 0, the class holding the last id,
+// a middle class, an absent label (a no-op), a class held by a single shard
+// or cell, and finally every class, then re-adding rows: after each step the
+// dense id tables are consistent, a save -> load round trip is accepted, and
+// rankings equal those of a store built fresh from the surviving rows. A
+// journal of adds and removals opens as a MappedIndex that matches an
+// IvfReferenceStore churned the same way at P = C and P = 2, leaves the file's
+// bytes alone, and ranks like its compacted file; a rebuild killed at any
+// step never replays the journal onto rows the base already holds. Row and
+// class ids past the packed candidate key (40 + 24 bits) are rejected by
+// restore and add.
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
@@ -33,6 +36,9 @@ namespace {
 
 using namespace wf;
 using test::LabeledRow;
+using test::read_file;
+using test::throws_io_error;
+using test::write_file;
 
 std::string temp_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
@@ -74,8 +80,8 @@ bool same_rankings(const std::vector<std::vector<core::RankedLabel>>& a,
   return true;
 }
 
-// Dense and consistent: n_ids distinct labels, every row's class id names
-// its label, and every id is held by at least one row.
+// Dense and consistent: n_ids distinct labels, every row's class id lies in
+// the id space, and every id is held by at least one row.
 void check_ids(const core::ReferenceStore& store, std::size_t n_tables,
                const std::function<const core::RowTables&(std::size_t)>& table) {
   const std::size_t n_ids = store.n_class_ids();
@@ -91,7 +97,6 @@ void check_ids(const core::ReferenceStore& store, std::size_t n_tables,
       const int id = t.class_ids[i];
       CHECK(id >= 0 && static_cast<std::size_t>(id) < n_ids);
       if (id < 0 || static_cast<std::size_t>(id) >= n_ids) continue;
-      CHECK(store.label_of_id(static_cast<std::size_t>(id)) == t.labels[i]);
       ++held[static_cast<std::size_t>(id)];
     }
   }
@@ -221,36 +226,114 @@ int main() {
         [&](const LabeledRow& r) { store.add(r.embedding, r.label); }, check);
   }
 
-  // --- journal removals: open_index fallback == compacted file at P = C ----
+  // --- journal churn: one replay onto the mapped index -----------------------
+  // Each step goes to the journal and to an in-memory IvfReferenceStore built
+  // from the same base; every open of the journaled file must be a MappedIndex
+  // with that store's id space and rankings, at P = C and P = 2.
   {
     core::ShardedReferenceSet base(dim, 2);
     for (const LabeledRow& r : rows) base.add(r.embedding, r.label);
     index::IvfConfig config;
     config.clusters = 4;
-    index::write_index_file(path, index::IvfReferenceStore(base, config));
-    std::vector<LabeledRow> live = rows;
-    {
-      index::IndexJournalWriter journal(path);
-      for (const int label : {300, 308, single_label, 304}) {
-        journal.remove_class(label);
-        live = without(live, label);
+    index::IvfReferenceStore live(base, config);
+    index::write_index_file(path, live);
+    std::filesystem::remove(path + ".journal");  // left by an aborted run
+    const std::string pristine = read_file(path);
+    std::vector<LabeledRow> live_rows = rows;
+    index::IndexJournalWriter journal(path);
+
+    const auto open_checked = [&](std::size_t probes) {
+      std::unique_ptr<core::ReferenceStore> opened = index::open_index(path, probes);
+      CHECK(dynamic_cast<const index::MappedIndex*>(opened.get()) != nullptr);
+      CHECK(opened->size() == live.size());
+      CHECK(opened->n_class_ids() == live.n_class_ids());
+      for (std::size_t id = 0; id < opened->n_class_ids() && id < live.n_class_ids(); ++id)
+        CHECK(opened->label_of_id(id) == live.label_of_id(id));
+      return opened;
+    };
+    const auto check = [&] {
+      for (const std::size_t probes : {std::size_t{0}, std::size_t{2}}) {
+        live.set_probes(probes);
+        const std::unique_ptr<core::ReferenceStore> opened = open_checked(probes);
+        CHECK(same_rankings(knn.rank_batch(*opened, queries), knn.rank_batch(live, queries)));
       }
-      for (const LabeledRow& r : readd) {
-        journal.add(r.embedding, r.label);
-        live.push_back(r);
-      }
-      journal.remove_class(305);
-      live = without(live, 305);
+      live.set_probes(0);
+      CHECK(same_rankings(knn.rank_batch(live, queries),
+                          knn.rank_batch(fresh_store(live_rows, dim), queries)));
+      // Removals replay onto a copy-on-write view: the file never changes.
+      CHECK(read_file(path) == pristine);
+    };
+    const auto remove = [&](int label) {
+      journal.remove_class(label);
+      live.remove_class(label);
+      live_rows = without(live_rows, label);
+      check();
+    };
+    const auto add = [&](const LabeledRow& r) {
+      journal.add(r.embedding, r.label);
+      live.add(r.embedding, r.label);
+      live_rows.push_back(r);
+    };
+
+    check();
+    remove(live.label_of_id(0));                       // base id 0
+    remove(live.label_of_id(live.n_class_ids() - 1));  // base's last id
+    for (const LabeledRow& r : readd) add(r);          // 900: journal tails only
+    check();
+    CHECK(live.label_of_id(live.n_class_ids() - 1) == 900);
+    remove(live.label_of_id(0));  // the tail-only class takes over id 0
+    remove(900);                  // rows only in journal tails
+    remove(305);                  // base and tail rows, then re-added
+    for (const LabeledRow& r : make_rows(rng, dim, 305, 1, 4)) add(r);
+    check();
+    remove(single_label);
+
+    for (const std::size_t probes : {std::size_t{0}, std::size_t{2}}) {
+      const std::unique_ptr<core::ReferenceStore> churned = open_checked(probes);
+      for (const int k : {0, 1, 9, 1000})
+        test::check_depth_prefixes(core::KnnClassifier(k), *churned, queries);
     }
-    const auto want = knn.rank_batch(fresh_store(live, dim), queries);
-    const std::unique_ptr<core::ReferenceStore> replayed = index::open_index(path);
-    CHECK(dynamic_cast<const index::IvfReferenceStore*>(replayed.get()) != nullptr);
-    CHECK(same_rankings(knn.rank_batch(*replayed, queries), want));
-    CHECK(index::rebuild_index_file(path) == live.size());
-    const std::unique_ptr<core::ReferenceStore> compacted = index::open_index(path);
-    CHECK(dynamic_cast<const index::MappedIndex*>(compacted.get()) != nullptr);
-    CHECK(same_rankings(knn.rank_batch(*compacted, queries),
-                        knn.rank_batch(*replayed, queries)));
+
+    // --- a rebuild killed at every step ---------------------------------------
+    // rebuild_index_file writes <path>.tmp, renames it over <path>, then
+    // deletes the journal. The compacted bytes come from a rebuild of a copy.
+    const std::string journal_bytes = read_file(journal.journal_path());
+    const std::string copy = temp_path("wf_test_class_removal_copy.wfx");
+    write_file(copy, pristine);
+    write_file(copy + ".journal", journal_bytes);
+    CHECK(index::rebuild_index_file(copy) == live_rows.size());
+    const std::string compacted = read_file(copy);
+    std::filesystem::remove(copy);
+    const auto want = knn.rank_batch(fresh_store(live_rows, dim), queries);
+    const auto want_pre = knn.rank_batch(live, queries);
+
+    // Killed before the rename: the pre-rebuild state, and a rerun completes.
+    write_file(path + ".tmp", compacted);
+    {
+      const std::unique_ptr<core::ReferenceStore> opened = open_checked(0);
+      CHECK(same_rankings(knn.rank_batch(*opened, queries), want_pre));
+      CHECK(index::load_index(path).size() == live.size());
+    }
+    CHECK(index::rebuild_index_file(path) == live_rows.size());
+    CHECK(read_file(path) == compacted);
+    CHECK(!std::filesystem::exists(path + ".tmp"));
+    CHECK(!std::filesystem::exists(journal.journal_path()));
+
+    // Killed after the rename, before the journal delete: its adds are in
+    // the base already, so every reader refuses rather than duplicate rows.
+    write_file(journal.journal_path(), journal_bytes);
+    CHECK(throws_io_error([&] { index::open_index(path); }));
+    CHECK(throws_io_error([&] { index::load_index(path); }));
+    CHECK(throws_io_error([&] { index::rebuild_index_file(path); }));
+    CHECK(read_file(path) == compacted);
+    CHECK(read_file(journal.journal_path()) == journal_bytes);
+
+    // Killed after the journal delete: the compacted state.
+    std::filesystem::remove(journal.journal_path());
+    const std::unique_ptr<core::ReferenceStore> done = index::open_index(path);
+    CHECK(dynamic_cast<const index::MappedIndex*>(done.get()) != nullptr);
+    CHECK(done->size() == live_rows.size());
+    CHECK(same_rankings(knn.rank_batch(*done, queries), want));
   }
   std::filesystem::remove(path);
 

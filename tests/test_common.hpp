@@ -6,19 +6,46 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <initializer_list>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/knn.hpp"
 #include "core/reference_store.hpp"
+#include "io/binary.hpp"
 #include "nn/matrix.hpp"
 
 namespace wf::test {
 inline int failures = 0;
+
+// True when fn() throws io::IoError (and nothing else).
+template <typename Fn>
+bool throws_io_error(Fn&& fn) {
+  try {
+    fn();
+  } catch (const io::IoError&) {
+    return true;
+  } catch (...) {
+    return false;
+  }
+  return false;
+}
+
+inline std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+inline void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
 
 // One reference row as the brute-force oracles below see it: a plain list
 // in insertion order, independent of any ReferenceStore layout.

@@ -400,11 +400,12 @@ int main() {
     CHECK(info.journal_adds == 9);
     CHECK(info.journal_bytes > 0);
 
-    // A removal cannot be masked onto the mapping: open falls back to a full
-    // load and still answers exactly like the in-memory store.
+    // A removal replays onto the mapping too (copy-on-write): the open is
+    // still a MappedIndex and answers exactly like the in-memory store.
     journal.remove_class(700);
     churned.remove_class(700);
     const std::unique_ptr<core::ReferenceStore> reloaded = index::open_index(path);
+    CHECK(dynamic_cast<const index::MappedIndex*>(reloaded.get()) != nullptr);
     CHECK(reloaded->size() == churned.size());
     check_rankings_identical(knn.rank_batch(churned, queries),
                              knn.rank_batch(*reloaded, queries));

@@ -6,7 +6,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/attackers.hpp"
@@ -42,27 +44,9 @@ bool rankings_equal(const std::vector<std::vector<core::RankedLabel>>& a,
   return true;
 }
 
-template <typename Fn>
-bool throws_io_error(Fn&& fn) {
-  try {
-    fn();
-  } catch (const io::IoError&) {
-    return true;
-  } catch (...) {
-    return false;
-  }
-  return false;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-}
-
-void write_file(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
+using test::read_file;
+using test::throws_io_error;
+using test::write_file;
 
 }  // namespace
 
@@ -284,6 +268,24 @@ int main() {
     std::remove(path.c_str());
   }
 
+  // --- REFS rows keep a label that must name the row's class id ------------
+  {
+    const core::ShardedReferenceSet& refs = attacker.references();
+    CHECK(refs.shard_tables(0).rows() > 0);
+    std::stringstream saved;
+    io::Writer w(saved);
+    io::save_reference_set(w, refs);
+    std::string bytes = saved.str();
+    // dim, shard count and next_row_id, the id table, then shard 0's data
+    // and its label column (each vector is a u64 count + elements).
+    const std::size_t first_label =
+        24 + 8 + 4 * refs.id_to_label().size() + 8 + 4 * refs.shard_tables(0).data.size() + 8;
+    bytes[first_label] = static_cast<char>(bytes[first_label] ^ 1);
+    std::stringstream forged(bytes);
+    io::Reader r(forged);
+    CHECK(throws_io_error([&] { io::load_reference_set(r); }));
+  }
+
   // --- IVF index file (wf::index base-store format) ------------------------
   {
     const std::string path = temp_path("wf_test_index_roundtrip.wfx");
@@ -364,6 +366,35 @@ int main() {
       write_file(path + ".journal", journal);
       CHECK(throws_io_error([&] { index::load_index(path); }));
       CHECK(throws_io_error([&] { index::open_index(path); }));
+      std::remove((path + ".journal").c_str());
+    }
+    // Add row ids start at the header's next_row_id and strictly increase: a
+    // journal whose second add repeats the first's id, or whose first add
+    // lies below next_row_id (rows the base already holds), is refused by
+    // every reader.
+    {
+      write_file(path, valid_index);
+      {
+        index::IndexJournalWriter writer(path);
+        writer.add(std::vector<float>(built.dim(), 0.5f), 77);
+        writer.add(std::vector<float>(built.dim(), 0.25f), 78);
+      }
+      const std::string journal = read_file(path + ".journal");
+      const std::size_t record = 1 + 8 + 4 + 8 + 8 + 4 * built.dim();
+      const std::uint64_t first_id = built.next_row_id();
+      for (const auto& [at, id] : {std::pair{45 + record, first_id},
+                                   std::pair{std::size_t{45}, first_id - 1}}) {
+        std::string forged = journal;
+        put_u64(forged, at, id);
+        write_file(path + ".journal", forged);
+        CHECK(throws_io_error([&] { index::load_index(path); }));
+        CHECK(throws_io_error([&] { index::open_index(path); }));
+        CHECK(throws_io_error([&] { index::read_index_info(path); }));
+        CHECK(throws_io_error([&] { index::IndexJournalWriter{path}; }));
+        CHECK(throws_io_error([&] { index::rebuild_index_file(path); }));
+      }
+      write_file(path + ".journal", journal);
+      CHECK(index::open_index(path)->size() == built.size() + 2);
       std::remove((path + ".journal").c_str());
     }
 

@@ -11,7 +11,7 @@
 //                       (serialization, CSV, wire frames)
 //   socket-deadline     raw blocking socket calls live only in
 //                       src/serve/net.cpp, behind Deadline-aware wrappers
-//   mmap-discipline     raw memory-mapping calls (mmap, munmap, msync, ...)
+//   mmap-discipline     raw memory-mapping calls (mmap, munmap, mprotect, ...)
 //                       live only in src/io/mmap.cpp, behind io::MappedFile
 //   retry-policy        every sleep-paced loop runs on serve::Backoff /
 //                       RetryPolicy, never an ad-hoc spin
@@ -300,7 +300,8 @@ void rule_socket_deadline(const SourceFile& f, std::vector<Finding>& findings) {
 
 void rule_mmap_discipline(const SourceFile& f, std::vector<Finding>& findings) {
   if (path_contains(f.display_path, "io/mmap.cpp")) return;  // the RAII wrapper itself
-  static const std::regex re(R"((^|[^\w])(mmap|mmap64|munmap|msync|madvise|mremap)\s*\()");
+  static const std::regex re(
+      R"((^|[^\w])(mmap|mmap64|munmap|mprotect|msync|madvise|mremap)\s*\()");
   match_lines(f, re, "mmap-discipline",
               "raw memory-mapping calls live in src/io/mmap.cpp only, behind the "
               "io::MappedFile RAII wrapper (unmap-on-destroy, error checking in one place)",
