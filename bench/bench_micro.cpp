@@ -1,8 +1,8 @@
 // Component micro-benchmarks (google-benchmark): simulator throughput,
 // Fig. 4 encoding, embedding forward pass, contrastive training step,
-// SIMD dot kernels and the distance GEMM, k-NN query (scalar, batched and
-// IVF-pruned), random-forest prediction, FL padding and the parallel
-// crawler.
+// SIMD dot kernels and the distance GEMM, k-NN query (scalar, batched,
+// IVF-pruned and the adaptive pass's two-query probe), random-forest
+// prediction, FL padding and the parallel crawler.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -153,10 +153,10 @@ nn::Matrix random_unit_queries(std::size_t rows, std::size_t dim, util::Rng& rng
 // `shards` shards: the k-NN scaling benchmarks need reference counts far
 // beyond what the micro crawl produces.
 core::ShardedReferenceSet synthetic_refs(std::size_t n, std::size_t dim, util::Rng& rng,
-                                         std::size_t shards = 1) {
+                                         std::size_t shards = 1, std::size_t classes = 100) {
   core::ShardedReferenceSet refs(dim, shards);
   for (std::size_t i = 0; i < n; ++i)
-    refs.add(random_unit_row(rng, dim), static_cast<int>(i % 100));
+    refs.add(random_unit_row(rng, dim), static_cast<int>(i % classes));
   return refs;
 }
 
@@ -268,7 +268,8 @@ void BM_KnnQueryBatchPruned(benchmark::State& state) {
 BENCHMARK(BM_KnnQueryBatchPruned)->Unit(benchmark::kMillisecond);
 
 // Scalar k-NN query at 100k references: rank() is a one-row rank_batch,
-// so the shards are scanned one after another on the calling thread. Live
+// whose one query tile is split into shard groups spread across the pool
+// (at most one group per shard, so S = 1 runs on the calling thread). Live
 // serving batches through fingerprint_batch; this is the per-call latency
 // of the single-trace API.
 void BM_KnnQueryScalarSharded(benchmark::State& state) {
@@ -289,6 +290,31 @@ BENCHMARK(BM_KnnQueryScalarSharded)
     ->Args({100000, 2})
     ->Args({100000, 4})
     ->Args({100000, 8});
+
+// One probe of the adaptive pass: probe_class_accuracy ranks a class's two
+// live loads to depth 1 (k = 40, 4 shards). Args: reference rows, classes —
+// the dram (20,000 x 1,000) and cache (5,000 x 250) retarget stores. One
+// query tile: the larger store splits it into shard groups across the pool,
+// the smaller is under kGroupPairs per group and runs on the calling thread.
+void BM_KnnProbeSmallBatch(benchmark::State& state) {
+  util::Rng rng(17);
+  const std::size_t dim = 32;
+  const core::ShardedReferenceSet refs =
+      synthetic_refs(static_cast<std::size_t>(state.range(0)), dim, rng, 4,
+                     static_cast<std::size_t>(state.range(1)));
+  const core::KnnClassifier knn(40);
+  const nn::Matrix queries = random_unit_queries(2, dim, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(knn.rank_batch(refs, queries, 1));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(queries.rows()));
+}
+BENCHMARK(BM_KnnProbeSmallBatch)
+    ->Args({20000, 1000})
+    ->Args({5000, 250})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 // The hot dot-product kernel under each SIMD mode the machine supports
 // (wf::nn runtime dispatch): identical eight-lane operation order, so the

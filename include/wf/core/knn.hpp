@@ -51,12 +51,16 @@ struct SliceScan {
 
 // The gather half: fold per-slice candidates (union, then keep the k
 // globally smallest by the unique (dist, key) order) and per-class bests
-// (elementwise min) into final rankings. `labels_by_id` maps dense class
-// ids to page labels; `n_total` is the store's total row count, bounding k
-// exactly as rank_batch does. Slice fold order does not affect the result.
+// (elementwise min) into final rankings — the fold that also joins a split
+// tile's shard groups (core/scan_tiles.hpp). `labels_by_id` maps dense
+// class ids to page labels; `n_total` is the store's total row count,
+// bounding k exactly as rank_batch does. Each ranking is the first
+// min(depth, n_class_ids) entries of the total one, as in rank_batch. Slice
+// fold order does not affect the result.
 std::vector<std::vector<RankedLabel>> merge_slice_scans(std::span<const int> labels_by_id,
                                                         int k, std::size_t n_total,
-                                                        const std::vector<SliceScan>& slices);
+                                                        const std::vector<SliceScan>& slices,
+                                                        std::size_t depth = kTotalRanking);
 
 // k-nearest-neighbour voting in embedding space. Produces a *total* ranking
 // over every class in the reference store (voted classes first, the rest
@@ -70,8 +74,11 @@ std::vector<std::vector<RankedLabel>> merge_slice_scans(std::span<const int> lab
 // all its shards, and a finalize that sorts only the classes the scan
 // reached — votes and per-class nearest distances are identical to a single
 // unsharded scan.
-// Query tiles are spread across the thread pool; rank() is a one-row
-// rank_batch.
+// Query tiles are spread across the thread pool; on an exhaustive store, a
+// batch of fewer tiles than pool threads (rank() is a one-row rank_batch)
+// also splits each tile's shards into groups scanned in parallel and folded
+// back with the merge_slice_scans fold, bit-identically
+// (core/scan_tiles.hpp).
 class KnnClassifier {
  public:
   explicit KnnClassifier(int k) : k_(k) {}

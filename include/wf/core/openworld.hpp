@@ -40,7 +40,9 @@ struct OpenWorldMetrics {
 // run shard-by-shard against any ReferenceStore: each query keeps one heap
 // of its `neighbour` smallest distances across every shard it scans, so the
 // heap top is identical to one unsharded scan's k-th value. Query tiles are
-// spread across the thread pool.
+// spread across the thread pool, and on an exhaustive store a batch of
+// fewer tiles than threads splits each tile's shards into groups scanned
+// in parallel, their heaps folded into one (core/scan_tiles.hpp).
 //
 // The detector must be calibrated before it can answer membership queries;
 // is_monitored/evaluate/threshold throw std::logic_error until calibrate()

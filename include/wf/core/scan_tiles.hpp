@@ -18,15 +18,40 @@
 // finalize straight from the heap and only ever sort the touched classes; a
 // depth-1 ranking skips the per-class row and reads the heap alone.
 //
+// Scheduling (for_each_tile): a batch of at least as many query tiles as
+// the pool has threads runs one tile per task. A smaller batch over an
+// exhaustive store — a probe's two live loads, a single-trace rank() —
+// would leave threads idle, so each tile's shards are split into G groups
+// and the (tile, group) units run as one flat parallel_blocks (nested pool
+// calls run inline, so a unit never forks again). Group g of slice (i, c)
+// is slice (i + c·g, c·G): scan_tile's slice arguments select its shards.
+// G is bounded by the slice's shard count, by the threads per tile, and by
+// the tile's (row, query) pairs over kGroupPairs, so a group is never too
+// small to pay for its hand-off. A pruned store is never split: each unit
+// would probe every query again, repeating the centroid scan and the
+// index.* probe counters, and its pair count is unknown until the probes
+// are made.
+//
+// The fold (fold_candidates / fold_nearest) merges disjoint partial scans
+// of one query — a tile's shard groups, or merge_slice_scans' slices:
+// every candidate is offered into one k-heap, and per-class nearest
+// distances take the elementwise min, with a union of the touched lists.
+// The caller's finalize, front read or k-th read then sees one scan.
+//
 // Determinism: shards are visited in ascending index order and queries in
 // ascending tile order within a shard. Candidate keys (dist, insertion id)
-// are unique, so the k smallest are the same set in any visiting order and
-// a probe list covering all shards is bit-identical to the exhaustive scan.
+// are unique, so the k smallest are the same set in any visiting order or
+// grouping, and a probe list covering all shards is bit-identical to the
+// exhaustive scan. The one exception is a NaN distance, which breaks the
+// key order (it can enter a filling heap and never leave): a query with a
+// NaN in any group's heap is rescanned unsplit.
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -40,6 +65,10 @@ namespace wf::core::detail {
 
 inline constexpr std::size_t kQueryTile = 32;  // queries per GEMM tile
 inline constexpr double kFar = 1e300;         // distance of a class no scan reached
+// Fewest (row, query) pairs a shard group of a split tile scans: below it
+// the hand-off to another thread costs more than the rows save
+// (bench_micro's BM_KnnProbeSmallBatch).
+inline constexpr std::size_t kGroupPairs = 8192;
 
 // Candidate keys: insertion ids are unique, so comparing packed keys compares
 // insertion ids — the pair's lexicographic < therefore orders candidates by
@@ -76,16 +105,6 @@ inline void offer(std::vector<Candidate>& heap, std::size_t k, const Candidate& 
     }
     h[hole] = entry;
   }
-}
-
-// Calls body(t0, rows) for consecutive tiles [t0, t0 + rows) of m queries,
-// with tiles spread across the global pool.
-template <typename Body>
-void for_each_tile(std::size_t m, Body&& body) {
-  util::global_pool().parallel_blocks(0, m, kQueryTile, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t t0 = lo; t0 < hi; t0 += kQueryTile)
-      body(t0, std::min(hi, t0 + kQueryTile) - t0);
-  });
 }
 
 // Calls visit(shard_view, tile_local_query, dots_row) for every scanned
@@ -175,6 +194,13 @@ struct TileScan {
   }
 };
 
+// The calling thread's TileScan: scan_tile fills it, and fold_groups folds
+// a split tile's group scans into it.
+inline TileScan& tile_scratch() {
+  thread_local TileScan sc;
+  return sc;
+}
+
 // The distance at or below which scan_tile offers a row to `heap`: +inf
 // while it holds fewer than k candidates, its top once full, and -inf for
 // k = 0, where nothing is kept.
@@ -194,7 +220,7 @@ inline double heap_bound(const std::vector<Candidate>& heap, std::size_t k) {
 template <bool kPerClass>
 TileScan& scan_tile(const ReferenceStore& refs, const float* queries, std::size_t rows,
                     std::size_t k, std::size_t slice_index, std::size_t slice_count) {
-  thread_local TileScan sc;
+  TileScan& sc = tile_scratch();
   const std::size_t dim = refs.dim();
   sc.begin(kPerClass ? refs.n_class_ids() : 0);
   for (std::size_t q = 0; q < rows; ++q) sc.qnorms[q] = nn::squared_norm(queries + q * dim, dim);
@@ -229,6 +255,163 @@ TileScan& scan_tile(const ReferenceStore& refs, const float* queries, std::size_
                if constexpr (kPerClass) sc.n_touched[q] = n_touched;
              });
   return sc;
+}
+
+// A NaN distance breaks the (dist, key) order: scan_tile can admit one
+// while a heap fills and never evicts it, and it can displace a nearer row.
+inline bool holds_nan(const std::vector<Candidate>& heap) {
+  return std::any_of(heap.begin(), heap.end(),
+                     [](const Candidate& c) { return std::isnan(c.first); });
+}
+
+// The fold of one partial scan of a query (a shard group of its tile, or
+// one slice) into that query's k-heap and per-class rows. Candidates are
+// offered into `heap`: keys are unique, so the kept set is the k smallest
+// of the union, exactly what one scan over every part keeps. A class's
+// nearest distance `d` is min-folded into best[id] with the visitor's own
+// `d < b ? d : b`, its id appended to touched[n_touched++] the first time
+// it drops below kFar.
+inline void fold_candidates(std::vector<Candidate>& heap, std::size_t k,
+                            std::span<const Candidate> part) {
+  for (const Candidate& c : part) offer(heap, k, c);
+}
+
+inline void fold_nearest(double* best, std::uint32_t* touched, std::size_t& n_touched,
+                         std::uint32_t id, double d) {
+  double& b = best[id];
+  if (b >= kFar && d < b) touched[n_touched++] = id;
+  b = d < b ? d : b;
+}
+
+// One (tile, shard group) unit's scan, copied out of the scanning thread's
+// TileScan so that thread can take its next unit: per tile query, the
+// k-heap as the scan left it and, for rankings, the (class id, nearest
+// distance) of every class the group touched.
+struct GroupScan {
+  std::vector<std::vector<Candidate>> heaps =
+      std::vector<std::vector<Candidate>>(kQueryTile);
+  std::vector<std::vector<std::pair<std::uint32_t, double>>> nearest =
+      std::vector<std::vector<std::pair<std::uint32_t, double>>>(kQueryTile);
+
+  // Copies query `from` of `sc` into query `to`.
+  template <bool kPerClass>
+  void take(TileScan& sc, std::size_t from, std::size_t to) {
+    heaps[to] = sc.heaps[from];
+    nearest[to].clear();
+    if constexpr (kPerClass) {
+      const double* best = sc.best_of(from);
+      const std::uint32_t* touched = sc.touched_of(from);
+      nearest[to].reserve(sc.n_touched[from]);
+      for (std::size_t t = 0; t < sc.n_touched[from]; ++t)
+        nearest[to].emplace_back(touched[t], best[touched[t]]);
+    }
+  }
+};
+
+// G, the shard groups per tile, for `tiles` query tiles on `threads`
+// threads over `shards` shards, each tile scanning `tile_pairs` (row,
+// query) pairs: 1 (no split) once the tiles alone cover the threads, else
+// the threads per tile, capped by the shards and by one group per
+// kGroupPairs pairs.
+inline std::size_t shard_groups(std::size_t tiles, std::size_t threads, std::size_t shards,
+                                std::size_t tile_pairs) {
+  if (tiles == 0) return 1;
+  return std::max<std::size_t>(1, std::min({threads / tiles, shards, tile_pairs / kGroupPairs}));
+}
+
+// The G for_each_tile uses for m queries over the slice on the global
+// pool; always 1 for a pruned store.
+inline std::size_t scan_groups(const ReferenceStore& refs, std::size_t m,
+                               std::size_t slice_index, std::size_t slice_count) {
+  const std::size_t threads = util::global_pool().size();
+  const std::size_t tiles = (m + kQueryTile - 1) / kQueryTile;
+  if (refs.pruned() || tiles == 0 || tiles >= threads) return 1;
+  std::size_t shards = 0;
+  std::size_t slice_rows = 0;
+  for (std::size_t s = slice_index; s < refs.shard_count(); s += slice_count, ++shards)
+    slice_rows += refs.shard_view(s).rows;
+  return shard_groups(tiles, threads, shards, m * slice_rows / tiles);
+}
+
+// Folds the `n_groups` group scans of the `rows`-query tile at `queries`
+// into the calling thread's TileScan and returns it, shaped as scan_tile's
+// unsplit scan of the tile. A query with a NaN distance in any group's
+// heap is rescanned unsplit and its heap copied as that scan left it.
+template <bool kPerClass>
+TileScan& fold_groups(const ReferenceStore& refs, const float* queries, std::size_t rows,
+                      std::size_t k, std::size_t slice_index, std::size_t slice_count,
+                      GroupScan* groups, std::size_t n_groups) {
+  bool unsplit[kQueryTile] = {};
+  for (std::size_t q = 0; q < rows; ++q) {
+    for (std::size_t g = 0; g < n_groups && !unsplit[q]; ++g)
+      unsplit[q] = holds_nan(groups[g].heaps[q]);
+    if (!unsplit[q]) continue;
+    groups[0].take<kPerClass>(scan_tile<kPerClass>(refs, queries + q * refs.dim(), 1, k,
+                                                   slice_index, slice_count),
+                              0, q);
+    for (std::size_t g = 1; g < n_groups; ++g) {
+      groups[g].heaps[q].clear();
+      groups[g].nearest[q].clear();
+    }
+  }
+  TileScan& sc = tile_scratch();
+  sc.begin(kPerClass ? refs.n_class_ids() : 0);
+  for (std::size_t q = 0; q < rows; ++q) {
+    if (unsplit[q]) sc.heaps[q] = groups[0].heaps[q];
+    for (std::size_t g = 0; g < n_groups; ++g) {
+      if (!unsplit[q]) fold_candidates(sc.heaps[q], k, groups[g].heaps[q]);
+      for (const auto& [id, d] : groups[g].nearest[q])
+        fold_nearest(sc.best_of(q), sc.touched_of(q), sc.n_touched[q], id, d);
+    }
+  }
+  return sc;
+}
+
+// Scans the m queries at `queries` (row-major, refs.dim() wide) over the
+// slice's shards, kQueryTile at a time, and calls finish(t0, rows, sc) for
+// each tile [t0, t0 + rows), where `sc` is the calling thread's TileScan
+// holding the tile's scan as scan_tile<kPerClass> returns it. finish may
+// run on any pool thread, tiles in any order; it may reuse the thread's
+// TileScan (scan_tile) once it is done reading `sc`. A small batch is
+// split into (tile, shard group) units and folded back first; G = 1 runs
+// scan_tile and finish back to back with no copy.
+template <bool kPerClass, typename Finish>
+void for_each_tile(const ReferenceStore& refs, const float* queries, std::size_t m, std::size_t k,
+                   std::size_t slice_index, std::size_t slice_count, Finish&& finish) {
+  util::ThreadPool& pool = util::global_pool();
+  const std::size_t dim = refs.dim();
+  const std::size_t groups = scan_groups(refs, m, slice_index, slice_count);
+  if (groups == 1) {
+    pool.parallel_blocks(0, m, kQueryTile, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t t0 = lo; t0 < hi; t0 += kQueryTile) {
+        const std::size_t rows = std::min(hi, t0 + kQueryTile) - t0;
+        finish(t0, rows, scan_tile<kPerClass>(refs, queries + t0 * dim, rows, k, slice_index,
+                                              slice_count));
+      }
+    });
+    return;
+  }
+  const std::size_t tiles = (m + kQueryTile - 1) / kQueryTile;
+  const auto tile_rows = [&](std::size_t t0) { return std::min(m, t0 + kQueryTile) - t0; };
+  std::vector<GroupScan> units(tiles * groups);  // unit u: tile u / groups, group u % groups
+  pool.parallel_blocks(0, units.size(), 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t u = lo; u < hi; ++u) {
+      const std::size_t t0 = u / groups * kQueryTile;
+      const std::size_t rows = tile_rows(t0);
+      TileScan& sc = scan_tile<kPerClass>(refs, queries + t0 * dim, rows, k,
+                                          slice_index + slice_count * (u % groups),
+                                          slice_count * groups);
+      for (std::size_t q = 0; q < rows; ++q) units[u].take<kPerClass>(sc, q, q);
+    }
+  });
+  pool.parallel_blocks(0, tiles, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t tile = lo; tile < hi; ++tile) {
+      const std::size_t t0 = tile * kQueryTile;
+      const std::size_t rows = tile_rows(t0);
+      finish(t0, rows, fold_groups<kPerClass>(refs, queries + t0 * dim, rows, k, slice_index,
+                                              slice_count, units.data() + tile * groups, groups));
+    }
+  });
 }
 
 }  // namespace wf::core::detail

@@ -1,7 +1,6 @@
 #include "core/knn.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -91,8 +90,7 @@ void finalize(const std::vector<Candidate>& kbest, const double* best, std::uint
 // leaves `out` alone, and the caller ranks the query through finalize.
 bool front_from_heap(const std::vector<Candidate>& kbest, const ReferenceStore& refs,
                      std::vector<RankedLabel>& out) {
-  const auto is_nan = [](const Candidate& c) { return std::isnan(c.first); };
-  if (kbest.empty() || std::any_of(kbest.begin(), kbest.end(), is_nan)) return false;
+  if (kbest.empty() || detail::holds_nan(kbest)) return false;
   thread_local std::vector<int> votes;       // all zero between calls
   thread_local std::vector<double> nearest;  // all kFar between calls
   if (votes.size() < refs.n_class_ids()) {
@@ -142,31 +140,31 @@ std::vector<std::vector<RankedLabel>> KnnClassifier::rank_batch(
   // Built once, by the first tile that ranks through finalize.
   std::once_flag order_once;
   std::optional<ClassOrder> order;
-
-  // Tile-local accumulators, finalized before the next tile: memory stays
-  // bounded by the tile size, not the query count.
-  const auto rank_per_class = [&](std::size_t t0, std::size_t rows) {
+  const auto finalize_tile = [&](std::size_t t0, std::size_t rows, detail::TileScan& sc) {
     std::call_once(order_once, [&] {
       order.emplace(n_ids, [&](std::size_t id) { return references.label_of_id(id); });
     });
-    detail::TileScan& sc =
-        detail::scan_tile<true>(references, queries.data() + t0 * dim, rows, k, 0, 1);
     for (std::size_t q = 0; q < rows; ++q)
       finalize(sc.heaps[q], sc.best_of(q), sc.touched_of(q), sc.n_touched[q], *order, depth,
                rankings[t0 + q]);
   };
-  const bool front_only = depth == 1 && k > 0;
-  detail::for_each_tile(m, [&](std::size_t t0, std::size_t rows) {
-    if (!front_only) return rank_per_class(t0, rows);
-    detail::TileScan& sc =
-        detail::scan_tile<false>(references, queries.data() + t0 * dim, rows, k, 0, 1);
-    std::size_t redo[detail::kQueryTile];
-    std::size_t n_redo = 0;
-    for (std::size_t q = 0; q < rows; ++q)
-      if (!front_from_heap(sc.heaps[q], references, rankings[t0 + q])) redo[n_redo++] = t0 + q;
-    // rank_per_class reuses this thread's TileScan: only after the heaps are read.
-    for (std::size_t r = 0; r < n_redo; ++r) rank_per_class(redo[r], 1);
-  });
+  if (depth != 1 || k == 0) {
+    detail::for_each_tile<true>(references, queries.data(), m, k, 0, 1, finalize_tile);
+    return rankings;
+  }
+  detail::for_each_tile<false>(
+      references, queries.data(), m, k, 0, 1,
+      [&](std::size_t t0, std::size_t rows, detail::TileScan& sc) {
+        std::size_t redo[detail::kQueryTile];
+        std::size_t n_redo = 0;
+        for (std::size_t q = 0; q < rows; ++q)
+          if (!front_from_heap(sc.heaps[q], references, rankings[t0 + q])) redo[n_redo++] = t0 + q;
+        // The per-class rescans reuse this thread's TileScan: only after the heaps are read.
+        for (std::size_t r = 0; r < n_redo; ++r)
+          finalize_tile(redo[r], 1,
+                        detail::scan_tile<true>(references, queries.data() + redo[r] * dim, 1,
+                                                k, 0, 1));
+      });
   return rankings;
 }
 
@@ -190,25 +188,26 @@ SliceScan KnnClassifier::scan_slice(const ReferenceStore& references, const nn::
   // the slice is a partition of one store, not a smaller store.
   const std::size_t k = std::min<std::size_t>(static_cast<std::size_t>(std::max(0, k_)), n);
 
-  const std::size_t dim = references.dim();
-  detail::for_each_tile(m, [&](std::size_t t0, std::size_t rows) {
-    detail::TileScan& sc = detail::scan_tile<true>(references, queries.data() + t0 * dim, rows,
-                                                   k, slice_index, slice_count);
-    for (std::size_t q = 0; q < rows; ++q) {
-      const double* best = sc.best_of(q);
-      double* slice_best = out.best.data() + (t0 + q) * out.n_class_ids;
-      const std::uint32_t* touched = sc.touched_of(q);
-      for (std::size_t t = 0; t < sc.n_touched[q]; ++t) slice_best[touched[t]] = best[touched[t]];
-      std::sort_heap(sc.heaps[q].begin(), sc.heaps[q].end());
-      out.candidates[t0 + q] = sc.heaps[q];
-    }
-  });
+  detail::for_each_tile<true>(
+      references, queries.data(), m, k, slice_index, slice_count,
+      [&](std::size_t t0, std::size_t rows, detail::TileScan& sc) {
+        for (std::size_t q = 0; q < rows; ++q) {
+          const double* best = sc.best_of(q);
+          double* slice_best = out.best.data() + (t0 + q) * out.n_class_ids;
+          const std::uint32_t* touched = sc.touched_of(q);
+          for (std::size_t t = 0; t < sc.n_touched[q]; ++t)
+            slice_best[touched[t]] = best[touched[t]];
+          std::sort_heap(sc.heaps[q].begin(), sc.heaps[q].end());
+          out.candidates[t0 + q] = sc.heaps[q];
+        }
+      });
   return out;
 }
 
 std::vector<std::vector<RankedLabel>> merge_slice_scans(std::span<const int> labels_by_id,
                                                         int k, std::size_t n_total,
-                                                        const std::vector<SliceScan>& slices) {
+                                                        const std::vector<SliceScan>& slices,
+                                                        std::size_t depth) {
   const std::size_t n_ids = labels_by_id.size();
   const std::size_t m = slices.empty() ? 0 : slices.front().n_queries;
   for (const SliceScan& slice : slices) {
@@ -222,6 +221,7 @@ std::vector<std::vector<RankedLabel>> merge_slice_scans(std::span<const int> lab
   const std::size_t kk =
       std::min<std::size_t>(static_cast<std::size_t>(std::max(0, k)), n_total);
   const ClassOrder order(n_ids, [&](std::size_t id) { return labels_by_id[id]; });
+  // Each query's slices fold as a split tile's shard groups do, then finalize.
   std::vector<Candidate> kbest;
   std::vector<double> best(n_ids, kFar);
   std::vector<std::uint32_t> touched(n_ids);
@@ -231,19 +231,16 @@ std::vector<std::vector<RankedLabel>> merge_slice_scans(std::span<const int> lab
     for (std::size_t t = 0; t < n_touched; ++t) best[touched[t]] = kFar;
     n_touched = 0;
     for (const SliceScan& slice : slices) {
-      for (const Candidate& c : slice.candidates[q]) {
+      for (const Candidate& c : slice.candidates[q])
         WF_CHECK(detail::class_of(c) < n_ids, "merge_slice_scans: candidate class id out of range");
-        detail::offer(kbest, kk, c);
-      }
+      detail::fold_candidates(kbest, kk, slice.candidates[q]);
       const double* slice_best = slice.best_of(q);
-      for (std::size_t id = 0; id < n_ids; ++id) {
-        if (slice_best[id] < best[id]) {
-          if (best[id] >= kFar) touched[n_touched++] = static_cast<std::uint32_t>(id);
-          best[id] = slice_best[id];
-        }
-      }
+      for (std::size_t id = 0; id < n_ids; ++id)
+        if (slice_best[id] < kFar)
+          detail::fold_nearest(best.data(), touched.data(), n_touched,
+                               static_cast<std::uint32_t>(id), slice_best[id]);
     }
-    finalize(kbest, best.data(), touched.data(), n_touched, order, kTotalRanking, rankings[q]);
+    finalize(kbest, best.data(), touched.data(), n_touched, order, depth, rankings[q]);
   }
   return rankings;
 }

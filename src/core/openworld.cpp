@@ -37,21 +37,20 @@ std::vector<double> OpenWorldDetector::kth_distances(const ReferenceStore& refer
   if (n == 0) return result;
   if (embeddings.cols() != references.dim())
     throw std::invalid_argument("OpenWorldDetector::kth_distances: width mismatch");
-  const std::size_t dim = references.dim();
   const std::size_t k = std::min(neighbour, n);
 
   // Each query's k smallest distances over every row it scans: the heap top
   // is the k-th. A pruned probe can cover fewer than k rows, in which case
   // the farthest covered neighbour stands in, and an empty probe means
   // "nowhere near" (1e300).
-  detail::for_each_tile(m, [&](std::size_t t0, std::size_t rows) {
-    detail::TileScan& sc =
-        detail::scan_tile<false>(references, embeddings.data() + t0 * dim, rows, k, 0, 1);
-    for (std::size_t q = 0; q < rows; ++q) {
-      const std::vector<Candidate>& heap = sc.heaps[q];
-      result[t0 + q] = std::sqrt(heap.empty() ? detail::kFar : heap.front().first);
-    }
-  });
+  detail::for_each_tile<false>(
+      references, embeddings.data(), m, k, 0, 1,
+      [&](std::size_t t0, std::size_t rows, detail::TileScan& sc) {
+        for (std::size_t q = 0; q < rows; ++q) {
+          const std::vector<Candidate>& heap = sc.heaps[q];
+          result[t0 + q] = std::sqrt(heap.empty() ? detail::kFar : heap.front().first);
+        }
+      });
   return result;
 }
 

@@ -132,16 +132,17 @@ inline double brute_force_kth_distance(const std::vector<LabeledRow>& refs,
 
 namespace wf::test {
 
-// The rank_batch depth contract: to depth D every query's ranking is the
-// first min(D, classes) entries of its total ranking, bit for bit, for D in
-// {1, 2, 10, n_ids, n_ids + 3} — D = 1 being the read of the k-heap alone.
-inline void check_depth_prefixes(const core::KnnClassifier& knn,
-                                 const core::ReferenceStore& store, const nn::Matrix& queries) {
-  const auto total = knn.rank_batch(store, queries);
-  const std::size_t n_ids = store.n_class_ids();
+using Rankings = std::vector<std::vector<core::RankedLabel>>;
+
+// The depth contract: to depth D every query's ranking is the first
+// min(D, classes) entries of its total ranking, bit for bit, for D in
+// {1, 2, 10, n_ids, n_ids + 3}. `ranked(D)` returns the rankings to depth D.
+template <typename RankedTo>
+void check_depth_prefixes_of(std::size_t n_ids, RankedTo&& ranked) {
+  const Rankings total = ranked(core::kTotalRanking);
   for (const std::size_t depth : {std::size_t{1}, std::size_t{2}, std::size_t{10}, n_ids,
                                   n_ids + 3}) {
-    const auto got = knn.rank_batch(store, queries, depth);
+    const Rankings got = ranked(depth);
     CHECK(got.size() == total.size());
     for (std::size_t q = 0; q < got.size() && q < total.size(); ++q) {
       const std::size_t want = std::min(depth, total[q].size());
@@ -153,6 +154,23 @@ inline void check_depth_prefixes(const core::KnnClassifier& knn,
       }
     }
   }
+}
+
+// rank_batch's depth contract — D = 1 being the read of the k-heap alone.
+inline void check_depth_prefixes(const core::KnnClassifier& knn,
+                                 const core::ReferenceStore& store, const nn::Matrix& queries) {
+  check_depth_prefixes_of(store.n_class_ids(), [&](std::size_t depth) {
+    return knn.rank_batch(store, queries, depth);
+  });
+}
+
+// merge_slice_scans' depth contract over one set of slice scans.
+inline void check_merge_depth_prefixes(std::span<const int> labels_by_id, int k,
+                                       std::size_t n_total,
+                                       const std::vector<core::SliceScan>& slices) {
+  check_depth_prefixes_of(labels_by_id.size(), [&](std::size_t depth) {
+    return core::merge_slice_scans(labels_by_id, k, n_total, slices, depth);
+  });
 }
 
 }  // namespace wf::test

@@ -17,19 +17,42 @@
 // earlier tile touched, so the scratch grows mid-sequence and every class
 // is touched (the append's spare slot is used on every later row).
 //
-// ctest runs this binary twice: with the default pool and with
-// WF_THREADS=1, where every tile runs on the calling thread.
+// The split oracle: a batch of fewer query tiles than pool threads is
+// split into (tile, shard group) units and folded back (core/scan_tiles.hpp).
+// For m = 1, 2, 31 and 33 queries, every answer — rank_batch at every depth,
+// kth_distances, scan_slice and merge_slice_scans — must equal, bit for
+// bit, the same queries' rows of a batch padded to pool size x kQueryTile
+// rows, which takes the unsplit path. The stores cover 1, 2, 4 and 7
+// shards, k = 0, 1, 40 and k above the row count, IVF at P < C and P = C,
+// a MappedIndex, a NaN reference row and a NaN query. Pruned stores (IVF,
+// MappedIndex) are never split: their oracle runs pin that, and that a
+// two-query rank_batch adds 2 to index.probes_total.
+//
+// ctest runs this binary three times: with the default pool, with
+// WF_THREADS=1, where every tile runs on the calling thread, and with
+// WF_THREADS=4, so the split path runs even on a two-core runner.
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
 #include <functional>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/knn.hpp"
 #include "core/openworld.hpp"
+#include "core/scan_tiles.hpp"
 #include "core/sharded_reference_set.hpp"
 #include "index/ivf.hpp"
+#include "index/store.hpp"
 #include "nn/matrix.hpp"
+#include "obs/metrics.hpp"
 #include "test_common.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -49,9 +72,8 @@ std::vector<float> random_point(util::Rng& rng) {
 
 // `n_classes` gaussian classes of `per_class` rows; labels are scrambled so
 // that label order differs from class-id (first appearance) order.
-core::ShardedReferenceSet make_store(util::Rng& rng, int n_classes, int per_class,
-                                     std::size_t shards) {
-  core::ShardedReferenceSet store(kDim, shards);
+void add_classes(core::ShardedReferenceSet& store, util::Rng& rng, int n_classes,
+                 int per_class) {
   for (int c = 0; c < n_classes; ++c) {
     const std::vector<float> centre = random_point(rng);
     for (int s = 0; s < per_class; ++s) {
@@ -60,6 +82,12 @@ core::ShardedReferenceSet make_store(util::Rng& rng, int n_classes, int per_clas
       store.add(row, 5000 - 37 * c % 1009);
     }
   }
+}
+
+core::ShardedReferenceSet make_store(util::Rng& rng, int n_classes, int per_class,
+                                     std::size_t shards) {
+  core::ShardedReferenceSet store(kDim, shards);
+  add_classes(store, rng, n_classes, per_class);
   return store;
 }
 
@@ -176,6 +204,145 @@ struct Case {
   }
 };
 
+// Bitwise equality: NaN distances must match too.
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+nn::Matrix first_rows(const nn::Matrix& queries, std::size_t n) {
+  nn::Matrix rows(n, queries.cols());
+  for (std::size_t q = 0; q < n; ++q) rows.set_row(q, queries.row_span(q));
+  return rows;
+}
+
+template <typename T>
+std::vector<T> prefix(const std::vector<T>& all, std::size_t n) {
+  return std::vector<T>(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
+// The first n queries of a slice scan.
+core::SliceScan prefix(const core::SliceScan& scan, std::size_t n) {
+  core::SliceScan out = scan;
+  out.n_queries = n;
+  out.candidates.resize(n);
+  out.best.resize(n * scan.n_class_ids);
+  return out;
+}
+
+bool same_bits(const core::SliceScan& a, const core::SliceScan& b) {
+  if (a.n_queries != b.n_queries || a.n_class_ids != b.n_class_ids ||
+      a.n_rows_scanned != b.n_rows_scanned || !same_bits(a.best, b.best))
+    return false;
+  for (std::size_t q = 0; q < a.n_queries; ++q)
+    if (!same_bits(a.candidates[q], b.candidates[q])) return false;
+  return true;
+}
+
+// The split oracle over one store at one k: `padded` holds pool size x
+// kQueryTile rows (at least two tiles), so every call on it is unsplit.
+void check_split(const core::ReferenceStore& store, int k, const nn::Matrix& padded) {
+  const core::KnnClassifier knn(k);
+  const core::OpenWorldDetector detector(core::OpenWorldConfig{std::max(1, k), 0.95});
+  const std::vector<int> labels = labels_by_id(store);
+  CHECK(core::detail::scan_groups(store, padded.rows(), 0, 1) == 1);
+  const auto ranked = knn.rank_batch(store, padded);
+  const auto fronts = knn.rank_batch(store, padded, 1);
+  const std::vector<double> kth = detector.kth_distances(store, padded);
+  std::vector<core::SliceScan> padded_slices;
+  for (std::size_t slice = 0; slice < kSlices; ++slice)
+    padded_slices.push_back(knn.scan_slice(store, padded, slice, kSlices));
+  for (const std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{31}, std::size_t{33}}) {
+    const nn::Matrix queries = first_rows(padded, m);
+    const auto total = knn.rank_batch(store, queries);
+    CHECK(same_rankings(total, prefix(ranked, m)));
+    CHECK(same_rankings(knn.rank_batch(store, queries, 1), prefix(fronts, m)));
+    test::check_depth_prefixes(knn, store, queries);
+    CHECK(same_bits(detector.kth_distances(store, queries), prefix(kth, m)));
+    std::vector<core::SliceScan> slices;
+    for (std::size_t slice = 0; slice < kSlices; ++slice) {
+      slices.push_back(knn.scan_slice(store, queries, slice, kSlices));
+      CHECK(same_bits(slices.back(), prefix(padded_slices[slice], m)));
+    }
+    CHECK(same_rankings(core::merge_slice_scans(labels, k, store.size(), slices), total));
+    test::check_merge_depth_prefixes(labels, k, store.size(), slices);
+  }
+}
+
+void split_oracle(util::Rng& rng) {
+  const std::size_t threads = util::global_pool().size();
+  // The two probe shapes of the adaptive pass (2 queries, 4 shards, 4
+  // threads): 20,000 rows split four ways, 5,000 rows stay whole.
+  CHECK(core::detail::shard_groups(1, 4, 4, 2 * 20000) == 4);
+  CHECK(core::detail::shard_groups(1, 4, 4, 2 * 5000) == 1);
+  CHECK(core::detail::shard_groups(4, 4, 4, 32 * 20000) == 1);
+
+  nn::Matrix padded(std::max<std::size_t>(threads, 2) * core::detail::kQueryTile, kDim);
+  for (std::size_t q = 0; q < padded.rows(); ++q) padded.set_row(q, random_point(rng));
+  std::vector<float> nan_row(kDim, 0.0f);
+  nan_row[3] = std::nanf("");
+  padded.set_row(1, nan_row);  // every m > 1 batch holds a NaN query
+
+  // 24,000 rows: one or two queries are enough pairs for several groups.
+  const core::ShardedReferenceSet one = make_store(rng, 600, 40, 1);
+  const core::ShardedReferenceSet two = make_store(rng, 600, 40, 2);
+  const core::ShardedReferenceSet four = make_store(rng, 600, 40, 4);
+  // 2,100 rows: only the 31- and 33-query batches split.
+  const core::ShardedReferenceSet seven = make_store(rng, 300, 7, 7);
+  const std::size_t groups = core::detail::scan_groups(four, 2, 0, 1);
+  CHECK(groups == std::min<std::size_t>(threads, 4));
+  CHECK(core::detail::scan_groups(one, 33, 0, 1) == 1);  // one shard: nothing to split
+  check_split(one, 1, padded);
+  check_split(two, 40, padded);
+  check_split(four, 0, padded);
+  check_split(seven, static_cast<int>(seven.size()) + 5, padded);
+
+  index::IvfConfig config;
+  config.clusters = 8;
+  config.probes = 3;
+  const index::IvfReferenceStore pruned(two, config);
+  check_split(pruned, 40, padded);
+  index::IvfReferenceStore full = pruned;
+  full.set_probes(config.clusters);
+  check_split(full, 1, padded);
+  // A pruned store is never split, so each query is probed (and counted)
+  // once, at every depth.
+  const obs::Counter& probes = obs::Registry::global().counter("index.probes_total");
+  nn::Matrix two_queries(2, kDim);  // finite: no depth-1 per-class rescan
+  two_queries.set_row(0, padded.row_span(2));
+  two_queries.set_row(1, padded.row_span(3));
+  for (const index::IvfReferenceStore& store : {std::cref(pruned), std::cref(full)}) {
+    CHECK(core::detail::scan_groups(store, 2, 0, 1) == 1);
+    for (const std::size_t depth : {std::size_t{1}, core::kTotalRanking}) {
+      const std::uint64_t before = probes.value();
+      (void)core::KnnClassifier(40).rank_batch(store, two_queries, depth);
+      CHECK(probes.value() - before == 2);
+    }
+  }
+  // ctest runs the registrations of this binary concurrently: one file each.
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("wf_test_scan_split_" + std::to_string(::getpid()) + ".wfx"))
+                               .string();
+  index::write_index_file(path, pruned);
+  const std::unique_ptr<core::ReferenceStore> mapped = index::open_index(path, config.probes);
+  CHECK(dynamic_cast<const index::MappedIndex*>(mapped.get()) != nullptr);
+  CHECK(core::detail::scan_groups(*mapped, 2, 0, 1) == 1);
+  check_split(*mapped, 40, padded);
+  std::filesystem::remove(path);
+
+  // A NaN row third, so first in shard 2: the unsplit heap is full before
+  // shard 2 is reached, but the group scanning shard 2 takes the NaN while
+  // it fills.
+  core::ShardedReferenceSet with_nan(kDim, 4);
+  add_classes(with_nan, rng, 1, 2);
+  with_nan.add(nan_row, 4242);
+  add_classes(with_nan, rng, 600, 40);
+  check_split(with_nan, 40, padded);
+  std::cout << "split oracle: pool threads " << threads << ", two queries in " << groups
+            << " shard groups\n";
+}
+
 }  // namespace
 
 int main() {
@@ -233,6 +400,8 @@ int main() {
   // Every (store, op) pair twice, the case changing on every call.
   for (int call = 0; call < 6 * kCases; ++call)
     cases[call % kCases].check((call / kCases + call) % 3, queries);
+
+  split_oracle(rng);
 
   std::cout << "pool threads: " << util::global_pool().size() << "\n";
   return TEST_MAIN_RESULT();
