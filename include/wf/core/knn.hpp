@@ -30,33 +30,37 @@ using Candidate = std::pair<double, std::uint64_t>;
 // KnnClassifier::rank_batch depth that ranks every class of the store.
 inline constexpr std::size_t kTotalRanking = std::numeric_limits<std::size_t>::max();
 
-// The scatter half of a distributed query: one node's scan of the shards
-// s ≡ slice_index (mod slice_count). Holds, per query, the slice's k best
-// candidates (ascending) and the per-class nearest distances over the slice
-// (flat, query-major). Folding the slices of one store back together with
-// merge_slice_scans reproduces KnnClassifier::rank_batch over the whole
-// store bit-identically.
+using ClassNearest = std::pair<std::uint32_t, double>;  // (class id, distance)
+inline constexpr double kFar = 1e300;  // distance of a class no scan reached
+
+// A partial scan of some queries: a node's scan of the shards s ≡
+// slice_index (mod slice_count), or a shard group of a split query tile
+// (core/scan_tiles.hpp). Per query: the k best candidates, and the class
+// id and nearest distance (< kFar) of every class the part reached.
+// scan_slice's form is canonical — candidates ascending, nearest by class
+// id — so equal scans compare equal at any thread count or group split.
+// merge_slice_scans folds the slices of one store back into
+// KnnClassifier::rank_batch's answer, bit for bit.
 struct SliceScan {
-  std::size_t n_queries = 0;
   std::size_t n_class_ids = 0;
   // Reference rows this slice's shards hold — the coordinator sums these
   // over the slices it gathered to decide whether coverage is full or the
   // answer must be flagged degraded. 0 from pre-extension peers ("unknown").
   std::uint64_t n_rows_scanned = 0;
   std::vector<std::vector<Candidate>> candidates;  // per query
-  std::vector<double> best;                        // n_queries x n_class_ids
-
-  const double* best_of(std::size_t query) const { return best.data() + query * n_class_ids; }
+  std::vector<std::vector<ClassNearest>> nearest;  // per query
 };
 
 // The gather half: fold per-slice candidates (union, then keep the k
-// globally smallest by the unique (dist, key) order) and per-class bests
-// (elementwise min) into final rankings — the fold that also joins a split
+// globally smallest by the unique (dist, key) order) and per-class nearest
+// distances (min over the slices that reached the class) into final
+// rankings, in O(touched) per query — the fold that also joins a split
 // tile's shard groups (core/scan_tiles.hpp). `labels_by_id` maps dense
 // class ids to page labels; `n_total` is the store's total row count,
 // bounding k exactly as rank_batch does. Each ranking is the first
 // min(depth, n_class_ids) entries of the total one, as in rank_batch. Slice
-// fold order does not affect the result.
+// fold order does not affect the result. Mismatched slice shapes throw
+// std::invalid_argument, a class id outside the space util::CheckError.
 std::vector<std::vector<RankedLabel>> merge_slice_scans(std::span<const int> labels_by_id,
                                                         int k, std::size_t n_total,
                                                         const std::vector<SliceScan>& slices,
@@ -109,7 +113,8 @@ class KnnClassifier {
   // Scan only the shards s with s % slice_count == slice_index of
   // `references` (which must be the full store — k is bounded by the
   // store's total row count, as in rank_batch) and keep each query's k best
-  // candidates over those shards. This is what a scatter/gather backend
+  // candidates and per-class nearest distances over those shards, in
+  // SliceScan's canonical form. This is what a scatter/gather backend
   // computes before shipping candidates to the coordinator's
   // merge_slice_scans.
   SliceScan scan_slice(const ReferenceStore& references, const nn::Matrix& queries,

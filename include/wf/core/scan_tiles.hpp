@@ -32,11 +32,12 @@
 // index.* probe counters, and its pair count is unknown until the probes
 // are made.
 //
-// The fold (fold_candidates / fold_nearest) merges disjoint partial scans
-// of one query — a tile's shard groups, or merge_slice_scans' slices:
-// every candidate is offered into one k-heap, and per-class nearest
-// distances take the elementwise min, with a union of the touched lists.
-// The caller's finalize, front read or k-th read then sees one scan.
+// The fold (fold_parts) merges disjoint partial scans of one query, each a
+// SliceScan — a tile's shard groups (copied out by take), or
+// merge_slice_scans' slices: every candidate is offered into one k-heap,
+// and each class a part reached min-folds its nearest distance into the
+// per-class row, so the fold costs what the parts touched. The caller's
+// finalize, front read or k-th read then sees one scan.
 //
 // Determinism: shards are visited in ascending index order and queries in
 // ascending tile order within a shard. Candidate keys (dist, insertion id)
@@ -64,7 +65,6 @@
 namespace wf::core::detail {
 
 inline constexpr std::size_t kQueryTile = 32;  // queries per GEMM tile
-inline constexpr double kFar = 1e300;         // distance of a class no scan reached
 // Fewest (row, query) pairs a shard group of a split tile scans: below it
 // the hand-off to another thread costs more than the rows save
 // (bench_micro's BM_KnnProbeSmallBatch).
@@ -264,49 +264,42 @@ inline bool holds_nan(const std::vector<Candidate>& heap) {
                      [](const Candidate& c) { return std::isnan(c.first); });
 }
 
-// The fold of one partial scan of a query (a shard group of its tile, or
-// one slice) into that query's k-heap and per-class rows. Candidates are
-// offered into `heap`: keys are unique, so the kept set is the k smallest
-// of the union, exactly what one scan over every part keeps. A class's
-// nearest distance `d` is min-folded into best[id] with the visitor's own
-// `d < b ? d : b`, its id appended to touched[n_touched++] the first time
-// it drops below kFar.
-inline void fold_candidates(std::vector<Candidate>& heap, std::size_t k,
-                            std::span<const Candidate> part) {
-  for (const Candidate& c : part) offer(heap, k, c);
-}
-
-inline void fold_nearest(double* best, std::uint32_t* touched, std::size_t& n_touched,
-                         std::uint32_t id, double d) {
-  double& b = best[id];
-  if (b >= kFar && d < b) touched[n_touched++] = id;
-  b = d < b ? d : b;
-}
-
-// One (tile, shard group) unit's scan, copied out of the scanning thread's
-// TileScan so that thread can take its next unit: per tile query, the
-// k-heap as the scan left it and, for rankings, the (class id, nearest
-// distance) of every class the group touched.
-struct GroupScan {
-  std::vector<std::vector<Candidate>> heaps =
-      std::vector<std::vector<Candidate>>(kQueryTile);
-  std::vector<std::vector<std::pair<std::uint32_t, double>>> nearest =
-      std::vector<std::vector<std::pair<std::uint32_t, double>>>(kQueryTile);
-
-  // Copies query `from` of `sc` into query `to`.
-  template <bool kPerClass>
-  void take(TileScan& sc, std::size_t from, std::size_t to) {
-    heaps[to] = sc.heaps[from];
-    nearest[to].clear();
-    if constexpr (kPerClass) {
-      const double* best = sc.best_of(from);
-      const std::uint32_t* touched = sc.touched_of(from);
-      nearest[to].reserve(sc.n_touched[from]);
-      for (std::size_t t = 0; t < sc.n_touched[from]; ++t)
-        nearest[to].emplace_back(touched[t], best[touched[t]]);
+// Folds query q of every part (a shard group of its tile, or one slice)
+// into that query's k-heap and per-class rows. Candidates are offered into
+// `heap`: keys are unique, so the kept set is the k smallest of the union,
+// exactly what one scan over every part keeps. A class's nearest distance
+// `d` is min-folded into best[id] with the visitor's own `d < b ? d : b`,
+// its id appended to touched[n_touched++] the first time it drops below
+// kFar. The caller checks that class ids fit the rows.
+inline void fold_parts(std::span<const SliceScan> parts, std::size_t q, std::size_t k,
+                       std::vector<Candidate>& heap, double* best, std::uint32_t* touched,
+                       std::size_t& n_touched) {
+  for (const SliceScan& part : parts) {
+    for (const Candidate& c : part.candidates[q]) offer(heap, k, c);
+    for (const auto& [id, d] : part.nearest[q]) {
+      double& b = best[id];
+      if (b >= kFar && d < b) touched[n_touched++] = id;
+      b = d < b ? d : b;
     }
   }
-};
+}
+
+// Copies query `from` of `sc` into query `to` of `part`: the k-heap as the
+// scan left it and, for rankings, the (class id, nearest distance) of every
+// class the scan touched, in touched order.
+template <bool kPerClass>
+void take(TileScan& sc, std::size_t from, SliceScan& part, std::size_t to) {
+  part.candidates[to] = sc.heaps[from];
+  std::vector<ClassNearest>& nearest = part.nearest[to];
+  nearest.clear();
+  if constexpr (kPerClass) {
+    const double* best = sc.best_of(from);
+    const std::uint32_t* touched = sc.touched_of(from);
+    nearest.reserve(sc.n_touched[from]);
+    for (std::size_t t = 0; t < sc.n_touched[from]; ++t)
+      nearest.emplace_back(touched[t], best[touched[t]]);
+  }
+}
 
 // G, the shard groups per tile, for `tiles` query tiles on `threads`
 // threads over `shards` shards, each tile scanning `tile_pairs` (row,
@@ -333,36 +326,29 @@ inline std::size_t scan_groups(const ReferenceStore& refs, std::size_t m,
   return shard_groups(tiles, threads, shards, m * slice_rows / tiles);
 }
 
-// Folds the `n_groups` group scans of the `rows`-query tile at `queries`
-// into the calling thread's TileScan and returns it, shaped as scan_tile's
-// unsplit scan of the tile. A query with a NaN distance in any group's
-// heap is rescanned unsplit and its heap copied as that scan left it.
+// Folds the group scans of the `rows`-query tile at `queries` into the
+// calling thread's TileScan and returns it, shaped as scan_tile's unsplit
+// scan of the tile. A query with a NaN distance in any group's heap is
+// rescanned unsplit into group 0, which alone is folded, its heap as is.
 template <bool kPerClass>
 TileScan& fold_groups(const ReferenceStore& refs, const float* queries, std::size_t rows,
                       std::size_t k, std::size_t slice_index, std::size_t slice_count,
-                      GroupScan* groups, std::size_t n_groups) {
+                      std::span<SliceScan> groups) {
   bool unsplit[kQueryTile] = {};
   for (std::size_t q = 0; q < rows; ++q) {
-    for (std::size_t g = 0; g < n_groups && !unsplit[q]; ++g)
-      unsplit[q] = holds_nan(groups[g].heaps[q]);
+    for (const SliceScan& group : groups)
+      if (holds_nan(group.candidates[q])) unsplit[q] = true;
     if (!unsplit[q]) continue;
-    groups[0].take<kPerClass>(scan_tile<kPerClass>(refs, queries + q * refs.dim(), 1, k,
-                                                   slice_index, slice_count),
-                              0, q);
-    for (std::size_t g = 1; g < n_groups; ++g) {
-      groups[g].heaps[q].clear();
-      groups[g].nearest[q].clear();
-    }
+    take<kPerClass>(scan_tile<kPerClass>(refs, queries + q * refs.dim(), 1, k, slice_index,
+                                         slice_count),
+                    0, groups[0], q);
   }
   TileScan& sc = tile_scratch();
   sc.begin(kPerClass ? refs.n_class_ids() : 0);
   for (std::size_t q = 0; q < rows; ++q) {
-    if (unsplit[q]) sc.heaps[q] = groups[0].heaps[q];
-    for (std::size_t g = 0; g < n_groups; ++g) {
-      if (!unsplit[q]) fold_candidates(sc.heaps[q], k, groups[g].heaps[q]);
-      for (const auto& [id, d] : groups[g].nearest[q])
-        fold_nearest(sc.best_of(q), sc.touched_of(q), sc.n_touched[q], id, d);
-    }
+    if (unsplit[q]) sc.heaps[q].swap(groups[0].candidates[q]);
+    fold_parts(groups.first(unsplit[q] ? 1 : groups.size()), q, k, sc.heaps[q], sc.best_of(q),
+               sc.touched_of(q), sc.n_touched[q]);
   }
   return sc;
 }
@@ -393,7 +379,7 @@ void for_each_tile(const ReferenceStore& refs, const float* queries, std::size_t
   }
   const std::size_t tiles = (m + kQueryTile - 1) / kQueryTile;
   const auto tile_rows = [&](std::size_t t0) { return std::min(m, t0 + kQueryTile) - t0; };
-  std::vector<GroupScan> units(tiles * groups);  // unit u: tile u / groups, group u % groups
+  std::vector<SliceScan> units(tiles * groups);  // unit u: tile u / groups, group u % groups
   pool.parallel_blocks(0, units.size(), 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t u = lo; u < hi; ++u) {
       const std::size_t t0 = u / groups * kQueryTile;
@@ -401,15 +387,18 @@ void for_each_tile(const ReferenceStore& refs, const float* queries, std::size_t
       TileScan& sc = scan_tile<kPerClass>(refs, queries + t0 * dim, rows, k,
                                           slice_index + slice_count * (u % groups),
                                           slice_count * groups);
-      for (std::size_t q = 0; q < rows; ++q) units[u].take<kPerClass>(sc, q, q);
+      units[u].candidates.resize(rows);
+      units[u].nearest.resize(rows);
+      for (std::size_t q = 0; q < rows; ++q) take<kPerClass>(sc, q, units[u], q);
     }
   });
   pool.parallel_blocks(0, tiles, 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t tile = lo; tile < hi; ++tile) {
       const std::size_t t0 = tile * kQueryTile;
       const std::size_t rows = tile_rows(t0);
-      finish(t0, rows, fold_groups<kPerClass>(refs, queries + t0 * dim, rows, k, slice_index,
-                                              slice_count, units.data() + tile * groups, groups));
+      finish(t0, rows,
+             fold_groups<kPerClass>(refs, queries + t0 * dim, rows, k, slice_index, slice_count,
+                                    std::span(units).subspan(tile * groups, groups)));
     }
   });
 }

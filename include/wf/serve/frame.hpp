@@ -39,7 +39,9 @@ namespace wf::serve {
 // degraded replies). Readers treat absent extensions as their defaults, so
 // a v1 peer's frames still parse — and a full-coverage RNKB reply is
 // byte-identical to v1, so pre-extension clients keep parsing every
-// non-degraded reply.
+// non-degraded reply. PART keeps v1's dense per-class distance table (kFar
+// for a class the slice did not reach): only its codec knows that layout,
+// converting it to and from SliceScan's sparse per-query nearest lists.
 inline constexpr std::uint32_t kServeWireVersion = 2;
 
 inline constexpr char kFrameHello[] = "HELO";

@@ -13,8 +13,6 @@ namespace wf::core {
 
 namespace {
 
-using detail::kFar;
-
 bool ranked_before(const RankedLabel& a, const RankedLabel& b) {
   if (a.votes != b.votes) return a.votes > b.votes;
   if (a.distance != b.distance) return a.distance < b.distance;
@@ -175,10 +173,9 @@ SliceScan KnnClassifier::scan_slice(const ReferenceStore& references, const nn::
   const std::size_t m = queries.rows();
   const std::size_t n = references.size();
   SliceScan out;
-  out.n_queries = m;
   out.n_class_ids = references.n_class_ids();
   out.candidates.resize(m);
-  out.best.assign(m * out.n_class_ids, kFar);
+  out.nearest.resize(m);
   for (std::size_t s = slice_index; s < references.shard_count(); s += slice_count)
     out.n_rows_scanned += references.shard_view(s).rows;
   if (m == 0 || n == 0) return out;
@@ -192,13 +189,9 @@ SliceScan KnnClassifier::scan_slice(const ReferenceStore& references, const nn::
       references, queries.data(), m, k, slice_index, slice_count,
       [&](std::size_t t0, std::size_t rows, detail::TileScan& sc) {
         for (std::size_t q = 0; q < rows; ++q) {
-          const double* best = sc.best_of(q);
-          double* slice_best = out.best.data() + (t0 + q) * out.n_class_ids;
-          const std::uint32_t* touched = sc.touched_of(q);
-          for (std::size_t t = 0; t < sc.n_touched[q]; ++t)
-            slice_best[touched[t]] = best[touched[t]];
-          std::sort_heap(sc.heaps[q].begin(), sc.heaps[q].end());
-          out.candidates[t0 + q] = sc.heaps[q];
+          detail::take<true>(sc, q, out, t0 + q);
+          std::sort_heap(out.candidates[t0 + q].begin(), out.candidates[t0 + q].end());
+          std::sort(out.nearest[t0 + q].begin(), out.nearest[t0 + q].end());
         }
       });
   return out;
@@ -209,11 +202,11 @@ std::vector<std::vector<RankedLabel>> merge_slice_scans(std::span<const int> lab
                                                         const std::vector<SliceScan>& slices,
                                                         std::size_t depth) {
   const std::size_t n_ids = labels_by_id.size();
-  const std::size_t m = slices.empty() ? 0 : slices.front().n_queries;
+  const std::size_t m = slices.empty() ? 0 : slices.front().candidates.size();
   for (const SliceScan& slice : slices) {
     if (slice.n_class_ids != n_ids)
       throw std::invalid_argument("merge_slice_scans: class-id space mismatch");
-    if (slice.n_queries != m)
+    if (slice.candidates.size() != m || slice.nearest.size() != m)
       throw std::invalid_argument("merge_slice_scans: query count mismatch");
   }
   std::vector<std::vector<RankedLabel>> rankings(m);
@@ -233,13 +226,10 @@ std::vector<std::vector<RankedLabel>> merge_slice_scans(std::span<const int> lab
     for (const SliceScan& slice : slices) {
       for (const Candidate& c : slice.candidates[q])
         WF_CHECK(detail::class_of(c) < n_ids, "merge_slice_scans: candidate class id out of range");
-      detail::fold_candidates(kbest, kk, slice.candidates[q]);
-      const double* slice_best = slice.best_of(q);
-      for (std::size_t id = 0; id < n_ids; ++id)
-        if (slice_best[id] < kFar)
-          detail::fold_nearest(best.data(), touched.data(), n_touched,
-                               static_cast<std::uint32_t>(id), slice_best[id]);
+      for (const ClassNearest& entry : slice.nearest[q])
+        WF_CHECK(entry.first < n_ids, "merge_slice_scans: nearest class id out of range");
     }
+    detail::fold_parts(slices, q, kk, kbest, best.data(), touched.data(), n_touched);
     finalize(kbest, best.data(), touched.data(), n_touched, order, depth, rankings[q]);
   }
   return rankings;

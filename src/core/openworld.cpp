@@ -48,7 +48,7 @@ std::vector<double> OpenWorldDetector::kth_distances(const ReferenceStore& refer
       [&](std::size_t t0, std::size_t rows, detail::TileScan& sc) {
         for (std::size_t q = 0; q < rows; ++q) {
           const std::vector<Candidate>& heap = sc.heaps[q];
-          result[t0 + q] = std::sqrt(heap.empty() ? detail::kFar : heap.front().first);
+          result[t0 + q] = std::sqrt(heap.empty() ? kFar : heap.front().first);
         }
       });
   return result;

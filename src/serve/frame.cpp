@@ -1,5 +1,7 @@
 #include "serve/frame.hpp"
 
+#include "util/check.hpp"
+
 namespace wf::serve {
 
 namespace {
@@ -122,8 +124,10 @@ Rankings read_rankings(io::Reader& in) {
 }
 
 void write_slice_scan(io::Writer& out, const core::SliceScan& scan) {
+  const std::size_t n_queries = scan.candidates.size();
+  WF_CHECK(scan.nearest.size() == n_queries, "write_slice_scan: query count mismatch");
   io::write_section(out, "PART", [&](io::Writer& w) {
-    w.u64(scan.n_queries);
+    w.u64(n_queries);
     w.u64(scan.n_class_ids);
     for (const std::vector<core::Candidate>& candidates : scan.candidates) {
       w.u64(candidates.size());
@@ -132,7 +136,16 @@ void write_slice_scan(io::Writer& out, const core::SliceScan& scan) {
         w.u64(c.second);
       }
     }
-    w.f64_vec(scan.best);
+    w.u64(n_queries * scan.n_class_ids);
+    std::vector<double> row;
+    for (const std::vector<core::ClassNearest>& nearest : scan.nearest) {
+      row.assign(scan.n_class_ids, core::kFar);
+      for (const auto& [id, d] : nearest) {
+        WF_CHECK(id < scan.n_class_ids, "write_slice_scan: nearest class id out of range");
+        row[id] = d;
+      }
+      for (const double d : row) w.f64(d);
+    }
     // Wire v2 extension: how many reference rows this slice actually
     // scanned, for the coordinator's coverage accounting.
     w.u64(scan.n_rows_scanned);
@@ -142,9 +155,9 @@ void write_slice_scan(io::Writer& out, const core::SliceScan& scan) {
 core::SliceScan read_slice_scan(io::Reader& in) {
   return io::parse_section(in, "PART", [](io::Reader& r) {
     core::SliceScan scan;
-    scan.n_queries = checked(r.u64(), kMaxQueries, "queries");
+    const std::uint64_t n_queries = checked(r.u64(), kMaxQueries, "queries");
     scan.n_class_ids = checked(r.u64(), kMaxEntries, "class ids");
-    scan.candidates.resize(scan.n_queries);
+    scan.candidates.resize(n_queries);
     for (std::vector<core::Candidate>& candidates : scan.candidates) {
       candidates.resize(checked(r.u64(), kMaxEntries, "candidates"));
       for (core::Candidate& c : candidates) {
@@ -152,9 +165,12 @@ core::SliceScan read_slice_scan(io::Reader& in) {
         c.second = r.u64();
       }
     }
-    scan.best = r.f64_vec();
-    if (scan.best.size() != scan.n_queries * scan.n_class_ids)
+    if (r.u64() != n_queries * scan.n_class_ids)
       throw io::IoError("slice scan best-distance table has the wrong shape");
+    scan.nearest.resize(n_queries);
+    for (std::vector<core::ClassNearest>& nearest : scan.nearest)
+      for (std::uint32_t id = 0; id < scan.n_class_ids; ++id)
+        if (const double d = r.f64(); d < core::kFar) nearest.emplace_back(id, d);
     // Absent from v1 peers: default to 0 ("unknown"), never an error.
     if (has_more(r)) scan.n_rows_scanned = r.u64();
     return scan;

@@ -345,23 +345,19 @@ void Server::process_wave(std::vector<Request> wave) {
     try {
       if (wave[begin].scan) {
         const core::SliceScan scan = handler_->scan(batch);
-        WF_CHECK(scan.candidates.size() == rows,
+        WF_CHECK(scan.candidates.size() == rows && scan.nearest.size() == rows,
                  "process_wave: handler scanned a different query count than sent");
         count_chunk();
         std::size_t offset = 0;
         for (std::size_t i = begin; i < end; ++i) {
+          const auto lo = static_cast<std::ptrdiff_t>(offset);
+          const auto hi = static_cast<std::ptrdiff_t>(offset + wave[i].queries.rows());
           core::SliceScan part;
-          part.n_queries = wave[i].queries.rows();
           part.n_class_ids = scan.n_class_ids;
           part.n_rows_scanned = scan.n_rows_scanned;
-          part.candidates.assign(
-              scan.candidates.begin() + static_cast<std::ptrdiff_t>(offset),
-              scan.candidates.begin() + static_cast<std::ptrdiff_t>(offset + part.n_queries));
-          part.best.assign(scan.best.begin() +
-                               static_cast<std::ptrdiff_t>(offset * scan.n_class_ids),
-                           scan.best.begin() + static_cast<std::ptrdiff_t>(
-                                                   (offset + part.n_queries) * scan.n_class_ids));
-          offset += part.n_queries;
+          part.candidates.assign(scan.candidates.begin() + lo, scan.candidates.begin() + hi);
+          part.nearest.assign(scan.nearest.begin() + lo, scan.nearest.begin() + hi);
+          offset += wave[i].queries.rows();
           wave[i].reply.set_value(
               encode_frame(kFrameSlice, [&](io::Writer& w) { write_slice_scan(w, part); }));
           ++delivered;

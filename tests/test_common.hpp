@@ -37,6 +37,31 @@ bool throws_io_error(Fn&& fn) {
   return false;
 }
 
+// Bitwise equality: NaN distances must match too.
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+// Bitwise equality of two slice scans. ClassNearest has padding bytes
+// between its fields, so its entries compare field by field.
+inline bool same_bits(const core::SliceScan& a, const core::SliceScan& b) {
+  if (a.n_class_ids != b.n_class_ids || a.n_rows_scanned != b.n_rows_scanned ||
+      a.candidates.size() != b.candidates.size() || a.nearest.size() != b.nearest.size())
+    return false;
+  for (std::size_t q = 0; q < a.candidates.size(); ++q)
+    if (!same_bits(a.candidates[q], b.candidates[q])) return false;
+  for (std::size_t q = 0; q < a.nearest.size(); ++q) {
+    if (a.nearest[q].size() != b.nearest[q].size()) return false;
+    for (std::size_t i = 0; i < a.nearest[q].size(); ++i)
+      if (a.nearest[q][i].first != b.nearest[q][i].first ||
+          std::memcmp(&a.nearest[q][i].second, &b.nearest[q][i].second, sizeof(double)) != 0)
+        return false;
+  }
+  return true;
+}
+
 inline std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());

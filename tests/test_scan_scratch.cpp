@@ -27,6 +27,12 @@
 // a MappedIndex, a NaN reference row and a NaN query. Pruned stores (IVF,
 // MappedIndex) are never split: their oracle runs pin that, and that a
 // two-query rank_batch adds 2 to index.probes_total.
+// Every scan_slice there must be in canonical form (candidates ascending,
+// nearest by class id), so split and unsplit scans compare equal.
+//
+// merge_slice_scans' input checks: a class-id space mismatch, a query
+// count that disagrees across slices or within one, and a candidate or
+// nearest class id outside the space must each throw.
 //
 // ctest runs this binary three times: with the default pool, with
 // WF_THREADS=1, where every tile runs on the calling thread, and with
@@ -35,10 +41,10 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,6 +60,7 @@
 #include "nn/matrix.hpp"
 #include "obs/metrics.hpp"
 #include "test_common.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -140,10 +147,17 @@ bool same_rankings(const std::vector<std::vector<core::RankedLabel>>& a,
   return true;
 }
 
-bool same_scan(const core::SliceScan& a, const core::SliceScan& b) {
-  return a.n_queries == b.n_queries && a.n_class_ids == b.n_class_ids &&
-         a.n_rows_scanned == b.n_rows_scanned && a.candidates == b.candidates &&
-         a.best == b.best;
+// scan_slice's canonical form: candidates ascending, nearest by ascending
+// class id, every nearest distance below kFar.
+bool canonical(const core::SliceScan& scan) {
+  for (const std::vector<core::Candidate>& candidates : scan.candidates)
+    if (!std::is_sorted(candidates.begin(), candidates.end())) return false;
+  for (const std::vector<core::ClassNearest>& nearest : scan.nearest)
+    for (std::size_t i = 0; i < nearest.size(); ++i)
+      if (nearest[i].first >= scan.n_class_ids || !(nearest[i].second < core::kFar) ||
+          (i > 0 && nearest[i - 1].first >= nearest[i].first))
+        return false;
+  return true;
 }
 
 // One store under test with its classifier, detector and the answers of
@@ -164,11 +178,7 @@ struct Case {
     rankings.resize(m);
     kth.resize(m);
     slices.assign(kSlices, core::SliceScan{});
-    for (std::size_t slice = 0; slice < kSlices; ++slice) {
-      core::SliceScan& scan = slices[slice];
-      scan.n_queries = m;
-      scan.n_class_ids = store->n_class_ids();
-    }
+    for (core::SliceScan& scan : slices) scan.n_class_ids = store->n_class_ids();
     for (std::size_t q = 0; q < m; ++q) {
       const nn::Matrix row = one_row(queries, q);
       on_fresh_thread([&] { rankings[q] = knn.rank_batch(*store, row).front(); });
@@ -179,7 +189,7 @@ struct Case {
         core::SliceScan& scan = slices[slice];
         scan.n_rows_scanned = one.n_rows_scanned;
         scan.candidates.push_back(one.candidates.front());
-        scan.best.insert(scan.best.end(), one.best.begin(), one.best.end());
+        scan.nearest.push_back(one.nearest.front());
       }
     }
   }
@@ -193,7 +203,7 @@ struct Case {
       std::vector<core::SliceScan> warm;
       for (std::size_t slice = 0; slice < kSlices; ++slice) {
         warm.push_back(knn.scan_slice(*store, queries, slice, kSlices));
-        CHECK(same_scan(warm.back(), slices[slice]));
+        CHECK(test::same_bits(warm.back(), slices[slice]));
       }
       const std::vector<int> labels = labels_by_id(*store);
       CHECK(same_rankings(core::merge_slice_scans(labels, knn.k(), store->size(), warm),
@@ -203,13 +213,6 @@ struct Case {
     }
   }
 };
-
-// Bitwise equality: NaN distances must match too.
-template <typename T>
-bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
-  return a.size() == b.size() &&
-         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
-}
 
 nn::Matrix first_rows(const nn::Matrix& queries, std::size_t n) {
   nn::Matrix rows(n, queries.cols());
@@ -225,19 +228,9 @@ std::vector<T> prefix(const std::vector<T>& all, std::size_t n) {
 // The first n queries of a slice scan.
 core::SliceScan prefix(const core::SliceScan& scan, std::size_t n) {
   core::SliceScan out = scan;
-  out.n_queries = n;
   out.candidates.resize(n);
-  out.best.resize(n * scan.n_class_ids);
+  out.nearest.resize(n);
   return out;
-}
-
-bool same_bits(const core::SliceScan& a, const core::SliceScan& b) {
-  if (a.n_queries != b.n_queries || a.n_class_ids != b.n_class_ids ||
-      a.n_rows_scanned != b.n_rows_scanned || !same_bits(a.best, b.best))
-    return false;
-  for (std::size_t q = 0; q < a.n_queries; ++q)
-    if (!same_bits(a.candidates[q], b.candidates[q])) return false;
-  return true;
 }
 
 // The split oracle over one store at one k: `padded` holds pool size x
@@ -259,15 +252,67 @@ void check_split(const core::ReferenceStore& store, int k, const nn::Matrix& pad
     CHECK(same_rankings(total, prefix(ranked, m)));
     CHECK(same_rankings(knn.rank_batch(store, queries, 1), prefix(fronts, m)));
     test::check_depth_prefixes(knn, store, queries);
-    CHECK(same_bits(detector.kth_distances(store, queries), prefix(kth, m)));
+    CHECK(test::same_bits(detector.kth_distances(store, queries), prefix(kth, m)));
     std::vector<core::SliceScan> slices;
     for (std::size_t slice = 0; slice < kSlices; ++slice) {
       slices.push_back(knn.scan_slice(store, queries, slice, kSlices));
-      CHECK(same_bits(slices.back(), prefix(padded_slices[slice], m)));
+      CHECK(canonical(slices.back()));
+      CHECK(test::same_bits(slices.back(), prefix(padded_slices[slice], m)));
     }
     CHECK(same_rankings(core::merge_slice_scans(labels, k, store.size(), slices), total));
     test::check_merge_depth_prefixes(labels, k, store.size(), slices);
   }
+}
+
+template <typename Error, typename Fn>
+bool throws(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error&) {
+    return true;
+  } catch (...) {
+    return false;
+  }
+  return false;
+}
+
+// merge_slice_scans rejects slices that disagree with each other or with
+// the class-id space: each tampered copy of two good slice scans must throw.
+void merge_rejections(const core::ReferenceStore& store, const nn::Matrix& queries) {
+  const core::KnnClassifier knn(3);
+  const std::vector<int> labels = labels_by_id(store);
+  std::vector<core::SliceScan> good;
+  for (std::size_t slice = 0; slice < kSlices; ++slice)
+    good.push_back(knn.scan_slice(store, queries, slice, kSlices));
+  CHECK(!good[0].candidates[0].empty() && !good[1].nearest[0].empty());
+  const auto merge = [&](const std::vector<core::SliceScan>& slices) {
+    return core::merge_slice_scans(labels, knn.k(), store.size(), slices);
+  };
+  CHECK(same_rankings(merge(good), knn.rank_batch(store, queries)));
+  const auto rejected = [&](auto&& tamper) {
+    std::vector<core::SliceScan> slices = good;
+    tamper(slices);
+    return [&merge, slices] { (void)merge(slices); };
+  };
+  // A slice from a store with another class-id space.
+  CHECK(throws<std::invalid_argument>(
+      rejected([](std::vector<core::SliceScan>& s) { ++s[1].n_class_ids; })));
+  // One slice answered fewer queries than the other.
+  CHECK(throws<std::invalid_argument>(rejected([](std::vector<core::SliceScan>& s) {
+    s[1].candidates.pop_back();
+    s[1].nearest.pop_back();
+  })));
+  // Within one slice, candidates and nearest lists disagree in count.
+  CHECK(throws<std::invalid_argument>(
+      rejected([](std::vector<core::SliceScan>& s) { s[0].nearest.pop_back(); })));
+  // A candidate naming a class id outside the space.
+  CHECK(throws<util::CheckError>(rejected([&](std::vector<core::SliceScan>& s) {
+    s[0].candidates[0][0].second |= labels.size();
+  })));
+  // A nearest entry naming a class id outside the space.
+  CHECK(throws<util::CheckError>(rejected([&](std::vector<core::SliceScan>& s) {
+    s[1].nearest[0].back().first = static_cast<std::uint32_t>(labels.size());
+  })));
 }
 
 void split_oracle(util::Rng& rng) {
@@ -401,6 +446,7 @@ int main() {
   for (int call = 0; call < 6 * kCases; ++call)
     cases[call % kCases].check((call / kCases + call) % 3, queries);
 
+  merge_rejections(wide, first_rows(queries, 3));
   split_oracle(rng);
 
   std::cout << "pool threads: " << util::global_pool().size() << "\n";

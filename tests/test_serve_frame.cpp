@@ -3,18 +3,22 @@
 // prefixes, wrong magic, future format versions, trailing bytes — surfaces
 // as a clean io::IoError, never a crash or a misparse. Plus the bounded
 // RingQueue the daemon batches through: backpressure when full, FIFO wave
-// draining, close semantics.
+// draining, close semantics. PART frames keep the dense per-class table of
+// wire v1 byte for byte while SliceScan holds sparse lists.
 #include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/knn.hpp"
+#include "core/sharded_reference_set.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/frame.hpp"
 #include "serve/net.hpp"
 #include "serve/queue.hpp"
 #include "test_common.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -64,16 +68,15 @@ void test_roundtrips() {
         rankings_back[0][0].distance == 1.25);
 
   core::SliceScan scan;
-  scan.n_queries = 2;
   scan.n_class_ids = 3;
   scan.candidates = {{{0.5, 42}, {1.5, 7}}, {}};
-  scan.best = {0.5, 1.0, 2.0, 9.0, 8.0, 7.0};
+  scan.nearest = {{{0, 0.5}, {2, 2.0}}, {}};
   frame = serve::parse_frame(payload_of(serve::encode_frame(
       serve::kFrameSlice, [&](io::Writer& w) { serve::write_slice_scan(w, scan); })));
   const core::SliceScan scan_back = serve::read_slice_scan(*frame.reader);
-  CHECK(scan_back.n_queries == 2 && scan_back.n_class_ids == 3);
+  CHECK(scan_back.n_class_ids == 3);
   CHECK(scan_back.candidates == scan.candidates);
-  CHECK(scan_back.best == scan.best);
+  CHECK(scan_back.nearest == scan.nearest);
 
   serve::ServerInfo info;
   info.attacker = "adaptive";
@@ -141,10 +144,9 @@ void test_wire_v2_extensions() {
   // Slice coverage round-trips; a v1 PART section (no trailing row count)
   // reads as 0 ("unknown").
   core::SliceScan scan;
-  scan.n_queries = 1;
   scan.n_class_ids = 1;
   scan.candidates = {{{0.5, 3}}};
-  scan.best = {0.5};
+  scan.nearest = {{{0, 0.5}}};
   scan.n_rows_scanned = 77;
   frame = serve::parse_frame(payload_of(serve::encode_frame(
       serve::kFrameSlice, [&](io::Writer& w) { serve::write_slice_scan(w, scan); })));
@@ -152,16 +154,17 @@ void test_wire_v2_extensions() {
   frame = serve::parse_frame(payload_of(serve::encode_frame(
       serve::kFrameSlice, [&](io::Writer& w) {
         io::write_section(w, "PART", [&](io::Writer& s) {
-          s.u64(scan.n_queries);
-          s.u64(scan.n_class_ids);
+          s.u64(1);  // one query
+          s.u64(1);  // one class id
           s.u64(1);  // one candidate for the one query
           s.f64(0.5);
           s.u64(3);
-          s.f64_vec(scan.best);
+          s.f64_vec(std::vector<double>{0.5});
         });
       })));
   const core::SliceScan v1_scan = serve::read_slice_scan(*frame.reader);
-  CHECK(v1_scan.candidates == scan.candidates && v1_scan.n_rows_scanned == 0);
+  CHECK(v1_scan.candidates == scan.candidates && v1_scan.nearest == scan.nearest &&
+        v1_scan.n_rows_scanned == 0);
 
   // The DGRD trailer: absent means not degraded (and the payload is still
   // fully consumed); present round-trips its coverage counts.
@@ -189,6 +192,63 @@ void test_wire_v2_extensions() {
 // metrics snapshot plus an optional SPNS span trailer, same trailing-bytes
 // discipline as DGRD). Every byte of the reply must also survive the
 // truncation fuzz.
+// PART keeps wire v1's dense per-class table: SliceScan's sparse nearest
+// lists must encode to exactly the bytes an old peer writes (kFar, 1e300,
+// for every class a query did not reach) and decode back bit for bit.
+void test_part_dense_table() {
+  core::SliceScan scan;
+  scan.n_class_ids = 4;
+  scan.n_rows_scanned = 9;
+  scan.candidates = {{{0.25, 17}}, {}, {{1.5, 40}, {2.5, 66}}};
+  scan.nearest = {{{1, 0.25}, {3, 0.75}}, {}, {{0, 1.5}, {2, 2.5}}};
+  const std::string golden = serve::encode_frame(serve::kFrameSlice, [](io::Writer& w) {
+    io::write_section(w, "PART", [](io::Writer& s) {
+      s.u64(3);  // queries
+      s.u64(4);  // class ids
+      s.u64(1);
+      s.f64(0.25);
+      s.u64(17);
+      s.u64(0);
+      s.u64(2);
+      s.f64(1.5);
+      s.u64(40);
+      s.f64(2.5);
+      s.u64(66);
+      s.f64_vec(std::vector<double>{1e300, 0.25, 1e300, 0.75,  //
+                                    1e300, 1e300, 1e300, 1e300,  //
+                                    1.5, 1e300, 2.5, 1e300});
+      s.u64(9);  // rows scanned
+    });
+  });
+  CHECK(serve::encode_frame(serve::kFrameSlice, [&](io::Writer& w) {
+          serve::write_slice_scan(w, scan);
+        }) == golden);
+  serve::ParsedFrame frame = serve::parse_frame(payload_of(golden));
+  CHECK(test::same_bits(serve::read_slice_scan(*frame.reader), scan));
+
+  // A real slice scan: several queries, each missing the classes whose
+  // rows all sit in the other slice's shard.
+  util::Rng rng(404);
+  core::ShardedReferenceSet store(3, 2);
+  for (int row = 0; row < 40; ++row) {
+    const std::vector<float> point{static_cast<float>(rng.normal()),
+                                   static_cast<float>(rng.normal()),
+                                   static_cast<float>(rng.normal())};
+    store.add(point, row < 20 ? row : row % 5);
+  }
+  nn::Matrix queries(5, 3);
+  for (std::size_t q = 0; q < queries.rows(); ++q)
+    for (std::size_t c = 0; c < 3; ++c) queries(q, c) = static_cast<float>(rng.normal());
+  const core::SliceScan real = core::KnnClassifier(4).scan_slice(store, queries, 1, 2);
+  CHECK(real.candidates.size() == 5);
+  for (const std::vector<core::ClassNearest>& nearest : real.nearest)
+    CHECK(!nearest.empty() && nearest.size() < real.n_class_ids);
+  frame = serve::parse_frame(payload_of(serve::encode_frame(
+      serve::kFrameSlice, [&](io::Writer& w) { serve::write_slice_scan(w, real); })));
+  CHECK(test::same_bits(serve::read_slice_scan(*frame.reader), real));
+  io::detail::require_consumed(*frame.stream, frame.kind);
+}
+
 void test_stat_metrics_frames() {
   // STAT parses to just its kind, like STOP/HELO.
   serve::ParsedFrame frame = serve::parse_frame(payload_of(serve::encode_frame(serve::kFrameStat)));
@@ -313,14 +373,18 @@ void test_malformed_payloads() {
         [&] { io::detail::require_consumed(*frame.stream, frame.kind); }));
   }
 
-  // A slice scan whose best-distance table disagrees with its own counts.
-  core::SliceScan scan;
-  scan.n_queries = 2;
-  scan.n_class_ids = 2;
-  scan.candidates = {{}, {}};
-  scan.best = {1.0, 2.0, 3.0};  // should be 4 entries
+  // A slice scan whose best-distance table disagrees with its own counts,
+  // built by hand: the writer derives the table's shape and cannot lie.
   const std::string lying = payload_of(serve::encode_frame(
-      serve::kFrameSlice, [&](io::Writer& w) { serve::write_slice_scan(w, scan); }));
+      serve::kFrameSlice, [](io::Writer& w) {
+        io::write_section(w, "PART", [](io::Writer& s) {
+          s.u64(2);  // queries
+          s.u64(2);  // class ids
+          s.u64(0);  // no candidates for either query
+          s.u64(0);
+          s.f64_vec(std::vector<double>{1.0, 2.0, 3.0});  // should be 4 entries
+        });
+      }));
   CHECK(raises_io_error([&] {
     serve::ParsedFrame frame = serve::parse_frame(lying);
     serve::read_slice_scan(*frame.reader);
@@ -419,6 +483,7 @@ void test_ring_queue() {
 int main() {
   test_roundtrips();
   test_wire_v2_extensions();
+  test_part_dense_table();
   test_stat_metrics_frames();
   test_malformed_payloads();
   test_socket_framing();
