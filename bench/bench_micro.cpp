@@ -1,8 +1,8 @@
 // Component micro-benchmarks (google-benchmark): simulator throughput,
 // Fig. 4 encoding, embedding forward pass, contrastive training step,
 // SIMD dot kernels and the distance GEMM, k-NN query (scalar, batched,
-// IVF-pruned and the adaptive pass's two-query probe), random-forest
-// prediction, FL padding and the parallel crawler.
+// every class touched, IVF-pruned and the adaptive pass's two-query probe),
+// random-forest prediction, FL padding and the parallel crawler.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -175,6 +175,24 @@ void BM_KnnQueryBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(queries.rows()));
 }
 BENCHMARK(BM_KnnQueryBatch)->Arg(1000)->Arg(10000);
+
+// The retarget-eval shape: 1,000 classes of 20 rows (dim 32, one shard),
+// k = 40, 512 queries per rank_batch. The scan is exhaustive, so every
+// query touches every class and its finalize orders ~1,000 classes, a
+// share of the query cost BM_KnnQueryBatch's 100 classes never reach.
+void BM_KnnQueryBatchAllTouched(benchmark::State& state) {
+  util::Rng rng(29);
+  const std::size_t dim = 32;
+  const core::ShardedReferenceSet refs = synthetic_refs(20000, dim, rng, 1, 1000);
+  const core::KnnClassifier knn(40);
+  const nn::Matrix queries = random_unit_queries(512, dim, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(knn.rank_batch(refs, queries));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(queries.rows()));
+}
+BENCHMARK(BM_KnnQueryBatchAllTouched)->Unit(benchmark::kMillisecond);
 
 // Batched dataset embedding at 1k/10k samples (one GEMM per layer).
 void BM_EmbedDatasetBatch(benchmark::State& state) {

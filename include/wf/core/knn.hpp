@@ -75,9 +75,9 @@ std::vector<std::vector<RankedLabel>> merge_slice_scans(std::span<const int> lab
 // Queries run shard-by-shard against any ReferenceStore: one blocked GEMM
 // tile per shard (distances via ‖q‖² + ‖r‖² − 2·q·r with the reference
 // norms cached per shard) feeding one top-k candidate heap per query across
-// all its shards, and a finalize that sorts only the classes the scan
-// reached — votes and per-class nearest distances are identical to a single
-// unsharded scan.
+// all its shards, and a finalize that orders only the classes the scan
+// reached, in O(touched) — votes and per-class nearest distances are
+// identical to a single unsharded scan.
 // Query tiles are spread across the thread pool; on an exhaustive store, a
 // batch of fewer tiles than pool threads (rank() is a one-row rank_batch)
 // also splits each tile's shards into groups scanned in parallel and folded
@@ -94,9 +94,14 @@ class KnnClassifier {
 
   // One ranking per row of `queries` (queries.cols() == references.dim()):
   // the first min(depth, n_class_ids) entries of the total ranking, bit for
-  // bit (labels, votes, distances, order). Finalize partial-sorts the
-  // touched classes to `depth` and appends the label-ordered untouched tail
-  // only when `depth` reaches past them; kTotalRanking is today's full sort.
+  // bit (labels, votes, distances, order). Finalize sorts the voted classes
+  // (at most k) by (votes, distance, label), orders the touched classes
+  // without votes by (distance, label) with a stable radix sort over label
+  // rank and an order-preserving distance key (a comparison sort when fewer
+  // than 64), and follows them with the label-ordered untouched tail.
+  // `depth` only truncates: the tail is walked only as far as it reaches,
+  // and the touched classes without votes are not sorted when the voted
+  // ones fill it.
   //
   // depth == 1 with k >= 1 skips the per-class rows altogether: the scan
   // keeps only each query's k-heap, and the front is the voted class best by

@@ -15,8 +15,10 @@
 // (dist, key) candidates across every shard it scans — the standard IVF
 // per-query heap — plus, for rankings, a per-class nearest-distance row and
 // the list of class ids whose nearest distance dropped below kFar. Callers
-// finalize straight from the heap and only ever sort the touched classes; a
-// depth-1 ranking skips the per-class row and reads the heap alone.
+// finalize straight from the heap and order only the touched classes, in
+// O(touched): the at most k voted ones by comparison, the rest by a radix
+// sort (by comparison when they are few). A depth-1 ranking skips the
+// per-class row and reads the heap alone.
 //
 // Scheduling (for_each_tile): a batch of at least as many query tiles as
 // the pool has threads runs one tile per task. A smaller batch over an

@@ -1,10 +1,13 @@
 #include "core/knn.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "core/scan_tiles.hpp"
 #include "util/check.hpp"
@@ -19,57 +22,122 @@ bool ranked_before(const RankedLabel& a, const RankedLabel& b) {
   return a.label < b.label;
 }
 
-// The class-id space of one call: labels by id, and (label, id) pairs in
-// ascending label order — the order of the untouched tail of every ranking.
+// The class-id space of one call: (label, id) pairs in ascending label
+// order — the order of the untouched tail of every ranking — and each id's
+// label rank, its position in that order.
 struct ClassOrder {
-  std::vector<int> labels;
   std::vector<std::pair<int, std::uint32_t>> by_label;
+  std::vector<std::uint32_t> rank;
 
   template <typename LabelOf>
-  ClassOrder(std::size_t n_ids, LabelOf label_of) : labels(n_ids), by_label(n_ids) {
-    for (std::size_t id = 0; id < n_ids; ++id) {
-      labels[id] = label_of(id);
-      by_label[id] = {labels[id], static_cast<std::uint32_t>(id)};
-    }
+  ClassOrder(std::size_t n_ids, LabelOf label_of) : by_label(n_ids), rank(n_ids) {
+    for (std::size_t id = 0; id < n_ids; ++id)
+      by_label[id] = {label_of(id), static_cast<std::uint32_t>(id)};
     std::sort(by_label.begin(), by_label.end());
+    for (std::size_t r = 0; r < n_ids; ++r)
+      rank[by_label[r].second] = static_cast<std::uint32_t>(r);
   }
+
+  int label_of(std::size_t id) const { return by_label[rank[id]].first; }
 };
+
+// The order-preserving image of a distance (M. Herf, "Radix Tricks", 2001):
+// unsigned order of the keys is numeric order of the values. The sign bit of
+// a non-negative value is set, every bit of a negative one flipped; -0.0
+// folds into +0.0 first, since the two compare equal. Never called on NaN.
+std::uint64_t distance_key(double d) {
+  const auto bits = std::bit_cast<std::uint64_t>(d == 0.0 ? 0.0 : d);
+  return bits ^ ((std::uint64_t{0} - (bits >> 63)) | (std::uint64_t{1} << 63));
+}
+
+// A touched class without votes, as sort_unvoted sees it.
+struct Unvoted {
+  std::uint64_t key;   // distance_key of its nearest distance
+  std::uint32_t rank;  // its label rank
+};
+
+// Fewest items sort_unvoted radix-sorts: the radix sort's fixed cost (its
+// twelve histograms and their prefix sums, ~1 µs) loses to a comparison
+// sort below about 64 items. Without this cutoff bench_micro's BM_KnnQuery
+// (one query over 32 classes) read 8.9 -> 10.0 µs.
+constexpr std::size_t kRadixMinItems = 64;
+
+// Sorts `items` by (key, rank) ascending — (distance, label). From
+// kRadixMinItems on, a stable LSD radix over bytes: the four bytes of the
+// rank first, then the eight of the key. One pass counts every byte's
+// histogram; a byte that every item shares moves nothing, so its pass is
+// skipped. `spare` is scratch.
+void sort_unvoted(std::vector<Unvoted>& items, std::vector<Unvoted>& spare) {
+  if (items.size() < kRadixMinItems) {
+    std::sort(items.begin(), items.end(), [](const Unvoted& a, const Unvoted& b) {
+      return a.key != b.key ? a.key < b.key : a.rank < b.rank;
+    });
+    return;
+  }
+  std::array<std::array<std::uint32_t, 256>, 12> count{};
+  for (const Unvoted& u : items) {
+    for (std::size_t b = 0; b < 4; ++b) ++count[b][(u.rank >> (8 * b)) & 0xff];
+    for (std::size_t b = 0; b < 8; ++b) ++count[4 + b][(u.key >> (8 * b)) & 0xff];
+  }
+  spare.resize(items.size());
+  const auto pass = [&](std::array<std::uint32_t, 256>& slot, auto byte_of) {
+    if (slot[byte_of(items.front())] == items.size()) return;
+    std::uint32_t sum = 0;
+    for (std::uint32_t& c : slot) sum += std::exchange(c, sum);
+    for (const Unvoted& u : items) spare[slot[byte_of(u)]++] = u;
+    items.swap(spare);
+  };
+  for (std::size_t b = 0; b < 4; ++b)
+    pass(count[b], [b](const Unvoted& u) { return (u.rank >> (8 * b)) & 0xff; });
+  for (std::size_t b = 0; b < 8; ++b)
+    pass(count[4 + b], [b](const Unvoted& u) { return (u.key >> (8 * b)) & 0xff; });
+}
 
 // Emits the first `depth` entries of one query's total ranking from its k
 // best candidates (`kbest`, any order) and its per-class nearest distances
-// (`best`, kFar except at the first n_touched ids of `touched`). An
-// untouched class has no votes and distance kFar, so it sorts after every
-// touched one and among its peers by label alone: only the touched classes
-// are sorted (to `depth`), and the rest follow in the precomputed label
-// order only when `depth` reaches past them. A voted class whose best
-// stayed at kFar (a NaN distance, or a peer's inconsistent slice) is
-// appended to `touched`, which has room for every class id, so a total
-// ranking always holds every class exactly once.
-void finalize(const std::vector<Candidate>& kbest, const double* best, std::uint32_t* touched,
-              std::size_t n_touched, const ClassOrder& order, std::size_t depth,
-              std::vector<RankedLabel>& out) {
-  const std::size_t n_ids = order.labels.size();
+// (`best`, kFar except at the first n_touched ids of `touched`). The voted
+// classes (at most k) lead, sorted by ranked_before. The touched classes
+// without votes follow by (distance, label), ordered by sort_unvoted.
+// An untouched class has no votes and distance kFar, so the rest follow in
+// the precomputed label order. A voted class whose best stayed at kFar (a
+// NaN distance, or a peer's inconsistent slice) is among the voted, so a
+// total ranking holds every class exactly once. Depth only truncates.
+void finalize(const std::vector<Candidate>& kbest, const double* best,
+              const std::uint32_t* touched, std::size_t n_touched, const ClassOrder& order,
+              std::size_t depth, std::vector<RankedLabel>& out) {
+  const std::size_t n_ids = order.rank.size();
   thread_local std::vector<int> votes;  // all zero between calls
+  thread_local std::vector<RankedLabel> voted;
+  thread_local std::vector<Unvoted> unvoted, spare;
   if (votes.size() < n_ids) votes.resize(n_ids, 0);
+  voted.clear();
   for (const Candidate& c : kbest) {
     const std::size_t id = detail::class_of(c);
     WF_DCHECK(id < n_ids, "finalize: candidate class id out of range");
-    if (votes[id]++ == 0 && !(best[id] < kFar))
-      touched[n_touched++] = static_cast<std::uint32_t>(id);
+    ++votes[id];
   }
+  for (const Candidate& c : kbest) {
+    const std::size_t id = detail::class_of(c);
+    if (votes[id] <= 0) continue;  // class already weighed
+    voted.push_back({order.label_of(id), votes[id], best[id]});
+    votes[id] = -votes[id];  // still nonzero: not among the unvoted
+  }
+  std::sort(voted.begin(), voted.end(), ranked_before);
   const std::size_t n_out = std::min(depth, n_ids);
   out.clear();
-  out.reserve(std::max(n_touched, n_out));
-  for (std::size_t t = 0; t < n_touched; ++t)
-    out.push_back({order.labels[touched[t]], votes[touched[t]], best[touched[t]]});
-  // ranked_before is a total order (labels are distinct), so the partial
-  // sort's prefix is the full sort's prefix.
-  if (n_out < out.size()) {
-    const auto mid = out.begin() + static_cast<std::ptrdiff_t>(n_out);
-    std::partial_sort(out.begin(), mid, out.end(), ranked_before);
-    out.erase(mid, out.end());
-  } else {
-    std::sort(out.begin(), out.end(), ranked_before);
+  out.reserve(n_out);
+  out.insert(out.end(), voted.begin(),
+             voted.begin() + static_cast<std::ptrdiff_t>(std::min(n_out, voted.size())));
+  if (out.size() < n_out) {
+    unvoted.clear();
+    for (std::size_t t = 0; t < n_touched; ++t)
+      if (votes[touched[t]] == 0)
+        unvoted.push_back({distance_key(best[touched[t]]), order.rank[touched[t]]});
+    sort_unvoted(unvoted, spare);
+    for (auto it = unvoted.begin(); out.size() < n_out && it != unvoted.end(); ++it) {
+      const auto [label, id] = order.by_label[it->rank];
+      out.push_back({label, 0, best[id]});
+    }
   }
   // An exhaustive scan touches every class: no tail.
   for (auto it = order.by_label.begin(); out.size() < n_out && it != order.by_label.end(); ++it)

@@ -5,6 +5,7 @@
 // exits nonzero.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <initializer_list>
@@ -79,6 +80,13 @@ struct LabeledRow {
   int label = 0;
 };
 
+// The ranking order: votes descending, then distance, then label.
+inline bool ranked_before(const core::RankedLabel& a, const core::RankedLabel& b) {
+  if (a.votes != b.votes) return a.votes > b.votes;
+  if (a.distance != b.distance) return a.distance < b.distance;
+  return a.label < b.label;
+}
+
 // Straightforward reimplementation of the ranking contract: linear scan
 // with double-precision distances, map-based but same vote/tie rules
 // (ties on distance go to the earlier-inserted row).
@@ -103,12 +111,7 @@ inline std::vector<core::RankedLabel> brute_force_rank(const std::vector<Labeled
   }
   std::vector<core::RankedLabel> ranking;
   for (const auto& [label, s] : stats) ranking.push_back({label, s.votes, s.best});
-  std::sort(ranking.begin(), ranking.end(),
-            [](const core::RankedLabel& a, const core::RankedLabel& b) {
-              if (a.votes != b.votes) return a.votes > b.votes;
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.label < b.label;
-            });
+  std::sort(ranking.begin(), ranking.end(), ranked_before);
   return ranking;
 }
 
@@ -159,14 +162,54 @@ namespace wf::test {
 
 using Rankings = std::vector<std::vector<core::RankedLabel>>;
 
+// Bitwise equality of two sets of rankings (RankedLabel has no padding).
+inline bool same_bits(const Rankings& a, const Rankings& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t q = 0; q < a.size(); ++q)
+    if (!same_bits(a[q], b[q])) return false;
+  return true;
+}
+
+// The finalize oracle: every query's total ranking rebuilt from `scan`, a
+// scan of a whole store (one slice, or a hand-built SliceScan). Each class
+// its candidates voted for or its nearest list reached is weighed by its
+// candidate count and its nearest distance (kFar when unreached), and
+// std::sort-ed by ranked_before; every other class follows in label order
+// with no votes and distance kFar.
+inline Rankings reference_rankings(std::span<const int> labels_by_id,
+                                   const core::SliceScan& scan) {
+  const std::size_t n_ids = labels_by_id.size();
+  constexpr std::uint64_t kClassMask = (std::uint64_t{1} << core::kCandidateClassBits) - 1;
+  Rankings rankings(scan.candidates.size());
+  for (std::size_t q = 0; q < rankings.size(); ++q) {
+    std::vector<int> votes(n_ids, 0);
+    std::vector<double> best(n_ids, core::kFar);
+    for (const core::Candidate& c : scan.candidates[q]) ++votes[c.second & kClassMask];
+    for (const auto& [id, d] : scan.nearest[q]) best[id] = d;
+    std::vector<core::RankedLabel> tail;
+    for (std::size_t id = 0; id < n_ids; ++id)
+      (votes[id] > 0 || best[id] < core::kFar ? rankings[q] : tail)
+          .push_back({labels_by_id[id], votes[id], best[id]});
+    std::sort(rankings[q].begin(), rankings[q].end(), ranked_before);
+    std::sort(tail.begin(), tail.end(), [](const core::RankedLabel& a,
+                                           const core::RankedLabel& b) {
+      return a.label < b.label;
+    });
+    rankings[q].insert(rankings[q].end(), tail.begin(), tail.end());
+  }
+  return rankings;
+}
+
 // The depth contract: to depth D every query's ranking is the first
 // min(D, classes) entries of its total ranking, bit for bit, for D in
-// {1, 2, 10, n_ids, n_ids + 3}. `ranked(D)` returns the rankings to depth D.
+// {1, 2, 10, n_ids / 2, n_ids - 1, n_ids, n_ids + 3}; the middle two stop
+// inside the untouched tail of a pruned store. `ranked(D)` returns the
+// rankings to depth D.
 template <typename RankedTo>
 void check_depth_prefixes_of(std::size_t n_ids, RankedTo&& ranked) {
   const Rankings total = ranked(core::kTotalRanking);
-  for (const std::size_t depth : {std::size_t{1}, std::size_t{2}, std::size_t{10}, n_ids,
-                                  n_ids + 3}) {
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{2}, std::size_t{10}, n_ids / 2,
+                                  n_ids - 1, n_ids, n_ids + 3}) {
     const Rankings got = ranked(depth);
     CHECK(got.size() == total.size());
     for (std::size_t q = 0; q < got.size() && q < total.size(); ++q) {

@@ -30,6 +30,17 @@
 // Every scan_slice there must be in canonical form (candidates ascending,
 // nearest by class id), so split and unsplit scans compare equal.
 //
+// The finalize oracle: test::reference_rankings rebuilds each total
+// ranking from a canonical one-slice scan with std::sort. rank_batch and
+// merge_slice_scans must equal it bit for bit, at every depth, on an
+// exhaustive store at S = 1 and 4, IVF at P < C, a MappedIndex and a store
+// after remove_class (labels no longer ascend with ids). Hand-built scans
+// fed to merge_slice_scans add exact distance ties across classes whose
+// labels run opposite to their ids, -0.0 beside +0.0, negative, subnormal
+// and just-below-kFar distances, 63 and 64 touched classes (either side of
+// the cutoff below which finalize sorts by comparison), and 255, 256, 257
+// and 65,537 classes (1, 2 and 3 label-rank bytes of its radix sort).
+//
 // merge_slice_scans' input checks: a class-id space mismatch, a query
 // count that disagrees across slices or within one, and a candidate or
 // nearest class id outside the space must each throw.
@@ -43,6 +54,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -134,19 +146,6 @@ std::vector<int> labels_by_id(const core::ReferenceStore& store) {
   return labels;
 }
 
-bool same_rankings(const std::vector<std::vector<core::RankedLabel>>& a,
-                   const std::vector<std::vector<core::RankedLabel>>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t q = 0; q < a.size(); ++q) {
-    if (a[q].size() != b[q].size()) return false;
-    for (std::size_t i = 0; i < a[q].size(); ++i)
-      if (a[q][i].label != b[q][i].label || a[q][i].votes != b[q][i].votes ||
-          a[q][i].distance != b[q][i].distance)
-        return false;
-  }
-  return true;
-}
-
 // scan_slice's canonical form: candidates ascending, nearest by ascending
 // class id, every nearest distance below kFar.
 bool canonical(const core::SliceScan& scan) {
@@ -198,7 +197,7 @@ struct Case {
   // on the warm pool and compare with the fresh-scratch answer.
   void check(int op, const nn::Matrix& queries) const {
     if (op == 0) {
-      CHECK(same_rankings(knn.rank_batch(*store, queries), rankings));
+      CHECK(test::same_bits(knn.rank_batch(*store, queries), rankings));
     } else if (op == 1) {
       std::vector<core::SliceScan> warm;
       for (std::size_t slice = 0; slice < kSlices; ++slice) {
@@ -206,7 +205,7 @@ struct Case {
         CHECK(test::same_bits(warm.back(), slices[slice]));
       }
       const std::vector<int> labels = labels_by_id(*store);
-      CHECK(same_rankings(core::merge_slice_scans(labels, knn.k(), store->size(), warm),
+      CHECK(test::same_bits(core::merge_slice_scans(labels, knn.k(), store->size(), warm),
                           rankings));
     } else {
       CHECK(detector.kth_distances(*store, queries) == kth);
@@ -249,8 +248,8 @@ void check_split(const core::ReferenceStore& store, int k, const nn::Matrix& pad
   for (const std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{31}, std::size_t{33}}) {
     const nn::Matrix queries = first_rows(padded, m);
     const auto total = knn.rank_batch(store, queries);
-    CHECK(same_rankings(total, prefix(ranked, m)));
-    CHECK(same_rankings(knn.rank_batch(store, queries, 1), prefix(fronts, m)));
+    CHECK(test::same_bits(total, prefix(ranked, m)));
+    CHECK(test::same_bits(knn.rank_batch(store, queries, 1), prefix(fronts, m)));
     test::check_depth_prefixes(knn, store, queries);
     CHECK(test::same_bits(detector.kth_distances(store, queries), prefix(kth, m)));
     std::vector<core::SliceScan> slices;
@@ -259,7 +258,7 @@ void check_split(const core::ReferenceStore& store, int k, const nn::Matrix& pad
       CHECK(canonical(slices.back()));
       CHECK(test::same_bits(slices.back(), prefix(padded_slices[slice], m)));
     }
-    CHECK(same_rankings(core::merge_slice_scans(labels, k, store.size(), slices), total));
+    CHECK(test::same_bits(core::merge_slice_scans(labels, k, store.size(), slices), total));
     test::check_merge_depth_prefixes(labels, k, store.size(), slices);
   }
 }
@@ -288,7 +287,7 @@ void merge_rejections(const core::ReferenceStore& store, const nn::Matrix& queri
   const auto merge = [&](const std::vector<core::SliceScan>& slices) {
     return core::merge_slice_scans(labels, knn.k(), store.size(), slices);
   };
-  CHECK(same_rankings(merge(good), knn.rank_batch(store, queries)));
+  CHECK(test::same_bits(merge(good), knn.rank_batch(store, queries)));
   const auto rejected = [&](auto&& tamper) {
     std::vector<core::SliceScan> slices = good;
     tamper(slices);
@@ -388,6 +387,161 @@ void split_oracle(util::Rng& rng) {
             << " shard groups\n";
 }
 
+// The finalize oracle over one store: rank_batch and merge_slice_scans
+// (one slice and kSlices slices) must equal test::reference_rankings of
+// the store's canonical one-slice scan bit for bit, and their depth
+// prefixes the total rankings.
+void check_reference(const core::ReferenceStore& store, int k, const nn::Matrix& queries) {
+  const core::KnnClassifier knn(k);
+  const std::vector<int> labels = labels_by_id(store);
+  const core::SliceScan whole = knn.scan_slice(store, queries, 0, 1);
+  const test::Rankings want = test::reference_rankings(labels, whole);
+  CHECK(test::same_bits(knn.rank_batch(store, queries), want));
+  CHECK(test::same_bits(core::merge_slice_scans(labels, k, store.size(), {whole}), want));
+  std::vector<core::SliceScan> slices;
+  for (std::size_t slice = 0; slice < kSlices; ++slice)
+    slices.push_back(knn.scan_slice(store, queries, slice, kSlices));
+  CHECK(test::same_bits(core::merge_slice_scans(labels, k, store.size(), slices), want));
+  test::check_depth_prefixes(knn, store, queries);
+  test::check_merge_depth_prefixes(labels, k, store.size(), slices);
+}
+
+// Hand-built scans of `labels.size()` classes for merge_slice_scans: the
+// one-slice scan and its split into two slices (alternate candidates and
+// nearest entries) must both equal test::reference_rankings of the scan,
+// at every depth. The candidates are all kept (k = their count).
+void check_hand_built(const std::vector<int>& labels, const core::SliceScan& scan) {
+  std::size_t k = 0;
+  for (const std::vector<core::Candidate>& candidates : scan.candidates)
+    k = std::max(k, candidates.size());
+  const int kk = static_cast<int>(k);
+  const std::size_t n_total = std::size_t{1} << 30;
+  const test::Rankings want = test::reference_rankings(labels, scan);
+  CHECK(test::same_bits(core::merge_slice_scans(labels, kk, n_total, {scan}), want));
+  std::vector<core::SliceScan> halves(2);
+  for (std::size_t h = 0; h < 2; ++h) {
+    halves[h].n_class_ids = scan.n_class_ids;
+    halves[h].candidates.resize(scan.candidates.size());
+    halves[h].nearest.resize(scan.nearest.size());
+  }
+  for (std::size_t q = 0; q < scan.candidates.size(); ++q) {
+    for (std::size_t i = 0; i < scan.candidates[q].size(); ++i)
+      halves[i % 2].candidates[q].push_back(scan.candidates[q][i]);
+    for (std::size_t i = 0; i < scan.nearest[q].size(); ++i)
+      halves[i % 2].nearest[q].push_back(scan.nearest[q][i]);
+  }
+  CHECK(test::same_bits(core::merge_slice_scans(labels, kk, n_total, halves), want));
+  test::check_merge_depth_prefixes(labels, kk, n_total, halves);
+}
+
+// One query's scan: `voted` (class id, votes) pairs become candidates, and
+// `nearest` (class id, distance) pairs the nearest list, sorted by id.
+core::SliceScan hand_scan(std::size_t n_ids,
+                          const std::vector<std::pair<std::uint32_t, int>>& voted,
+                          std::vector<core::ClassNearest> nearest) {
+  core::SliceScan scan;
+  scan.n_class_ids = n_ids;
+  scan.candidates.resize(1);
+  std::uint64_t gid = 0;
+  for (const auto& [id, votes] : voted)
+    for (int v = 0; v < votes; ++v, ++gid)
+      scan.candidates[0].emplace_back(0.5 * static_cast<double>(gid),
+                                      core::detail::pack_key(gid, static_cast<int>(id)));
+  std::sort(nearest.begin(), nearest.end());
+  scan.nearest.push_back(std::move(nearest));
+  return scan;
+}
+
+// Class labels by id: a shuffled permutation of 10 * (0..n_ids), so label
+// order is not id order.
+std::vector<int> shuffled_labels(util::Rng& rng, std::size_t n_ids) {
+  std::vector<int> labels(n_ids);
+  for (std::size_t id = 0; id < n_ids; ++id) labels[id] = 10 * static_cast<int>(id);
+  for (std::size_t i = n_ids; i > 1; --i) std::swap(labels[i - 1], labels[rng.index(i)]);
+  return labels;
+}
+
+void finalize_oracle(util::Rng& rng) {
+  nn::Matrix queries(40, kDim);
+  for (std::size_t q = 0; q < queries.rows(); ++q) queries.set_row(q, random_point(rng));
+  std::vector<float> nan_row(kDim, 0.0f);
+  nan_row[5] = std::nanf("");
+  queries.set_row(7, nan_row);  // its voted classes keep distance kFar
+
+  const core::ShardedReferenceSet one = make_store(rng, 120, 6, 1);
+  const core::ShardedReferenceSet four = make_store(rng, 120, 6, 4);
+  check_reference(one, 5, queries);
+  check_reference(four, 40, queries);
+  index::IvfConfig config;
+  config.clusters = 8;
+  config.probes = 3;
+  const index::IvfReferenceStore pruned(four, config);
+  check_reference(pruned, 40, queries);
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("wf_test_scan_reference_" + std::to_string(::getpid()) + ".wfx"))
+                               .string();
+  index::write_index_file(path, pruned);
+  const std::unique_ptr<core::ReferenceStore> mapped = index::open_index(path, config.probes);
+  CHECK(dynamic_cast<const index::MappedIndex*>(mapped.get()) != nullptr);
+  check_reference(*mapped, 7, queries);
+  std::filesystem::remove(path);
+  // Labels ascend with ids until a removal moves the last class id into
+  // the freed slot.
+  core::ShardedReferenceSet removed(kDim, 2);
+  for (int c = 0; c < 90; ++c) {
+    const std::vector<float> centre = random_point(rng);
+    for (int r = 0; r < 4; ++r) removed.add(centre, c);
+  }
+  removed.remove_class(3);
+  const std::vector<int> after = labels_by_id(removed);
+  CHECK(!std::is_sorted(after.begin(), after.end()));
+  check_reference(removed, 9, queries);
+
+  // Exact ties: voted and unvoted classes at equal distances, labels
+  // running opposite to ids (the fold touches them in id order).
+  const std::vector<int> opposite = {60, 50, 40, 30, 20, 10, 0};
+  check_hand_built(opposite, hand_scan(7, {{4, 2}, {1, 2}, {6, 1}, {2, 1}},
+                                       {{4, 1.0}, {1, 1.0}, {6, 2.0}, {2, 2.0}, {5, 3.0},
+                                        {0, 3.0}, {3, 3.0}}));
+  // -0.0 beside +0.0 (equal, so ordered by label: the +0.0 class has the
+  // larger id but the smaller label), negative distances as a peer's PART
+  // can carry them, subnormals, and distances just below kFar.
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double below_far = std::nextafter(core::kFar, 0.0);
+  check_hand_built(opposite,
+                   hand_scan(7, {},
+                             {{0, -0.0}, {6, 0.0}, {1, -2.5},
+                              {5, -std::numeric_limits<double>::infinity()}, {2, denorm},
+                              {3, 3 * denorm}, {4, below_far}}));
+  check_hand_built(opposite,
+                   hand_scan(7, {{3, 1}},
+                             {{0, 0.0}, {6, -0.0}, {1, -denorm}, {5, -0.0}, {2, denorm},
+                              {4, below_far}, {3, std::nextafter(below_far, 0.0)}}));
+  // Distances drawn from few values, so many tie, some negative, zero or
+  // subnormal. 63 and 64 classes, every one touched and none voted, sit
+  // either side of finalize's comparison-sort cutoff; at 255, 256, 257 and
+  // 65,537 classes, most touched, the radix sort runs over 1, 2 and 3
+  // label-rank bytes.
+  const double values[] = {-1.5, -0.0, 0.0, denorm, 0.25, 0.25 + 1e-12, 1.0, 7.0, below_far};
+  for (const std::size_t n_ids : {std::size_t{63}, std::size_t{64}}) {
+    std::vector<core::ClassNearest> nearest;
+    for (std::uint32_t id = 0; id < n_ids; ++id)
+      nearest.emplace_back(id, values[rng.index(std::size(values))]);
+    check_hand_built(shuffled_labels(rng, n_ids), hand_scan(n_ids, {}, std::move(nearest)));
+  }
+  for (const std::size_t n_ids : {std::size_t{255}, std::size_t{256}, std::size_t{257},
+                                  std::size_t{65537}}) {
+    const std::vector<int> labels = shuffled_labels(rng, n_ids);
+    std::vector<std::pair<std::uint32_t, int>> voted;
+    for (int v = 0; v < 6; ++v)
+      voted.emplace_back(static_cast<std::uint32_t>(rng.index(n_ids)), 1 + v % 3);
+    std::vector<core::ClassNearest> nearest;
+    for (std::uint32_t id = 0; id < n_ids; ++id)
+      if (rng.index(10) != 0) nearest.emplace_back(id, values[rng.index(std::size(values))]);
+    check_hand_built(labels, hand_scan(n_ids, voted, std::move(nearest)));
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -448,6 +602,7 @@ int main() {
 
   merge_rejections(wide, first_rows(queries, 3));
   split_oracle(rng);
+  finalize_oracle(rng);
 
   std::cout << "pool threads: " << util::global_pool().size() << "\n";
   return TEST_MAIN_RESULT();
