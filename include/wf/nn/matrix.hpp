@@ -94,7 +94,8 @@ inline double squared_distance(std::span<const float> a, std::span<const float> 
 // Blocked GEMM kernels behind the batched hot paths. All of them compute
 // each output element with a fixed operation order that does not depend on
 // the thread count, so parallel and serial runs are bit-identical. Passing
-// pool = nullptr uses util::global_pool().
+// pool = nullptr uses util::global_pool(). A GEMM with fewer than ~2M
+// multiply-adds (every training-step GEMM) runs on the calling thread.
 
 // c = a · bᵀ (b stored row-major as n x k, i.e. one reference per row).
 // a: m x k, c: m x n. Row blocks of a run through gemm_nt_serial.
@@ -102,7 +103,9 @@ void matmul_transposed(const Matrix& a, const Matrix& b, Matrix& c,
                        util::ThreadPool* pool = nullptr);
 Matrix matmul_transposed(const Matrix& a, const Matrix& b);
 
-// c = a · b. a: m x k, b: k x n, c: m x n.
+// c = a · b. a: m x k, b: k x n, c: m x n. This and matmul_at_b run the
+// active SIMD mode's nn::detail::AxpyRowsFn, so a zero entry of a adds
+// nothing to c.
 void matmul(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate = false,
             util::ThreadPool* pool = nullptr);
 Matrix matmul(const Matrix& a, const Matrix& b);

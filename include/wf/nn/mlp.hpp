@@ -38,30 +38,31 @@ class Mlp {
   // Batched inference: one GEMM per layer over x (one sample per row).
   Matrix forward_batch(const Matrix& x) const;
 
-  // Per-sample activation cache for backprop: post[l] is the output of layer
-  // l after its activation (post.back() is the network output).
+  // Per-sample activations: post[l] is the output of layer l after its
+  // activation (post.back() is the network output).
   struct Activations {
     std::vector<std::vector<float>> post;
   };
   std::vector<float> forward_cached(std::span<const float> x, Activations& acts) const;
 
-  // Batched activation cache: post[l] holds one row per sample.
+  // Batched activation cache for backward_batch: post[l] holds one row per
+  // sample. The batched calls shard large batches over `pool` (nullptr: the
+  // global pool); the result does not depend on the pool.
   struct BatchActivations {
     std::vector<Matrix> post;
   };
-  const Matrix& forward_batch_cached(const Matrix& x, BatchActivations& acts) const;
-
-  // Accumulate parameter gradients for one sample given dLoss/dOutput.
-  void backward(std::span<const float> x, const Activations& acts,
-                std::span<const float> grad_output);
+  const Matrix& forward_batch_cached(const Matrix& x, BatchActivations& acts,
+                                     util::ThreadPool* pool = nullptr) const;
 
   // Accumulate parameter gradients for a whole batch (one row per sample)
-  // via GEMMs; equivalent to calling backward() per row.
-  void backward_batch(const Matrix& x, const BatchActivations& acts,
-                      const Matrix& grad_output);
+  // via GEMMs: gradients add up in sample order, and a zero gradient entry
+  // adds nothing (nn::detail::AxpyRowsFn).
+  void backward_batch(const Matrix& x, const BatchActivations& acts, const Matrix& grad_output,
+                      util::ThreadPool* pool = nullptr);
 
   void zero_grad();
-  // Adam step on the averaged accumulated gradients, then clears them.
+  // Adam step on the averaged accumulated gradients, then clears them. Runs
+  // the active SIMD mode's nn::detail::AdamFn, bit-identical in every mode.
   void adam_step(double learning_rate);
 
   std::size_t parameter_count() const;
@@ -79,10 +80,6 @@ class Mlp {
   std::vector<Layer> layers_;
   int adam_t_ = 0;
   int grad_samples_ = 0;
-
-  // Scalar-backward scratch, reused across calls to avoid per-sample churn.
-  std::vector<float> bwd_grad_;
-  std::vector<float> bwd_grad_in_;
 };
 
 }  // namespace wf::nn

@@ -1,6 +1,6 @@
 #pragma once
 
-// Runtime-dispatched SIMD distance kernels. The hot dot product behind
+// Runtime-dispatched SIMD kernels. The hot dot product behind
 // gemm_nt_serial / matmul_transposed comes in three flavours — scalar (the
 // original eight-lane form), AVX2 and NEON — selected once per process from
 // WF_SIMD=auto|avx2|neon|scalar (auto picks the widest supported unit).
@@ -22,6 +22,26 @@
 // the same tree as above, so the tile is bit-identical to the per-pair
 // kernel. Rows past the last full tile, and the scalar and NEON modes, call
 // the per-pair kernel for every row.
+//
+// The training kernels follow the same rule: one scalar loop is the
+// WF_SIMD=scalar oracle and the AVX2 twin replays its operations exactly.
+//   - AxpyRowsFn, behind matmul and matmul_at_b (the backward pass): for
+//     each output element, the coefficients are added in index order, each
+//     as one multiply then one add (never fused), and a coefficient that
+//     compares equal to zero skips its whole row. The skip is part of the
+//     result, not a shortcut: it keeps a -0.0 output and keeps 0 * inf or
+//     0 * NaN out of the sum. Under AVX2 the kernel first compacts the
+//     non-zero coefficients (gradients are sparse: ReLU zeros, and pairs
+//     without loss give all-zero rows), then adds them into 64-column
+//     register tiles, then 8-column tiles. Leftover columns run the scalar
+//     sequence. The vectors only run across output columns, so no
+//     element's summation order changes.
+//   - AdamFn, behind Mlp::adam_step: one Adam update per element in double
+//     precision. The AVX2 twin does four elements at a time with the same
+//     float -> double -> float conversions, separate multiplies and adds,
+//     and IEEE division and square root (vdivpd, vsqrtpd), which round like
+//     their scalar forms.
+// The NEON mode runs the scalar training kernels.
 
 #include <cstddef>
 #include <cstdint>
@@ -62,6 +82,23 @@ DotFn dot_kernel(SimdMode mode);
 using DotRowsFn = void (*)(const float* a, const float* b, std::size_t n, std::size_t k,
                            float* out);
 DotRowsFn dot_rows_kernel(SimdMode mode);
+
+// out[j] += coef[t * coef_stride] * rows[t * n + j] for t = 0 .. count - 1
+// in order and every j < n, skipping each t whose coefficient == 0.0f.
+using AxpyRowsFn = void (*)(const float* coef, std::size_t coef_stride, std::size_t count,
+                            const float* rows, std::size_t n, float* out);
+AxpyRowsFn axpy_rows_kernel(SimdMode mode);
+
+// One Adam step's constants; `scale` turns the accumulated gradient into a
+// mean, bias1 and bias2 are the moment bias corrections of this step.
+struct AdamStep {
+  double beta1, beta2, eps, learning_rate, scale, bias1, bias2;
+};
+// Updates the n parameters w from their accumulated gradients g and their
+// moments m and v (see Mlp::adam_step).
+using AdamFn = void (*)(float* w, const float* g, float* m, float* v, std::size_t n,
+                        const AdamStep& step);
+AdamFn adam_kernel(SimdMode mode);
 }  // namespace detail
 
 }  // namespace wf::nn

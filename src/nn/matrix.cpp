@@ -1,5 +1,6 @@
 #include "nn/matrix.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "nn/simd.hpp"
@@ -17,8 +18,27 @@ namespace {
 constexpr std::size_t kRowBlock = 32;   // rows of a per task
 constexpr std::size_t kColBlock = 128;  // rows of b kept hot in cache
 
-util::ThreadPool& pool_or_global(util::ThreadPool* pool) {
-  return pool != nullptr ? *pool : util::global_pool();
+// Below this many multiply-adds (m * n * k) a GEMM runs on the calling
+// thread, because one pool fork/join (~20 us) costs about what it saves. The
+// value comes from a sweep of the three training shapes, serial against a
+// 4-thread pool on a 4-vCPU Xeon. Alone, GEMMs of 1.0-1.6M gained at most
+// ~20% from the pool, and pooling them made a whole training step slower.
+// From 2.4M up the pool won by 1.5-2x. Every training-step GEMM of the
+// default 192 -> 128 -> 64 -> 32 network (64 rows, at most
+// 64 * 192 * 128 = 1.6M) therefore runs serially, while embedding an
+// evaluation corpus is sharded, except thin layers such as 750 x 64 x 32.
+constexpr std::size_t kSerialWork = std::size_t{1} << 21;
+
+// Runs body over [0, rows) in kRowBlock blocks: on the pool, or inline when
+// the GEMM is smaller than kSerialWork. Both give the same bits, since every
+// output row is computed by one task in a fixed order.
+template <typename Body>
+void for_row_blocks(util::ThreadPool* pool, std::size_t rows, std::size_t work, Body&& body) {
+  if (work < kSerialWork) {
+    body(std::size_t{0}, rows);
+    return;
+  }
+  (pool != nullptr ? *pool : util::global_pool()).parallel_blocks(0, rows, kRowBlock, body);
 }
 
 }  // namespace
@@ -38,7 +58,7 @@ void matmul_transposed(const Matrix& a, const Matrix& b, Matrix& c, util::Thread
   if (b.cols() != k) throw std::invalid_argument("matmul_transposed: inner dim mismatch");
   if (c.rows() != m || c.cols() != n)
     throw std::invalid_argument("matmul_transposed: output shape mismatch");
-  pool_or_global(pool).parallel_blocks(0, m, kRowBlock, [&](std::size_t lo, std::size_t hi) {
+  for_row_blocks(pool, m, m * n * k, [&](std::size_t lo, std::size_t hi) {
     gemm_nt_serial(a.data() + lo * k, hi - lo, b.data(), n, k, c.data() + lo * n);
   });
 }
@@ -54,19 +74,13 @@ void matmul(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate,
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   if (b.rows() != k) throw std::invalid_argument("matmul: inner dim mismatch");
   if (c.rows() != m || c.cols() != n) throw std::invalid_argument("matmul: output shape mismatch");
-  pool_or_global(pool).parallel_blocks(0, m, kRowBlock, [&](std::size_t lo, std::size_t hi) {
+  const detail::AxpyRowsFn axpy_rows = detail::axpy_rows_kernel(simd_mode());
+  for_row_blocks(pool, m, m * n * k, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       float* out = c.data() + i * n;
-      if (!accumulate)
-        for (std::size_t j = 0; j < n; ++j) out[j] = 0.0f;
-      const float* ai = a.data() + i * k;
-      // axpy over rows of b: unit-stride inner loop, fixed order in l.
-      for (std::size_t l = 0; l < k; ++l) {
-        const float s = ai[l];
-        if (s == 0.0f) continue;
-        const float* bl = b.data() + l * n;
-        for (std::size_t j = 0; j < n; ++j) out[j] += s * bl[j];
-      }
+      if (!accumulate) std::fill(out, out + n, 0.0f);
+      // Row i of c sums the rows of b weighted by row i of a, in order.
+      axpy_rows(a.data() + i * k, 1, k, b.data(), n, out);
     }
   });
 }
@@ -83,19 +97,14 @@ void matmul_at_b(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate,
   if (b.rows() != m) throw std::invalid_argument("matmul_at_b: inner dim mismatch");
   if (c.rows() != r || c.cols() != n)
     throw std::invalid_argument("matmul_at_b: output shape mismatch");
-  pool_or_global(pool).parallel_blocks(0, r, kRowBlock, [&](std::size_t lo, std::size_t hi) {
+  const detail::AxpyRowsFn axpy_rows = detail::axpy_rows_kernel(simd_mode());
+  for_row_blocks(pool, r, m * r * n, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       float* out = c.data() + i * n;
-      if (!accumulate)
-        for (std::size_t j = 0; j < n; ++j) out[j] = 0.0f;
-      // Accumulate sample contributions in sample order: matches the
-      // per-sample backward exactly.
-      for (std::size_t s = 0; s < m; ++s) {
-        const float g = a(s, i);
-        if (g == 0.0f) continue;
-        const float* bs = b.data() + s * n;
-        for (std::size_t j = 0; j < n; ++j) out[j] += g * bs[j];
-      }
+      if (!accumulate) std::fill(out, out + n, 0.0f);
+      // Row i of c sums the sample rows of b weighted by column i of a, in
+      // sample order.
+      axpy_rows(a.data() + i, r, m, b.data(), n, out);
     }
   });
 }

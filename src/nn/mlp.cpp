@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/simd.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -74,11 +75,13 @@ Matrix Mlp::forward_batch(const Matrix& x) const {
   return forward_batch_cached(x, scratch);
 }
 
-const Matrix& Mlp::forward_batch_cached(const Matrix& x, BatchActivations& acts) const {
+const Matrix& Mlp::forward_batch_cached(const Matrix& x, BatchActivations& acts,
+                                        util::ThreadPool* pool) const {
   if (x.cols() != input_dim())
     throw std::invalid_argument("Mlp::forward_batch: input width mismatch");
   acts.post.resize(layers_.size());
   const std::size_t m = x.rows();
+  util::ThreadPool& workers = pool != nullptr ? *pool : util::global_pool();
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
     const bool last = (l + 1 == layers_.size());
@@ -86,9 +89,9 @@ const Matrix& Mlp::forward_batch_cached(const Matrix& x, BatchActivations& acts)
     Matrix& out = acts.post[l];
     const std::size_t width = layer.w.rows();
     if (out.rows() != m || out.cols() != width) out.resize(m, width);
-    matmul_transposed(in, layer.w, out);
+    matmul_transposed(in, layer.w, out, &workers);
     // Bias + activation epilogue, row-sharded.
-    util::global_pool().parallel_blocks(0, m, 256, [&](std::size_t lo, std::size_t hi) {
+    workers.parallel_blocks(0, m, 256, [&](std::size_t lo, std::size_t hi) {
       const float* bias = layer.b.data();
       for (std::size_t s = lo; s < hi; ++s) {
         float* row = out.data() + s * width;
@@ -102,42 +105,12 @@ const Matrix& Mlp::forward_batch_cached(const Matrix& x, BatchActivations& acts)
   return acts.post.back();
 }
 
-void Mlp::backward(std::span<const float> x, const Activations& acts,
-                   std::span<const float> grad_output) {
-  bwd_grad_.assign(grad_output.begin(), grad_output.end());
-  for (std::size_t li = layers_.size(); li-- > 0;) {
-    Layer& layer = layers_[li];
-    const bool last = (li + 1 == layers_.size());
-    // ReLU derivative on this layer's post-activation (linear for the head).
-    if (!last) {
-      const std::vector<float>& post = acts.post[li];
-      for (std::size_t r = 0; r < bwd_grad_.size(); ++r)
-        if (post[r] <= 0.0f) bwd_grad_[r] = 0.0f;
-    }
-    const std::span<const float> input =
-        (li == 0) ? x : std::span<const float>(acts.post[li - 1]);
-    bwd_grad_in_.assign(layer.w.cols(), 0.0f);
-    for (std::size_t r = 0; r < layer.w.rows(); ++r) {
-      const float g = bwd_grad_[r];
-      if (g == 0.0f) continue;
-      float* gwrow = layer.gw.data() + r * layer.gw.cols();
-      const float* wrow = layer.w.data() + r * layer.w.cols();
-      for (std::size_t c = 0; c < layer.w.cols(); ++c) {
-        gwrow[c] += g * input[c];
-        bwd_grad_in_[c] += g * wrow[c];
-      }
-      layer.gb[r] += g;
-    }
-    std::swap(bwd_grad_, bwd_grad_in_);
-  }
-  ++grad_samples_;
-}
-
 void Mlp::backward_batch(const Matrix& x, const BatchActivations& acts,
-                         const Matrix& grad_output) {
+                         const Matrix& grad_output, util::ThreadPool* pool) {
   const std::size_t m = x.rows();
   if (grad_output.rows() != m || grad_output.cols() != output_dim())
     throw std::invalid_argument("Mlp::backward_batch: grad shape mismatch");
+  util::ThreadPool& workers = pool != nullptr ? *pool : util::global_pool();
   Matrix grad = grad_output;
   Matrix grad_in;
   for (std::size_t li = layers_.size(); li-- > 0;) {
@@ -145,7 +118,7 @@ void Mlp::backward_batch(const Matrix& x, const BatchActivations& acts,
     const bool last = (li + 1 == layers_.size());
     if (!last) {
       const Matrix& post = acts.post[li];
-      util::global_pool().parallel_blocks(0, m, 256, [&](std::size_t lo, std::size_t hi) {
+      workers.parallel_blocks(0, m, 256, [&](std::size_t lo, std::size_t hi) {
         const std::size_t width = layer.w.rows();
         for (std::size_t s = lo; s < hi; ++s) {
           float* grow = grad.data() + s * width;
@@ -157,14 +130,14 @@ void Mlp::backward_batch(const Matrix& x, const BatchActivations& acts,
     }
     const Matrix& input = (li == 0) ? x : acts.post[li - 1];
     // gw += gradᵀ · input; gb += column sums of grad.
-    matmul_at_b(grad, input, layer.gw, /*accumulate=*/true);
+    matmul_at_b(grad, input, layer.gw, /*accumulate=*/true, &workers);
     for (std::size_t s = 0; s < m; ++s) {
       const float* grow = grad.data() + s * layer.w.rows();
       for (std::size_t r = 0; r < layer.w.rows(); ++r) layer.gb[r] += grow[r];
     }
     if (li > 0) {
       grad_in.resize(m, layer.w.cols());
-      matmul(grad, layer.w, grad_in);
+      matmul(grad, layer.w, grad_in, /*accumulate=*/false, &workers);
       std::swap(grad, grad_in);
     }
   }
@@ -181,38 +154,25 @@ void Mlp::zero_grad() {
 
 void Mlp::adam_step(double learning_rate) {
   if (grad_samples_ == 0) return;
-  constexpr double kBeta1 = 0.9, kBeta2 = 0.999, kEps = 1e-8;
   ++adam_t_;
-  const double scale = 1.0 / static_cast<double>(grad_samples_);
-  const double bias1 = 1.0 - std::pow(kBeta1, adam_t_);
-  const double bias2 = 1.0 - std::pow(kBeta2, adam_t_);
+  detail::AdamStep step{};
+  step.beta1 = 0.9;
+  step.beta2 = 0.999;
+  step.eps = 1e-8;
+  step.learning_rate = learning_rate;
+  step.scale = 1.0 / static_cast<double>(grad_samples_);
+  step.bias1 = 1.0 - std::pow(step.beta1, adam_t_);
+  step.bias2 = 1.0 - std::pow(step.beta2, adam_t_);
+  const detail::AdamFn adam = detail::adam_kernel(simd_mode());
   for (Layer& layer : layers_) {
     // Adam moments track the weight shape for the Mlp's whole life; a drift
     // here (e.g. a load() that skipped the moment reset) would silently
     // corrupt training.
     WF_DCHECK(layer.mw.rows() == layer.w.rows() && layer.mw.cols() == layer.w.cols(),
               "adam_step: moment/weight shape drift");
-    float* w = layer.w.data();
-    float* gw = layer.gw.data();
-    float* mw = layer.mw.data();
-    float* vw = layer.vw.data();
-    const std::size_t n = layer.w.rows() * layer.w.cols();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double g = gw[i] * scale;
-      mw[i] = static_cast<float>(kBeta1 * mw[i] + (1.0 - kBeta1) * g);
-      vw[i] = static_cast<float>(kBeta2 * vw[i] + (1.0 - kBeta2) * g * g);
-      const double mhat = mw[i] / bias1;
-      const double vhat = vw[i] / bias2;
-      w[i] -= static_cast<float>(learning_rate * mhat / (std::sqrt(vhat) + kEps));
-    }
-    for (std::size_t i = 0; i < layer.b.size(); ++i) {
-      const double g = layer.gb[i] * scale;
-      layer.mb[i] = static_cast<float>(kBeta1 * layer.mb[i] + (1.0 - kBeta1) * g);
-      layer.vb[i] = static_cast<float>(kBeta2 * layer.vb[i] + (1.0 - kBeta2) * g * g);
-      const double mhat = layer.mb[i] / bias1;
-      const double vhat = layer.vb[i] / bias2;
-      layer.b[i] -= static_cast<float>(learning_rate * mhat / (std::sqrt(vhat) + kEps));
-    }
+    adam(layer.w.data(), layer.gw.data(), layer.mw.data(), layer.vw.data(),
+         layer.w.rows() * layer.w.cols(), step);
+    adam(layer.b.data(), layer.gb.data(), layer.mb.data(), layer.vb.data(), layer.b.size(), step);
   }
   zero_grad();
 }

@@ -1,6 +1,8 @@
 #include "nn/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 
 #include "util/env.hpp"
 #include "util/log.hpp"
@@ -33,6 +35,32 @@ float dot_scalar(const float* a, const float* b, std::size_t k) {
   for (std::size_t i = k8; i < k; ++i) tail += a[i] * b[i];
   return ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) +
          tail;
+}
+
+// The scalar backward kernel (nn/simd.hpp): each coefficient in order, one
+// multiply then one add per output, rows with a zero coefficient skipped.
+void axpy_rows_scalar(const float* coef, std::size_t coef_stride, std::size_t count,
+                      const float* rows, std::size_t n, float* out) {
+  for (std::size_t t = 0; t < count; ++t) {
+    const float c = coef[t * coef_stride];
+    if (c == 0.0f) continue;
+    const float* row = rows + t * n;
+    for (std::size_t j = 0; j < n; ++j) out[j] += c * row[j];
+  }
+}
+
+// The scalar Adam update, the one the optimizer has always run. The AVX2
+// twin below replays it operation for operation.
+void adam_scalar(float* w, const float* g, float* m, float* v, std::size_t n,
+                 const detail::AdamStep& step) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double grad = g[i] * step.scale;
+    m[i] = static_cast<float>(step.beta1 * m[i] + (1.0 - step.beta1) * grad);
+    v[i] = static_cast<float>(step.beta2 * v[i] + (1.0 - step.beta2) * grad * grad);
+    const double mhat = m[i] / step.bias1;
+    const double vhat = v[i] / step.bias2;
+    w[i] -= static_cast<float>(step.learning_rate * mhat / (std::sqrt(vhat) + step.eps));
+  }
 }
 
 #ifdef WF_SIMD_HAVE_AVX2
@@ -90,6 +118,100 @@ __attribute__((target("avx2"))) void dot_rows_avx2(const float* a, const float* 
     _mm256_storeu_ps(out + j, _mm256_add_ps(sum, _mm256_load_ps(tail)));
   }
   for (; j < n; ++j) out[j] = dot_avx2(a, b + j * k, k);
+}
+
+// axpy_rows_scalar with the zero test hoisted: each chunk of coefficients is
+// compacted to its non-zero entries first, so the column tiles below loop
+// without a branch. Every output column still sees the same adds in the
+// same order; the vectors only run across columns.
+__attribute__((target("avx2"))) void axpy_rows_avx2(const float* coef, std::size_t coef_stride,
+                                                    std::size_t count, const float* rows,
+                                                    std::size_t n, float* out) {
+  constexpr std::size_t kChunk = 64;
+  float c[kChunk];
+  const float* r[kChunk];
+  for (std::size_t t0 = 0; t0 < count; t0 += kChunk) {
+    const std::size_t t1 = std::min(count, t0 + kChunk);
+    std::size_t nz = 0;
+    for (std::size_t t = t0; t < t1; ++t) {
+      c[nz] = coef[t * coef_stride];
+      r[nz] = rows + t * n;
+      nz += c[nz] != 0.0f ? 1 : 0;
+    }
+    if (nz == 0) continue;
+    std::size_t j = 0;
+    for (; j + 64 <= n; j += 64) {
+      __m256 o0 = _mm256_loadu_ps(out + j), o1 = _mm256_loadu_ps(out + j + 8);
+      __m256 o2 = _mm256_loadu_ps(out + j + 16), o3 = _mm256_loadu_ps(out + j + 24);
+      __m256 o4 = _mm256_loadu_ps(out + j + 32), o5 = _mm256_loadu_ps(out + j + 40);
+      __m256 o6 = _mm256_loadu_ps(out + j + 48), o7 = _mm256_loadu_ps(out + j + 56);
+      for (std::size_t q = 0; q < nz; ++q) {
+        const __m256 s = _mm256_set1_ps(c[q]);
+        const float* x = r[q] + j;
+        o0 = _mm256_add_ps(o0, _mm256_mul_ps(s, _mm256_loadu_ps(x)));
+        o1 = _mm256_add_ps(o1, _mm256_mul_ps(s, _mm256_loadu_ps(x + 8)));
+        o2 = _mm256_add_ps(o2, _mm256_mul_ps(s, _mm256_loadu_ps(x + 16)));
+        o3 = _mm256_add_ps(o3, _mm256_mul_ps(s, _mm256_loadu_ps(x + 24)));
+        o4 = _mm256_add_ps(o4, _mm256_mul_ps(s, _mm256_loadu_ps(x + 32)));
+        o5 = _mm256_add_ps(o5, _mm256_mul_ps(s, _mm256_loadu_ps(x + 40)));
+        o6 = _mm256_add_ps(o6, _mm256_mul_ps(s, _mm256_loadu_ps(x + 48)));
+        o7 = _mm256_add_ps(o7, _mm256_mul_ps(s, _mm256_loadu_ps(x + 56)));
+      }
+      _mm256_storeu_ps(out + j, o0);
+      _mm256_storeu_ps(out + j + 8, o1);
+      _mm256_storeu_ps(out + j + 16, o2);
+      _mm256_storeu_ps(out + j + 24, o3);
+      _mm256_storeu_ps(out + j + 32, o4);
+      _mm256_storeu_ps(out + j + 40, o5);
+      _mm256_storeu_ps(out + j + 48, o6);
+      _mm256_storeu_ps(out + j + 56, o7);
+    }
+    for (; j + 8 <= n; j += 8) {
+      __m256 o = _mm256_loadu_ps(out + j);
+      for (std::size_t q = 0; q < nz; ++q)
+        o = _mm256_add_ps(o, _mm256_mul_ps(_mm256_set1_ps(c[q]), _mm256_loadu_ps(r[q] + j)));
+      _mm256_storeu_ps(out + j, o);
+    }
+    for (; j < n; ++j) {
+      float o = out[j];
+      for (std::size_t q = 0; q < nz; ++q) o += c[q] * r[q][j];
+      out[j] = o;
+    }
+  }
+}
+
+// adam_scalar four elements at a time: the same double-precision multiplies
+// and adds, the same float roundings of the moments (re-read as floats, as
+// the scalar loop re-reads m[i] and v[i]), IEEE vdivpd and vsqrtpd, and the
+// update subtracted in float. The last n % 4 elements run adam_scalar.
+__attribute__((target("avx2"))) void adam_avx2(float* w, const float* g, float* m, float* v,
+                                               std::size_t n, const detail::AdamStep& step) {
+  const __m256d beta1 = _mm256_set1_pd(step.beta1);
+  const __m256d rest1 = _mm256_set1_pd(1.0 - step.beta1);
+  const __m256d beta2 = _mm256_set1_pd(step.beta2);
+  const __m256d rest2 = _mm256_set1_pd(1.0 - step.beta2);
+  const __m256d scale = _mm256_set1_pd(step.scale);
+  const __m256d bias1 = _mm256_set1_pd(step.bias1);
+  const __m256d bias2 = _mm256_set1_pd(step.bias2);
+  const __m256d rate = _mm256_set1_pd(step.learning_rate);
+  const __m256d eps = _mm256_set1_pd(step.eps);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d grad = _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(g + i)), scale);
+    const __m128 mf = _mm256_cvtpd_ps(_mm256_add_pd(
+        _mm256_mul_pd(beta1, _mm256_cvtps_pd(_mm_loadu_ps(m + i))), _mm256_mul_pd(rest1, grad)));
+    const __m128 vf = _mm256_cvtpd_ps(
+        _mm256_add_pd(_mm256_mul_pd(beta2, _mm256_cvtps_pd(_mm_loadu_ps(v + i))),
+                      _mm256_mul_pd(_mm256_mul_pd(rest2, grad), grad)));
+    _mm_storeu_ps(m + i, mf);
+    _mm_storeu_ps(v + i, vf);
+    const __m256d mhat = _mm256_div_pd(_mm256_cvtps_pd(mf), bias1);
+    const __m256d vhat = _mm256_div_pd(_mm256_cvtps_pd(vf), bias2);
+    const __m256d update = _mm256_div_pd(_mm256_mul_pd(rate, mhat),
+                                         _mm256_add_pd(_mm256_sqrt_pd(vhat), eps));
+    _mm_storeu_ps(w + i, _mm_sub_ps(_mm_loadu_ps(w + i), _mm256_cvtpd_ps(update)));
+  }
+  adam_scalar(w + i, g + i, m + i, v + i, n - i, step);
 }
 #endif
 
@@ -243,6 +365,22 @@ DotRowsFn dot_rows_kernel(SimdMode mode) {
       break;
   }
   return &dot_rows_each<&dot_scalar>;
+}
+
+AxpyRowsFn axpy_rows_kernel(SimdMode mode) {
+#ifdef WF_SIMD_HAVE_AVX2
+  if (mode == SimdMode::kAvx2) return &axpy_rows_avx2;
+#endif
+  (void)mode;
+  return &axpy_rows_scalar;
+}
+
+AdamFn adam_kernel(SimdMode mode) {
+#ifdef WF_SIMD_HAVE_AVX2
+  if (mode == SimdMode::kAvx2) return &adam_avx2;
+#endif
+  (void)mode;
+  return &adam_scalar;
 }
 
 }  // namespace detail
