@@ -1,6 +1,6 @@
 // Component micro-benchmarks (google-benchmark): simulator throughput,
 // Fig. 4 encoding, embedding forward pass, contrastive training (one step
-// from a fresh model, and steady-state steps at pool sizes 1 and 4),
+// from a fresh model, and steady-state steps),
 // SIMD dot kernels and the distance GEMM, k-NN query (scalar, batched,
 // every class touched, IVF-pruned and the adaptive pass's two-query probe),
 // random-forest prediction, FL padding and the parallel crawler.
@@ -119,28 +119,22 @@ void BM_ContrastiveTrainStep(benchmark::State& state) {
 BENCHMARK(BM_ContrastiveTrainStep);
 
 // Steady-state training: a model warmed by one round of kTrainSteps steps
-// runs kTrainSteps more per iteration (default shape, 64 rows a step) on a
-// pool of the given size. Items are optimizer steps. Every GEMM of such a
-// step is below the serial-work threshold, so the two pool sizes should
-// cost the same.
+// runs kTrainSteps more per iteration (default shape, 64 rows a step).
+// Items are optimizer steps. Every GEMM of such a step runs on the calling
+// thread, so the cost should not depend on WF_THREADS.
 void BM_ContrastiveTrainSteps(benchmark::State& state) {
   constexpr int kTrainSteps = 25;
-  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   core::EmbeddingConfig c;
   c.train_iterations = kTrainSteps;
   core::EmbeddingModel model(c);
   data::PairGenerator pairs(micro_dataset(), data::PairStrategy::kRandom, 5);
-  model.train(pairs, &pool);
+  model.train(pairs);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.train(pairs, &pool));
+    benchmark::DoNotOptimize(model.train(pairs));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kTrainSteps);
 }
-BENCHMARK(BM_ContrastiveTrainSteps)
-    ->Arg(1)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ContrastiveTrainSteps)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_KnnQuery(benchmark::State& state) {
   core::EmbeddingModel& model = micro_model();

@@ -31,9 +31,7 @@ class EmbeddingModel {
 
   // Run `config.train_iterations` optimizer steps drawing batches from the
   // generator. Calling train() again continues from the current weights.
-  // Large batches shard over `pool` (nullptr: the global pool); the weights
-  // do not depend on it.
-  TrainStats train(data::PairGenerator& pairs, util::ThreadPool* pool = nullptr);
+  TrainStats train(data::PairGenerator& pairs);
 
   // L2-normalized embedding of one encoded trace.
   std::vector<float> embed(std::span<const float> features) const;
@@ -50,10 +48,8 @@ class EmbeddingModel {
  private:
   // One batched optimizer step: rows of `x` hold the step's samples in pair
   // (a0,b0,a1,b1,...) or triplet (a0,p0,n0,...) order.
-  void train_step_contrastive(const nn::Matrix& x, util::ThreadPool* pool, double& loss_acc,
-                              double& correct_acc);
-  void train_step_triplet(const nn::Matrix& x, util::ThreadPool* pool, double& loss_acc,
-                          double& correct_acc);
+  void train_step_contrastive(const nn::Matrix& x, double& loss_acc, double& correct_acc);
+  void train_step_triplet(const nn::Matrix& x, double& loss_acc, double& correct_acc);
 
   EmbeddingConfig config_;
   nn::Mlp net_;

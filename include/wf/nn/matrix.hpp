@@ -95,7 +95,9 @@ inline double squared_distance(std::span<const float> a, std::span<const float> 
 // each output element with a fixed operation order that does not depend on
 // the thread count, so parallel and serial runs are bit-identical. Passing
 // pool = nullptr uses util::global_pool(). A GEMM with fewer than ~2M
-// multiply-adds (every training-step GEMM) runs on the calling thread.
+// multiply-adds runs on the calling thread; matmul_transposed does so only
+// for batches of at most 128 rows, so every training-step GEMM is serial and
+// evaluation batches stay on the pool.
 
 // c = a · bᵀ (b stored row-major as n x k, i.e. one reference per row).
 // a: m x k, c: m x n. Row blocks of a run through gemm_nt_serial.

@@ -46,19 +46,16 @@ class Mlp {
   std::vector<float> forward_cached(std::span<const float> x, Activations& acts) const;
 
   // Batched activation cache for backward_batch: post[l] holds one row per
-  // sample. The batched calls shard large batches over `pool` (nullptr: the
-  // global pool); the result does not depend on the pool.
+  // sample.
   struct BatchActivations {
     std::vector<Matrix> post;
   };
-  const Matrix& forward_batch_cached(const Matrix& x, BatchActivations& acts,
-                                     util::ThreadPool* pool = nullptr) const;
+  const Matrix& forward_batch_cached(const Matrix& x, BatchActivations& acts) const;
 
   // Accumulate parameter gradients for a whole batch (one row per sample)
   // via GEMMs: gradients add up in sample order, and a zero gradient entry
   // adds nothing (nn::detail::AxpyRowsFn).
-  void backward_batch(const Matrix& x, const BatchActivations& acts, const Matrix& grad_output,
-                      util::ThreadPool* pool = nullptr);
+  void backward_batch(const Matrix& x, const BatchActivations& acts, const Matrix& grad_output);
 
   void zero_grad();
   // Adam step on the averaged accumulated gradients, then clears them. Runs

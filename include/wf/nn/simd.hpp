@@ -89,10 +89,16 @@ using AxpyRowsFn = void (*)(const float* coef, std::size_t coef_stride, std::siz
                             const float* rows, std::size_t n, float* out);
 AxpyRowsFn axpy_rows_kernel(SimdMode mode);
 
-// One Adam step's constants; `scale` turns the accumulated gradient into a
-// mean, bias1 and bias2 are the moment bias corrections of this step.
+// The optimizer's fixed Adam hyper-parameters.
+inline constexpr double kAdamBeta1 = 0.9;
+inline constexpr double kAdamBeta2 = 0.999;
+inline constexpr double kAdamEps = 1e-8;
+
+// What changes from one Adam step to the next: `scale` turns the
+// accumulated gradient into a mean, and bias1 = 1 - kAdamBeta1^t and
+// bias2 = 1 - kAdamBeta2^t are the moment bias corrections of step t.
 struct AdamStep {
-  double beta1, beta2, eps, learning_rate, scale, bias1, bias2;
+  double learning_rate, scale, bias1, bias2;
 };
 // Updates the n parameters w from their accumulated gradients g and their
 // moments m and v (see Mlp::adam_step).

@@ -62,14 +62,14 @@ nn::Matrix EmbeddingModel::embed_dataset(const data::Dataset& dataset) const {
   return embed(dataset.to_matrix());
 }
 
-void EmbeddingModel::train_step_contrastive(const nn::Matrix& x, util::ThreadPool* pool,
-                                            double& loss_acc, double& correct_acc) {
+void EmbeddingModel::train_step_contrastive(const nn::Matrix& x, double& loss_acc,
+                                            double& correct_acc) {
   const std::size_t rows = x.rows();          // 2 per pair: (a0, b0, a1, b1, ...)
   const std::size_t m = net_.output_dim();
   nn::Matrix& y = train_y_;
   nn::Matrix& grad_y = train_grad_y_;
   std::vector<double>& raw_norms = train_raw_norms_;
-  y = net_.forward_batch_cached(x, train_acts_, pool);
+  y = net_.forward_batch_cached(x, train_acts_);
   raw_norms.resize(rows);
   for (std::size_t r = 0; r < rows; ++r) raw_norms[r] = normalize(y.row(r));
 
@@ -115,17 +115,17 @@ void EmbeddingModel::train_step_contrastive(const nn::Matrix& x, util::ThreadPoo
   train_grad_raw_.resize(rows, m);
   for (std::size_t r = 0; r < rows; ++r)
     normalization_grad(y.row_span(r), raw_norms[r], grad_y.row_span(r), train_grad_raw_.row(r));
-  net_.backward_batch(x, train_acts_, train_grad_raw_, pool);
+  net_.backward_batch(x, train_acts_, train_grad_raw_);
 }
 
-void EmbeddingModel::train_step_triplet(const nn::Matrix& x, util::ThreadPool* pool,
-                                        double& loss_acc, double& correct_acc) {
+void EmbeddingModel::train_step_triplet(const nn::Matrix& x, double& loss_acc,
+                                        double& correct_acc) {
   const std::size_t rows = x.rows();  // 3 per triplet: (a0, p0, n0, a1, ...)
   const std::size_t m = net_.output_dim();
   nn::Matrix& y = train_y_;
   nn::Matrix& grad_y = train_grad_y_;
   std::vector<double>& raw_norms = train_raw_norms_;
-  y = net_.forward_batch_cached(x, train_acts_, pool);
+  y = net_.forward_batch_cached(x, train_acts_);
   raw_norms.resize(rows);
   for (std::size_t r = 0; r < rows; ++r) raw_norms[r] = normalize(y.row(r));
 
@@ -158,10 +158,10 @@ void EmbeddingModel::train_step_triplet(const nn::Matrix& x, util::ThreadPool* p
   train_grad_raw_.resize(rows, m);
   for (std::size_t r = 0; r < rows; ++r)
     normalization_grad(y.row_span(r), raw_norms[r], grad_y.row_span(r), train_grad_raw_.row(r));
-  net_.backward_batch(x, train_acts_, train_grad_raw_, pool);
+  net_.backward_batch(x, train_acts_, train_grad_raw_);
 }
 
-TrainStats EmbeddingModel::train(data::PairGenerator& pairs, util::ThreadPool* pool) {
+TrainStats EmbeddingModel::train(data::PairGenerator& pairs) {
   if (pairs.dataset().feature_dim() != config_.input_dim())
     throw std::invalid_argument("EmbeddingModel::train: dataset width != config input_dim");
   const obs::Span span("train");
@@ -200,9 +200,9 @@ TrainStats EmbeddingModel::train(data::PairGenerator& pairs, util::ThreadPool* p
       }
     }
     if (config_.objective == Objective::kContrastive)
-      train_step_contrastive(batch, pool, loss, correct);
+      train_step_contrastive(batch, loss, correct);
     else
-      train_step_triplet(batch, pool, loss, correct);
+      train_step_triplet(batch, loss, correct);
     net_.adam_step(config_.learning_rate);
     if (in_window) {
       window_loss += loss;

@@ -25,16 +25,24 @@ constexpr std::size_t kColBlock = 128;  // rows of b kept hot in cache
 // ~20% from the pool, and pooling them made a whole training step slower.
 // From 2.4M up the pool won by 1.5-2x. Every training-step GEMM of the
 // default 192 -> 128 -> 64 -> 32 network (64 rows, at most
-// 64 * 192 * 128 = 1.6M) therefore runs serially, while embedding an
-// evaluation corpus is sharded, except thin layers such as 750 x 64 x 32.
+// 64 * 192 * 128 = 1.6M) therefore runs serially.
 constexpr std::size_t kSerialWork = std::size_t{1} << 21;
 
-// Runs body over [0, rows) in kRowBlock blocks: on the pool, or inline when
-// the GEMM is smaller than kSerialWork. Both give the same bits, since every
-// output row is computed by one task in a fixed order.
+// matmul_transposed is the forward pass of training and of evaluation
+// alike, and work alone cannot tell them apart: a 750-query evaluation
+// batch's 750 x 64 x 32 last layer (1.5M) is smaller than the largest
+// training GEMM, yet gains from the pool. So it runs serially only for
+// batches of at most kSerialRows rows as well. A training step has
+// 2 * batch_pairs (contrastive) or 3 * batch_pairs (triplet) rows, 64 or
+// 96 by default; evaluation embeds hundreds to thousands of traces at once.
+constexpr std::size_t kSerialRows = 128;
+
+// Runs body over [0, rows) in kRowBlock blocks: inline when `serial`, else
+// on the pool. Both give the same bits, since every output row is computed
+// by one task in a fixed order.
 template <typename Body>
-void for_row_blocks(util::ThreadPool* pool, std::size_t rows, std::size_t work, Body&& body) {
-  if (work < kSerialWork) {
+void for_row_blocks(util::ThreadPool* pool, std::size_t rows, bool serial, Body&& body) {
+  if (serial) {
     body(std::size_t{0}, rows);
     return;
   }
@@ -58,7 +66,8 @@ void matmul_transposed(const Matrix& a, const Matrix& b, Matrix& c, util::Thread
   if (b.cols() != k) throw std::invalid_argument("matmul_transposed: inner dim mismatch");
   if (c.rows() != m || c.cols() != n)
     throw std::invalid_argument("matmul_transposed: output shape mismatch");
-  for_row_blocks(pool, m, m * n * k, [&](std::size_t lo, std::size_t hi) {
+  const bool serial = m <= kSerialRows && m * n * k < kSerialWork;
+  for_row_blocks(pool, m, serial, [&](std::size_t lo, std::size_t hi) {
     gemm_nt_serial(a.data() + lo * k, hi - lo, b.data(), n, k, c.data() + lo * n);
   });
 }
@@ -75,7 +84,7 @@ void matmul(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate,
   if (b.rows() != k) throw std::invalid_argument("matmul: inner dim mismatch");
   if (c.rows() != m || c.cols() != n) throw std::invalid_argument("matmul: output shape mismatch");
   const detail::AxpyRowsFn axpy_rows = detail::axpy_rows_kernel(simd_mode());
-  for_row_blocks(pool, m, m * n * k, [&](std::size_t lo, std::size_t hi) {
+  for_row_blocks(pool, m, m * n * k < kSerialWork, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       float* out = c.data() + i * n;
       if (!accumulate) std::fill(out, out + n, 0.0f);
@@ -98,7 +107,7 @@ void matmul_at_b(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate,
   if (c.rows() != r || c.cols() != n)
     throw std::invalid_argument("matmul_at_b: output shape mismatch");
   const detail::AxpyRowsFn axpy_rows = detail::axpy_rows_kernel(simd_mode());
-  for_row_blocks(pool, r, m * r * n, [&](std::size_t lo, std::size_t hi) {
+  for_row_blocks(pool, r, m * r * n < kSerialWork, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       float* out = c.data() + i * n;
       if (!accumulate) std::fill(out, out + n, 0.0f);

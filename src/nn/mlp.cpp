@@ -75,13 +75,11 @@ Matrix Mlp::forward_batch(const Matrix& x) const {
   return forward_batch_cached(x, scratch);
 }
 
-const Matrix& Mlp::forward_batch_cached(const Matrix& x, BatchActivations& acts,
-                                        util::ThreadPool* pool) const {
+const Matrix& Mlp::forward_batch_cached(const Matrix& x, BatchActivations& acts) const {
   if (x.cols() != input_dim())
     throw std::invalid_argument("Mlp::forward_batch: input width mismatch");
   acts.post.resize(layers_.size());
   const std::size_t m = x.rows();
-  util::ThreadPool& workers = pool != nullptr ? *pool : util::global_pool();
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
     const bool last = (l + 1 == layers_.size());
@@ -89,9 +87,9 @@ const Matrix& Mlp::forward_batch_cached(const Matrix& x, BatchActivations& acts,
     Matrix& out = acts.post[l];
     const std::size_t width = layer.w.rows();
     if (out.rows() != m || out.cols() != width) out.resize(m, width);
-    matmul_transposed(in, layer.w, out, &workers);
+    matmul_transposed(in, layer.w, out);
     // Bias + activation epilogue, row-sharded.
-    workers.parallel_blocks(0, m, 256, [&](std::size_t lo, std::size_t hi) {
+    util::global_pool().parallel_blocks(0, m, 256, [&](std::size_t lo, std::size_t hi) {
       const float* bias = layer.b.data();
       for (std::size_t s = lo; s < hi; ++s) {
         float* row = out.data() + s * width;
@@ -106,11 +104,10 @@ const Matrix& Mlp::forward_batch_cached(const Matrix& x, BatchActivations& acts,
 }
 
 void Mlp::backward_batch(const Matrix& x, const BatchActivations& acts,
-                         const Matrix& grad_output, util::ThreadPool* pool) {
+                         const Matrix& grad_output) {
   const std::size_t m = x.rows();
   if (grad_output.rows() != m || grad_output.cols() != output_dim())
     throw std::invalid_argument("Mlp::backward_batch: grad shape mismatch");
-  util::ThreadPool& workers = pool != nullptr ? *pool : util::global_pool();
   Matrix grad = grad_output;
   Matrix grad_in;
   for (std::size_t li = layers_.size(); li-- > 0;) {
@@ -118,7 +115,7 @@ void Mlp::backward_batch(const Matrix& x, const BatchActivations& acts,
     const bool last = (li + 1 == layers_.size());
     if (!last) {
       const Matrix& post = acts.post[li];
-      workers.parallel_blocks(0, m, 256, [&](std::size_t lo, std::size_t hi) {
+      util::global_pool().parallel_blocks(0, m, 256, [&](std::size_t lo, std::size_t hi) {
         const std::size_t width = layer.w.rows();
         for (std::size_t s = lo; s < hi; ++s) {
           float* grow = grad.data() + s * width;
@@ -130,14 +127,14 @@ void Mlp::backward_batch(const Matrix& x, const BatchActivations& acts,
     }
     const Matrix& input = (li == 0) ? x : acts.post[li - 1];
     // gw += gradᵀ · input; gb += column sums of grad.
-    matmul_at_b(grad, input, layer.gw, /*accumulate=*/true, &workers);
+    matmul_at_b(grad, input, layer.gw, /*accumulate=*/true);
     for (std::size_t s = 0; s < m; ++s) {
       const float* grow = grad.data() + s * layer.w.rows();
       for (std::size_t r = 0; r < layer.w.rows(); ++r) layer.gb[r] += grow[r];
     }
     if (li > 0) {
       grad_in.resize(m, layer.w.cols());
-      matmul(grad, layer.w, grad_in, /*accumulate=*/false, &workers);
+      matmul(grad, layer.w, grad_in);
       std::swap(grad, grad_in);
     }
   }
@@ -155,14 +152,9 @@ void Mlp::zero_grad() {
 void Mlp::adam_step(double learning_rate) {
   if (grad_samples_ == 0) return;
   ++adam_t_;
-  detail::AdamStep step{};
-  step.beta1 = 0.9;
-  step.beta2 = 0.999;
-  step.eps = 1e-8;
-  step.learning_rate = learning_rate;
-  step.scale = 1.0 / static_cast<double>(grad_samples_);
-  step.bias1 = 1.0 - std::pow(step.beta1, adam_t_);
-  step.bias2 = 1.0 - std::pow(step.beta2, adam_t_);
+  const detail::AdamStep step{learning_rate, 1.0 / static_cast<double>(grad_samples_),
+                              1.0 - std::pow(detail::kAdamBeta1, adam_t_),
+                              1.0 - std::pow(detail::kAdamBeta2, adam_t_)};
   const detail::AdamFn adam = detail::adam_kernel(simd_mode());
   for (Layer& layer : layers_) {
     // Adam moments track the weight shape for the Mlp's whole life; a drift

@@ -55,11 +55,12 @@ void adam_scalar(float* w, const float* g, float* m, float* v, std::size_t n,
                  const detail::AdamStep& step) {
   for (std::size_t i = 0; i < n; ++i) {
     const double grad = g[i] * step.scale;
-    m[i] = static_cast<float>(step.beta1 * m[i] + (1.0 - step.beta1) * grad);
-    v[i] = static_cast<float>(step.beta2 * v[i] + (1.0 - step.beta2) * grad * grad);
+    m[i] = static_cast<float>(detail::kAdamBeta1 * m[i] + (1.0 - detail::kAdamBeta1) * grad);
+    v[i] = static_cast<float>(detail::kAdamBeta2 * v[i] +
+                              (1.0 - detail::kAdamBeta2) * grad * grad);
     const double mhat = m[i] / step.bias1;
     const double vhat = v[i] / step.bias2;
-    w[i] -= static_cast<float>(step.learning_rate * mhat / (std::sqrt(vhat) + step.eps));
+    w[i] -= static_cast<float>(step.learning_rate * mhat / (std::sqrt(vhat) + detail::kAdamEps));
   }
 }
 
@@ -186,15 +187,15 @@ __attribute__((target("avx2"))) void axpy_rows_avx2(const float* coef, std::size
 // update subtracted in float. The last n % 4 elements run adam_scalar.
 __attribute__((target("avx2"))) void adam_avx2(float* w, const float* g, float* m, float* v,
                                                std::size_t n, const detail::AdamStep& step) {
-  const __m256d beta1 = _mm256_set1_pd(step.beta1);
-  const __m256d rest1 = _mm256_set1_pd(1.0 - step.beta1);
-  const __m256d beta2 = _mm256_set1_pd(step.beta2);
-  const __m256d rest2 = _mm256_set1_pd(1.0 - step.beta2);
+  const __m256d beta1 = _mm256_set1_pd(detail::kAdamBeta1);
+  const __m256d rest1 = _mm256_set1_pd(1.0 - detail::kAdamBeta1);
+  const __m256d beta2 = _mm256_set1_pd(detail::kAdamBeta2);
+  const __m256d rest2 = _mm256_set1_pd(1.0 - detail::kAdamBeta2);
   const __m256d scale = _mm256_set1_pd(step.scale);
   const __m256d bias1 = _mm256_set1_pd(step.bias1);
   const __m256d bias2 = _mm256_set1_pd(step.bias2);
   const __m256d rate = _mm256_set1_pd(step.learning_rate);
-  const __m256d eps = _mm256_set1_pd(step.eps);
+  const __m256d eps = _mm256_set1_pd(detail::kAdamEps);
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256d grad = _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(g + i)), scale);

@@ -129,10 +129,12 @@ int main() {
     CHECK(features_equal);
   }
 
-  // --- GEMM kernels: bit-identical for any pool size.
+  // --- GEMM kernels: bit-identical for any pool size. The shape is above
+  // matmul_transposed's serial cut-off (more than 128 rows and ~2.7M
+  // multiply-adds), so the 7-thread pool really shards the rows.
   {
     util::Rng rng(5);
-    nn::Matrix a(37, 53), b(41, 53);
+    nn::Matrix a(131, 160), b(129, 160);
     for (std::size_t i = 0; i < a.rows(); ++i)
       for (std::size_t j = 0; j < a.cols(); ++j) a(i, j) = static_cast<float>(rng.normal());
     for (std::size_t i = 0; i < b.rows(); ++i)
