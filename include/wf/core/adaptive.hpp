@@ -10,7 +10,6 @@
 #include "core/knn.hpp"
 #include "core/sharded_reference_set.hpp"
 #include "data/splits.hpp"
-#include "index/ivf.hpp"
 #include "trace/sequence.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -37,10 +36,8 @@ class AdaptiveFingerprinter final : public Attacker {
   // default config; everything is replaced by load_body).
   AdaptiveFingerprinter() : AdaptiveFingerprinter(EmbeddingConfig{}, 40, 1) {}
 
-  // The IVF member is a unique_ptr, so the copies clone() relies on need a
-  // deep-copying pair; everything else is memberwise.
-  AdaptiveFingerprinter(const AdaptiveFingerprinter& other);
-  AdaptiveFingerprinter& operator=(const AdaptiveFingerprinter& other);
+  AdaptiveFingerprinter(const AdaptiveFingerprinter&) = default;
+  AdaptiveFingerprinter& operator=(const AdaptiveFingerprinter&) = default;
   AdaptiveFingerprinter(AdaptiveFingerprinter&&) = default;
   AdaptiveFingerprinter& operator=(AdaptiveFingerprinter&&) = default;
   ~AdaptiveFingerprinter() override = default;
@@ -60,10 +57,11 @@ class AdaptiveFingerprinter final : public Attacker {
   double probe_class_accuracy(int label, const data::Dataset& probe) const;
 
   // Replace the reference embeddings of `label` with fresh loads: a
-  // remove_class that moves each shard's (and IVF cell's) last row into
-  // each gap and hands the freed class id to the last one, plus
-  // round-robin re-adds (embedding + swap only; the trained model is
-  // untouched). The cost scales with the class-id column, not the store.
+  // remove_class that moves each shard's last row into each gap and hands
+  // the freed class id to the last one, plus round-robin re-adds (embedding
+  // + swap only; the trained model is untouched). The cost scales with the
+  // class-id column, not the store. An attached index (set_store) is not
+  // touched: index churn goes through index::IndexJournalWriter.
   void adapt_class(int label, const data::Dataset& fresh);
 
   // Scatter half of a distributed query (`wf serve` shard backends): embed
@@ -93,33 +91,27 @@ class AdaptiveFingerprinter final : public Attacker {
   const EmbeddingModel& model() const { return model_; }
   const KnnClassifier& classifier() const { return knn_; }
 
-  // --- wf::index routing ----------------------------------------------------
+  // --- index routing ----------------------------------------------------------
   // The store every query path (fingerprint, fingerprint_batch, scan_slice,
-  // target_classes) actually scans: the external store if one was attached,
-  // else the built IVF index, else the exact sharded set. references_ stays
-  // authoritative for save/load either way.
-  const ReferenceStore& store() const;
-  // Cluster the current reference set into an IVF index and route queries
-  // through it. initialize() re-buckets the index; adapt_class() mirrors its
-  // churn into it (append + swap-with-last removal + maybe_rebuild).
-  void build_index(const index::IvfConfig& config);
-  void clear_index() { ivf_.reset(); }
-  const index::IvfReferenceStore* ivf_index() const { return ivf_.get(); }
+  // target_classes) actually scans: the attached store if there is one, else
+  // the exact sharded set. references_ stays authoritative for save/load.
+  const ReferenceStore& store() const {
+    return store_override_ ? *store_override_ : references_;
+  }
   // Attach an external read-only store (`wf serve --index`: an mmap-backed
   // index::MappedIndex). Queries scan it instead of references_; adaptation
-  // keeps mutating references_/the IVF index and does NOT reach the attached
-  // store — compact with `wf index rebuild` and reopen to pick up churn.
+  // keeps mutating references_ and does NOT reach the attached store. An
+  // index takes churn only through its journal (index::IndexJournalWriter)
+  // and `wf index rebuild`; reopen it to pick the churn up.
   void set_store(std::shared_ptr<const ReferenceStore> store) {
     store_override_ = std::move(store);
   }
-  void clear_store() { store_override_.reset(); }
 
  private:
   EmbeddingModel model_;
   std::size_t n_shards_;
   ShardedReferenceSet references_;
   KnnClassifier knn_;
-  std::unique_ptr<index::IvfReferenceStore> ivf_;
   std::shared_ptr<const ReferenceStore> store_override_;
 };
 

@@ -48,7 +48,6 @@ class ShardedReferenceSet final : public ReferenceStore {
   int label_of_id(std::size_t id) const override { return ids_.label_of(id); }
 
   bool empty() const { return size_ == 0; }
-  std::size_t shard_rows(std::size_t shard) const { return shards_[shard].rows(); }
 
   // Distinct page labels, ascending.
   std::vector<int> classes() const;

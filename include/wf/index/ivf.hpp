@@ -10,13 +10,13 @@
 // keys, probing all C clusters (probes = 0) reproduces the exact scan's
 // top-k bit for bit. Smaller P trades recall for speed — the exactness knob.
 //
-// adapt's swap-references churn is absorbed without re-clustering: add()
-// appends to the nearest centroid's cell, remove_class() fills each gap with
-// its cell's last row (core::erase_class, shared with the sharded store),
-// and once the accumulated churn passes a configurable fraction of
-// the built size, maybe_rebuild() re-runs the k-means (the in-memory
-// counterpart of the on-disk base store + journal + `wf index rebuild` flow
-// in index/store.hpp).
+// Churn (adapt's swap-references) is absorbed without re-clustering: add()
+// appends to the nearest centroid's cell and remove_class() fills each gap
+// with its cell's last row (core::erase_class, shared with the sharded
+// store). A served index takes churn only through the on-disk journal and
+// is re-clustered only by `wf index rebuild` (index/store.hpp); add() and
+// remove_class() here are the in-memory oracle that journal replay is
+// checked against.
 
 #include <cstddef>
 #include <cstdint>
@@ -40,16 +40,15 @@ struct IvfConfig {
   // Clusters probed per query P; 0 = all of them (exact), otherwise
   // clamped to [1, C].
   std::size_t probes = 0;
-  // Seeded k-means: Lloyd iteration count and the training-sample budget
-  // (at most sample_per_cluster x C rows train the centroids; assignment
-  // always covers every row).
-  std::size_t kmeans_iters = 8;
-  std::size_t sample_per_cluster = 32;
+  // Seed of the k-means (sample shuffle and k-means++ init).
   std::uint64_t seed = 9041;
-  // maybe_rebuild() re-clusters once (rows added + rows removed) since the
-  // last build exceeds this fraction of the built size; 0 disables.
-  double rebuild_churn = 0.5;
 };
+
+// Seeded k-means: Lloyd iteration count and the training-sample budget (at
+// most kSamplePerCluster x C rows train the centroids; assignment always
+// covers every row).
+inline constexpr std::size_t kKmeansIters = 8;
+inline constexpr std::size_t kSamplePerCluster = 32;
 
 class IvfReferenceStore final : public core::ReferenceStore {
  public:
@@ -61,8 +60,11 @@ class IvfReferenceStore final : public core::ReferenceStore {
   IvfReferenceStore() = default;
   // Seeded k-means over the rows of `base`. Rows are gathered in global
   // insertion-id order, so the clustering depends only on the content, not
-  // on how `base` happened to be sharded.
-  IvfReferenceStore(const core::ReferenceStore& base, const IvfConfig& config);
+  // on how `base` happened to be sharded. add() hands out row ids from
+  // max(next_row_id, last row id + 1): a rebuild passes its file's
+  // next_row_id, because ids of removed rows are never reused.
+  IvfReferenceStore(const core::ReferenceStore& base, const IvfConfig& config,
+                    std::uint64_t next_row_id = 0);
 
   // core::ReferenceStore
   std::size_t dim() const override { return dim_; }
@@ -81,7 +83,6 @@ class IvfReferenceStore final : public core::ReferenceStore {
   void set_probes(std::size_t probes) { config_.probes = probes; }
   std::size_t effective_probes() const;
 
-  std::span<const float> centroid(std::size_t c) const;
   std::span<const float> centroids() const { return centroids_; }
   const Cell& cell(std::size_t c) const { return cells_[c]; }
   const std::vector<int>& id_to_label() const { return ids_.labels(); }
@@ -96,27 +97,8 @@ class IvfReferenceStore final : public core::ReferenceStore {
   // core::kMaxClassIds.
   void add(std::span<const float> embedding, int label);
   void remove_class(int label);
-  // Rows added + removed since the last (re)build.
-  std::size_t churn() const { return churn_; }
-  // Re-runs the seeded k-means over the current rows (same config/seed:
-  // the result is a function of the content, not of the churn history).
-  void rebuild();
-  // rebuild() iff churn() > rebuild_churn x built size. Returns true when
-  // it rebuilt.
-  bool maybe_rebuild();
-
-  // Reassembles a store from its serialized tables (index/store.cpp load
-  // path). Throws io::IoError when the tables are inconsistent, a label
-  // repeats, or an id passes the candidate-key limits.
-  static IvfReferenceStore restore(std::size_t dim, std::uint64_t next_row_id,
-                                   const IvfConfig& config,
-                                   util::AlignedVector<float> centroids,
-                                   std::vector<int> id_to_label, std::vector<Cell> cells);
 
  private:
-  void build_from_rows(const float* data, const int* labels, const std::uint64_t* row_ids,
-                       std::size_t n);
-
   IvfConfig config_;
   std::size_t dim_ = 0;
   std::size_t size_ = 0;
@@ -125,8 +107,6 @@ class IvfReferenceStore final : public core::ReferenceStore {
   std::vector<double> centroid_norms_;    // cached ‖c‖² per centroid
   std::vector<Cell> cells_;
   core::ClassIdSpace ids_;
-  std::size_t built_rows_ = 0;
-  std::size_t churn_ = 0;
 };
 
 namespace detail {

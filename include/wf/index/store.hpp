@@ -9,8 +9,9 @@
 //
 //   offset 16: u64 dim | u64 clusters | u64 rows | u64 next_row_id
 //            | u64 n_class_ids | u64 default_probes | u64 kmeans_seed
-//            | u64 kmeans_iters | u64 sample_per_cluster
-//            | f64 rebuild_churn | u64 file_bytes            (header = 104 B)
+//            | u64 kmeans_iters* | u64 sample_per_cluster*
+//            | f64 rebuild_churn* | u64 file_bytes           (header = 104 B)
+//   (* fixed fields: always written as 8, 32 and 0.5, never read back)
 //   then, each 64-byte aligned, little-endian, cluster-major:
 //     u64 cluster_rows[clusters]
 //     i32 id_to_label [n_class_ids]
@@ -55,19 +56,17 @@ inline constexpr std::uint32_t kJournalLayoutVersion = 1;
 // Writes `store` to `path` in the base-store layout above (no journal).
 void write_index_file(const std::string& path, const IvfReferenceStore& store);
 
-// Full in-memory copy of the store MappedIndex opens (base + journal), for
-// rebuilds: each cluster's base rows plus its tail become one cell.
-IvfReferenceStore load_index(const std::string& path);
-
 // The serving entry point: a MappedIndex of `path` and its journal.
 // `probes` overrides the file's default when nonzero.
 std::unique_ptr<core::ReferenceStore> open_index(const std::string& path,
                                                  std::size_t probes = 0);
 
-// Re-clusters base + journal and atomically replaces `path` (tmp + rename),
-// then deletes the journal. Returns the compacted row count. Killed between
-// the two steps, it leaves a stale journal that every open rejects (above)
-// until it is deleted.
+// Re-clusters the live rows of the MappedIndex of `path` (base + journal),
+// keeping its next_row_id, and atomically replaces `path` (tmp, fsync,
+// rename, fsync of the directory), then deletes the journal. This is the
+// only way an index is re-clustered. Returns the compacted row count.
+// Killed between the rename and the delete, it leaves a stale journal that
+// every open rejects (above) until it is deleted.
 std::size_t rebuild_index_file(const std::string& path);
 
 // Sidecar-journal appender: records churn against an existing base store
@@ -132,10 +131,9 @@ class MappedIndex final : public core::ReferenceStore {
                     std::vector<std::size_t>& out) const override;
 
   void set_probes(std::size_t probes) { config_.probes = probes; }
-  // What load_index copies besides the rows.
+  // What rebuild_index_file carries into the compacted file besides the rows.
   const IvfConfig& config() const { return config_; }
   std::uint64_t next_row_id() const { return next_row_id_; }
-  std::span<const float> centroids() const { return {centroids_, base_.size() * dim_}; }
 
  private:
   void remove_class(int label);

@@ -4,7 +4,8 @@
 // class (src/io/mmap.cpp) is the one sanctioned home of raw
 // mmap/munmap/mprotect calls in the tree — the wf-lint mmap-discipline rule
 // enforces it — so lifetime bugs (double unmap, leaked mappings,
-// use-after-close) have exactly one place to hide.
+// use-after-close) have exactly one place to hide. Beside it, sync_path is
+// the durability step of the files those mappings read.
 
 #include <cstddef>
 #include <cstdint>
@@ -45,5 +46,10 @@ class MappedFile {
   bool mapped_ = false;
   std::string path_;
 };
+
+// fsync(2)s `path`, a file or a directory, so its contents (or, for a
+// directory, its entries: a rename or unlink inside it) survive a power
+// loss. Throws IoError when the path cannot be opened or synced.
+void sync_path(const std::string& path);
 
 }  // namespace wf::io

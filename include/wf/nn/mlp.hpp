@@ -62,8 +62,6 @@ class Mlp {
   // the active SIMD mode's nn::detail::AdamFn, bit-identical in every mode.
   void adam_step(double learning_rate);
 
-  std::size_t parameter_count() const;
-
  private:
   struct Layer {
     Matrix w;                 // out x in

@@ -43,7 +43,7 @@ class Gauge {
 // Latency/size distribution with fixed log-spaced bucket bounds AND exact
 // quantiles: every sample is retained (up to kSampleCapacity) so
 // `quantile(p)` reproduces the ad-hoc `sorted[p * (n - 1)]` percentile math
-// it replaced in eval/exp_serve and eval/exp_robust bit-for-bit. Past
+// it replaced in eval/exp_robust bit-for-bit. Past
 // capacity the quantile degrades gracefully to the upper bound of the
 // log-spaced bucket holding that rank (bucket counts are never dropped).
 // One uncontended mutex per histogram; record() is O(log n_buckets).

@@ -65,7 +65,6 @@ class CoordinatorHandler final : public Handler {
  public:
   CoordinatorHandler(const std::vector<BackendAddress>& backends,
                      const CoordinatorConfig& config);
-  explicit CoordinatorHandler(const std::vector<BackendAddress>& backends, int retry_ms = 0);
   ~CoordinatorHandler() override;
 
   ServerInfo info() const override;

@@ -35,7 +35,7 @@ class Env {
   // WF_SERVE_TIMEOUT_MS: default per-request deadline of the serving layer
   // (server request timeout and client RPC timeout), clamped to
   // [1, 3600000]. Returns 0 when unset or unparsable (callers fall back to
-  // their built-in default); the `wf` CLI's --timeout-ms overrides it.
+  // their built-in default); the `wf` CLI's --timeout-ms takes precedence.
   static std::size_t serve_timeout_ms();
 
   // WF_OBS: enables span tracing (obs::Span ring-buffer recording) in the
@@ -58,10 +58,6 @@ class Env {
   static void override_threads(std::size_t threads);
   static void override_shards(std::size_t shards);
   static void override_results_dir(std::string dir);
-  static void override_serve_timeout_ms(std::size_t ms);
-  static void override_obs(bool obs);
-  static void override_log_level(std::string level);
-  static void override_simd(std::string mode);
 
   // One log_info line with the effective settings, emitted at most once per
   // process (every entry point calls it; only the first call prints).

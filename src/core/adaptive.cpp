@@ -8,35 +8,6 @@
 
 namespace wf::core {
 
-AdaptiveFingerprinter::AdaptiveFingerprinter(const AdaptiveFingerprinter& other)
-    : model_(other.model_),
-      n_shards_(other.n_shards_),
-      references_(other.references_),
-      knn_(other.knn_),
-      ivf_(other.ivf_ ? std::make_unique<index::IvfReferenceStore>(*other.ivf_) : nullptr),
-      store_override_(other.store_override_) {}
-
-AdaptiveFingerprinter& AdaptiveFingerprinter::operator=(const AdaptiveFingerprinter& other) {
-  if (this == &other) return *this;
-  model_ = other.model_;
-  n_shards_ = other.n_shards_;
-  references_ = other.references_;
-  knn_ = other.knn_;
-  ivf_ = other.ivf_ ? std::make_unique<index::IvfReferenceStore>(*other.ivf_) : nullptr;
-  store_override_ = other.store_override_;
-  return *this;
-}
-
-const ReferenceStore& AdaptiveFingerprinter::store() const {
-  if (store_override_) return *store_override_;
-  if (ivf_) return *ivf_;
-  return references_;
-}
-
-void AdaptiveFingerprinter::build_index(const index::IvfConfig& config) {
-  ivf_ = std::make_unique<index::IvfReferenceStore>(references_, config);
-}
-
 AdaptiveFingerprinter::AdaptiveFingerprinter(const EmbeddingConfig& config, int knn_k,
                                              std::size_t n_shards)
     : model_(config),
@@ -53,7 +24,6 @@ TrainStats AdaptiveFingerprinter::provision(const data::Dataset& train,
 void AdaptiveFingerprinter::initialize(const data::Dataset& references) {
   references_ = ShardedReferenceSet(model_.config().embedding_dim, n_shards_);
   references_.add_all(model_.embed_dataset(references), references.labels_of());
-  if (ivf_) build_index(ivf_->config());
 }
 
 TrainStats AdaptiveFingerprinter::train(const data::Dataset& train) {
@@ -97,16 +67,12 @@ double AdaptiveFingerprinter::probe_class_accuracy(int label, const data::Datase
 
 void AdaptiveFingerprinter::adapt_class(int label, const data::Dataset& fresh) {
   references_.remove_class(label);
-  if (ivf_) ivf_->remove_class(label);
   const data::Dataset mine = fresh.filter([label](int l) { return l == label; });
   if (!mine.empty()) {
     const nn::Matrix embeddings = model_.embed_dataset(mine);
-    for (std::size_t i = 0; i < embeddings.rows(); ++i) {
+    for (std::size_t i = 0; i < embeddings.rows(); ++i)
       references_.add(embeddings.row_span(i), label);
-      if (ivf_) ivf_->add(embeddings.row_span(i), label);
-    }
   }
-  if (ivf_) ivf_->maybe_rebuild();
 }
 
 std::vector<int> AdaptiveFingerprinter::target_classes() const {
@@ -163,9 +129,8 @@ void AdaptiveFingerprinter::load_body(io::Reader& in) {
   n_shards_ = n_shards;
   references_ = std::move(references);
   knn_ = KnnClassifier(k);
-  // Index state is never serialized: a loaded attacker answers exactly until
-  // someone rebuilds or attaches an index.
-  ivf_.reset();
+  // An attached store is never serialized: a loaded attacker answers from
+  // its own references until someone attaches an index.
   store_override_.reset();
 }
 

@@ -91,8 +91,8 @@ util::Table run_robust_serve(WikiScenario& scenario) {
 
       std::size_t requests = 0, ok = 0, timeouts = 0, backpressure = 0, protocol = 0,
                   other = 0, mismatches = 0;
-      // Same exact-percentile contract as perf_serve: the port to
-      // obs::Histogram leaves every CSV value bit-identical.
+      // Exact percentiles: the port to obs::Histogram left every CSV value
+      // bit-identical.
       obs::Histogram latency;
       while (requests < min_requests) {
         for (std::size_t begin = 0; begin < test.size(); begin += batch) {

@@ -13,7 +13,6 @@
 #include "eval/exp_million.hpp"
 #include "eval/exp_padding.hpp"
 #include "eval/exp_robust.hpp"
-#include "eval/exp_serve.hpp"
 #include "eval/exp_static.hpp"
 #include "eval/exp_transfer.hpp"
 #include "eval/exp_transport.hpp"
@@ -208,25 +207,6 @@ int run_defense(const AttackerFactory& make_attacker) {
   return 0;
 }
 
-// Serving-path benchmark (beyond the paper): the `wf serve` daemon
-// measured end to end over loopback — q/s and p50/p99 request latency for
-// every shard count x request batch size, coordinator path included.
-//
-// Expected shape: larger request batches amortize framing and dispatch
-// (q/s up, per-request latency up); the scatter/gather tiers add a fan-out
-// hop that costs latency at small batches and pays off only once per-shard
-// scan time dominates.
-int run_perf_serve(const AttackerFactory&) {
-  util::BenchReport report("perf_serve");
-  WikiScenario scenario;
-  std::cout << "== perf_serve: daemon q/s and latency (shards x batch) ==\n";
-  const util::Table table = run_perf_serve(scenario);
-  table.print();
-  std::cout << "CSV written to " << results_dir() << "/perf_serve.csv\n";
-  report_rows(report, static_cast<double>(table.n_rows()));
-  return 0;
-}
-
 // Chaos benchmark (beyond the paper): the serving path driven through a
 // fault-injecting proxy, per fault kind x fault rate — availability within
 // a bounded retry budget, the classified error mix, p50/p99 latency, and a
@@ -300,8 +280,6 @@ const std::vector<Experiment>& experiments() {
        true, run_defense},
       {"ablation", "design-choice ablations + open-world detection incl. PR sweep", false,
        run_ablation},
-      {"perf_serve", "wf serve daemon q/s + p50/p99 latency vs batch size x shard count", false,
-       run_perf_serve},
       {"robust_serve", "serving availability + error classes + p99 under injected faults",
        false, run_robust},
       {"perf_million", "IVF index recall/speedup sweep: clusters x probes x SIMD vs exact scan",

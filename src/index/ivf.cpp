@@ -4,10 +4,8 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
-#include "io/binary.hpp"
 #include "nn/matrix.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
@@ -111,18 +109,24 @@ namespace {
 
 constexpr std::size_t kAssignTile = 256;  // rows per centroid-assignment GEMM
 
-// Nearest-centroid assignment of `n` contiguous rows, GEMM-tiled and
-// parallel over the pool; each row's answer is schedule-independent.
-void assign_rows(const float* rows, std::size_t n, std::size_t dim, const float* centroids,
+// Nearest-centroid assignment of the `n` rows row_at(0..n), GEMM-tiled
+// (each tile gathered into one contiguous block) and parallel over the
+// pool; each row's answer is schedule-independent.
+template <typename RowAt>
+void assign_rows(RowAt row_at, std::size_t n, std::size_t dim, const float* centroids,
                  const double* centroid_norms, std::size_t n_centroids,
                  std::vector<std::size_t>& out) {
   out.resize(n);
   util::global_pool().parallel_blocks(0, n, kAssignTile, [&](std::size_t lo, std::size_t hi) {
+    thread_local util::AlignedVector<float> tile;
     thread_local std::vector<float> dots;
     for (std::size_t t0 = lo; t0 < hi; t0 += kAssignTile) {
       const std::size_t t1 = std::min(hi, t0 + kAssignTile);
+      tile.resize((t1 - t0) * dim);
+      for (std::size_t i = t0; i < t1; ++i)
+        std::copy_n(row_at(i), dim, tile.data() + (i - t0) * dim);
       dots.resize((t1 - t0) * n_centroids);
-      nn::gemm_nt_serial(rows + t0 * dim, t1 - t0, centroids, n_centroids, dim, dots.data());
+      nn::gemm_nt_serial(tile.data(), t1 - t0, centroids, n_centroids, dim, dots.data());
       for (std::size_t i = t0; i < t1; ++i)
         out[i] = argmin_margin(centroid_norms, dots.data() + (i - t0) * n_centroids,
                                n_centroids);
@@ -130,56 +134,43 @@ void assign_rows(const float* rows, std::size_t n, std::size_t dim, const float*
   });
 }
 
-// A store's rows as one table in global insertion-id order.
-struct Rows {
-  util::AlignedVector<float> data;  // n x dim
-  std::vector<int> labels;
-  std::vector<std::uint64_t> row_ids;
+// One row of a store, read in place.
+struct RowRef {
+  std::uint64_t row_id;
+  const float* data;
+  int label;
 };
 
-// Every build clusters rows gathered by row id, so the clustering (and
-// therefore the file layout) is a function of the content, not of how the
-// source store is sharded or of the add/remove history that produced it.
-Rows rows_by_id(const core::ReferenceStore& store) {
-  struct Ref {
-    std::uint64_t row_id;
-    std::size_t shard;
-    std::size_t row;
-  };
-  std::vector<Ref> refs;
-  refs.reserve(store.size());
+// A store's rows in global insertion-id order. Every build clusters rows in
+// this order, so the clustering (and therefore the file layout) is a
+// function of the content, not of how the source store is sharded or of the
+// add/remove history that produced it.
+std::vector<RowRef> rows_by_id(const core::ReferenceStore& store) {
+  std::vector<RowRef> rows;
+  rows.reserve(store.size());
+  const std::size_t dim = store.dim();
   for (std::size_t s = 0; s < store.shard_count(); ++s) {
     const core::ShardView shard = store.shard_view(s);
-    for (std::size_t j = 0; j < shard.rows; ++j) refs.push_back({shard.row_ids[j], s, j});
+    for (std::size_t j = 0; j < shard.rows; ++j)
+      rows.push_back({shard.row_ids[j], shard.data + j * dim,
+                      store.label_of_id(static_cast<std::size_t>(shard.class_ids[j]))});
   }
-  std::sort(refs.begin(), refs.end(),
-            [](const Ref& a, const Ref& b) { return a.row_id < b.row_id; });
-
-  const std::size_t n = refs.size();
-  const std::size_t dim = store.dim();
-  Rows rows{util::AlignedVector<float>(n * dim), std::vector<int>(n),
-            std::vector<std::uint64_t>(n)};
-  for (std::size_t i = 0; i < n; ++i) {
-    const core::ShardView shard = store.shard_view(refs[i].shard);
-    std::copy_n(shard.data + refs[i].row * dim, dim, rows.data.data() + i * dim);
-    rows.labels[i] = store.label_of_id(static_cast<std::size_t>(shard.class_ids[refs[i].row]));
-    rows.row_ids[i] = refs[i].row_id;
-  }
+  std::sort(rows.begin(), rows.end(),
+            [](const RowRef& a, const RowRef& b) { return a.row_id < b.row_id; });
   return rows;
 }
 
 }  // namespace
 
-IvfReferenceStore::IvfReferenceStore(const core::ReferenceStore& base, const IvfConfig& config)
-    : config_(config), dim_(base.dim()) {
-  const Rows rows = rows_by_id(base);
-  const std::size_t n = rows.row_ids.size();
-  if (n > 0) next_row_id_ = rows.row_ids.back() + 1;
-  build_from_rows(rows.data.data(), rows.labels.data(), rows.row_ids.data(), n);
-}
+IvfReferenceStore::IvfReferenceStore(const core::ReferenceStore& base, const IvfConfig& config,
+                                     std::uint64_t next_row_id)
+    : config_(config), dim_(base.dim()), next_row_id_(next_row_id) {
+  // The rows stay in `base`: the build copies only the training sample and
+  // then each row once, into its cell.
+  const std::vector<RowRef> rows = rows_by_id(base);
+  const std::size_t n = rows.size();
+  if (n > 0) next_row_id_ = std::max(next_row_id_, rows.back().row_id + 1);
 
-void IvfReferenceStore::build_from_rows(const float* data, const int* labels,
-                                        const std::uint64_t* row_ids, std::size_t n) {
   std::size_t n_clusters;
   if (config_.clusters > 0)
     n_clusters = std::min(config_.clusters, std::max<std::size_t>(n, 1));
@@ -191,26 +182,22 @@ void IvfReferenceStore::build_from_rows(const float* data, const int* labels,
   centroids_.assign(n_clusters * dim_, 0.0f);
   centroid_norms_.assign(n_clusters, 0.0);
   cells_.assign(n_clusters, {});
-  ids_ = core::ClassIdSpace();
   size_ = n;
-  built_rows_ = n;
-  churn_ = 0;
   if (n == 0) return;
 
   util::Rng rng(config_.seed);
 
   // Training sample: a seeded partial shuffle of the row indices. The
-  // centroids are trained on at most sample_per_cluster rows per cluster;
+  // centroids are trained on at most kSamplePerCluster rows per cluster;
   // assignment below always covers every row.
-  const std::size_t sample =
-      std::min(n, std::max(n_clusters, n_clusters * config_.sample_per_cluster));
+  const std::size_t sample = std::min(n, n_clusters * kSamplePerCluster);
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   for (std::size_t i = 0; i < sample; ++i)
     std::swap(order[i], order[i + rng.index(n - i)]);
   util::AlignedVector<float> train(sample * dim_);
   for (std::size_t s = 0; s < sample; ++s)
-    std::copy_n(data + order[s] * dim_, dim_, train.data() + s * dim_);
+    std::copy_n(rows[order[s]].data, dim_, train.data() + s * dim_);
 
   // k-means++ init over the sample: each next centroid is drawn with
   // probability proportional to its squared distance from the chosen set.
@@ -250,9 +237,10 @@ void IvfReferenceStore::build_from_rows(const float* data, const int* labels,
   std::vector<std::size_t> assign;
   std::vector<double> sums(n_clusters * dim_);
   std::vector<std::size_t> counts(n_clusters);
-  for (std::size_t iter = 0; iter < config_.kmeans_iters; ++iter) {
-    assign_rows(train.data(), sample, dim_, centroids_.data(), centroid_norms_.data(),
-                n_clusters, assign);
+  const auto train_row = [&](std::size_t s) { return train.data() + s * dim_; };
+  for (std::size_t iter = 0; iter < kKmeansIters; ++iter) {
+    assign_rows(train_row, sample, dim_, centroids_.data(), centroid_norms_.data(), n_clusters,
+                assign);
     std::fill(sums.begin(), sums.end(), 0.0);
     std::fill(counts.begin(), counts.end(), std::size_t{0});
     for (std::size_t s = 0; s < sample; ++s) {
@@ -274,12 +262,11 @@ void IvfReferenceStore::build_from_rows(const float* data, const int* labels,
   // Final pass: assign every row and fill the cells in insertion order, so
   // within a cell rows keep their global (dist, insertion-id) tie-break
   // order and class ids are dense in first-appearance order.
-  assign_rows(data, n, dim_, centroids_.data(), centroid_norms_.data(), n_clusters, assign);
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* row = data + i * dim_;
-    cells_[assign[i]].append({row, dim_}, nn::squared_norm(row, dim_), ids_.intern(labels[i]),
-                             row_ids[i]);
-  }
+  assign_rows([&](std::size_t i) { return rows[i].data; }, n, dim_, centroids_.data(),
+              centroid_norms_.data(), n_clusters, assign);
+  for (std::size_t i = 0; i < n; ++i)
+    cells_[assign[i]].append({rows[i].data, dim_}, nn::squared_norm(rows[i].data, dim_),
+                             ids_.intern(rows[i].label), rows[i].row_id);
 }
 
 core::ShardView IvfReferenceStore::shard_view(std::size_t shard) const {
@@ -296,11 +283,6 @@ std::size_t IvfReferenceStore::effective_probes() const {
 void IvfReferenceStore::probe_shards(std::span<const float> query,
                                      std::vector<std::size_t>& out) const {
   detail::probe_clusters(*this, query, centroids_.data(), centroid_norms_, config_.probes, out);
-}
-
-std::span<const float> IvfReferenceStore::centroid(std::size_t c) const {
-  WF_CHECK(c < cells_.size(), "IvfReferenceStore::centroid: cluster out of range");
-  return {centroids_.data() + c * dim_, dim_};
 }
 
 std::vector<int> IvfReferenceStore::classes() const {
@@ -321,59 +303,10 @@ void IvfReferenceStore::add(std::span<const float> embedding, int label) {
   cells_[nearest.front()].append(embedding, nn::squared_norm(embedding.data(), dim_), class_id,
                                  next_row_id_++);
   ++size_;
-  ++churn_;
 }
 
 void IvfReferenceStore::remove_class(int label) {
-  const std::size_t removed = core::erase_class(label, dim_, ids_, cells_);
-  size_ -= removed;
-  churn_ += removed;
-}
-
-void IvfReferenceStore::rebuild() {
-  const Rows rows = rows_by_id(*this);
-  build_from_rows(rows.data.data(), rows.labels.data(), rows.row_ids.data(),
-                  rows.row_ids.size());
-  detail::index_metrics().rebuilds_total->inc();
-}
-
-bool IvfReferenceStore::maybe_rebuild() {
-  if (config_.rebuild_churn <= 0.0) return false;
-  const double threshold =
-      config_.rebuild_churn * static_cast<double>(std::max<std::size_t>(built_rows_, 1));
-  if (static_cast<double>(churn_) <= threshold) return false;
-  rebuild();
-  return true;
-}
-
-IvfReferenceStore IvfReferenceStore::restore(std::size_t dim, std::uint64_t next_row_id,
-                                             const IvfConfig& config,
-                                             util::AlignedVector<float> centroids,
-                                             std::vector<int> id_to_label,
-                                             std::vector<Cell> cells) {
-  IvfReferenceStore store;
-  store.config_ = config;
-  store.dim_ = dim;
-  store.next_row_id_ = next_row_id;
-
-  if (dim == 0 || cells.empty() || centroids.size() != cells.size() * dim)
-    throw io::IoError("index tables inconsistent: centroid shape");
-  try {
-    store.ids_ = core::ClassIdSpace(std::move(id_to_label));
-    core::check_row_tables(cells, dim, store.ids_, next_row_id);
-  } catch (const std::invalid_argument& e) {
-    throw io::IoError(std::string("index tables inconsistent: ") + e.what());
-  }
-  std::size_t rows = 0;
-  for (const Cell& cell : cells) rows += cell.rows();
-  store.centroids_ = std::move(centroids);
-  store.centroid_norms_.resize(cells.size());
-  for (std::size_t c = 0; c < cells.size(); ++c)
-    store.centroid_norms_[c] = nn::squared_norm(store.centroids_.data() + c * dim, dim);
-  store.cells_ = std::move(cells);
-  store.size_ = rows;
-  store.built_rows_ = rows;
-  return store;
+  size_ -= core::erase_class(label, dim_, ids_, cells_);
 }
 
 }  // namespace wf::index

@@ -44,11 +44,14 @@ struct Header {
   std::uint64_t n_class_ids = 0;
   std::uint64_t default_probes = 0;
   std::uint64_t kmeans_seed = 0;
-  std::uint64_t kmeans_iters = 0;
-  std::uint64_t sample_per_cluster = 0;
-  double rebuild_churn = 0.0;
   std::uint64_t file_bytes = 0;
 };
+
+// The three fixed header fields at offsets 72..95 (see index/store.hpp) are
+// written, never read back: the k-means constants every build uses, and the
+// churn fraction of a retired automatic re-clustering (its old default), so
+// files stay byte-identical to those of earlier builds.
+constexpr double kFixedRebuildChurn = 0.5;
 
 // Byte offset of each array (see the layout comment in index/store.hpp).
 struct Layout {
@@ -87,13 +90,6 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   return v;
 }
 
-double get_f64(const std::uint8_t* p) {
-  const std::uint64_t bits = get_u64(p);
-  double v;
-  __builtin_memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
 // Header parse + every check that does not touch the bulk arrays: magic,
 // versions, kind, plausibility caps (a corrupt count must raise IoError, not
 // a multi-GiB allocation or an overflowing layout), and the file_bytes pin
@@ -122,9 +118,6 @@ Header parse_header(const io::MappedFile& map) {
   h.n_class_ids = get_u64(p + 48);
   h.default_probes = get_u64(p + 56);
   h.kmeans_seed = get_u64(p + 64);
-  h.kmeans_iters = get_u64(p + 72);
-  h.sample_per_cluster = get_u64(p + 80);
-  h.rebuild_churn = get_f64(p + 88);
   h.file_bytes = get_u64(p + 96);
   if (h.dim == 0 || h.dim > (std::uint64_t{1} << 20))
     throw io::IoError("index header implausible: dim " + std::to_string(h.dim));
@@ -275,10 +268,7 @@ IvfConfig config_of(const Header& h) {
   // rebuild from this file reproduces the same partition width.
   config.clusters = h.clusters;
   config.probes = h.default_probes;
-  config.kmeans_iters = h.kmeans_iters;
-  config.sample_per_cluster = h.sample_per_cluster;
   config.seed = h.kmeans_seed;
-  config.rebuild_churn = h.rebuild_churn;
   return config;
 }
 
@@ -296,9 +286,6 @@ void write_index_file(const std::string& path, const IvfReferenceStore& store) {
   h.n_class_ids = store.n_class_ids();
   h.default_probes = store.config().probes;
   h.kmeans_seed = store.config().seed;
-  h.kmeans_iters = store.config().kmeans_iters;
-  h.sample_per_cluster = store.config().sample_per_cluster;
-  h.rebuild_churn = store.config().rebuild_churn;
   const Layout l = layout_of(h);
   h.file_bytes = l.total;
 
@@ -314,9 +301,9 @@ void write_index_file(const std::string& path, const IvfReferenceStore& store) {
   w.u64(h.n_class_ids);
   w.u64(h.default_probes);
   w.u64(h.kmeans_seed);
-  w.u64(h.kmeans_iters);
-  w.u64(h.sample_per_cluster);
-  w.f64(h.rebuild_churn);
+  w.u64(kKmeansIters);
+  w.u64(kSamplePerCluster);
+  w.f64(kFixedRebuildChurn);
   w.u64(h.file_bytes);
   std::size_t offset = kHeaderBytes;
 
@@ -366,49 +353,33 @@ void write_index_file(const std::string& path, const IvfReferenceStore& store) {
   if (!out) throw io::IoError("write failed: " + path);
 }
 
-IvfReferenceStore load_index(const std::string& path) {
-  const MappedIndex mapped(path);
-  const std::size_t dim = mapped.dim();
-  const std::size_t clusters = mapped.config().clusters;
-  std::vector<IvfReferenceStore::Cell> cells(clusters);
-  for (std::size_t c = 0; c < clusters; ++c) {
-    const core::ShardView base = mapped.shard_view(c);
-    const core::ShardView tail = mapped.shard_view(clusters + c);
-    IvfReferenceStore::Cell& cell = cells[c];
-    const std::size_t rows = base.rows + tail.rows;
-    cell.data.reserve(rows * dim);
-    cell.sq_norms.reserve(rows);
-    cell.class_ids.reserve(rows);
-    cell.row_ids.reserve(rows);
-    for (const core::ShardView& v : {base, tail}) {
-      cell.data.insert(cell.data.end(), v.data, v.data + v.rows * dim);
-      cell.sq_norms.insert(cell.sq_norms.end(), v.sq_norms, v.sq_norms + v.rows);
-      cell.class_ids.insert(cell.class_ids.end(), v.class_ids, v.class_ids + v.rows);
-      cell.row_ids.insert(cell.row_ids.end(), v.row_ids, v.row_ids + v.rows);
-    }
-  }
-  std::vector<int> id_to_label(mapped.n_class_ids());
-  for (std::size_t id = 0; id < id_to_label.size(); ++id) id_to_label[id] = mapped.label_of_id(id);
-  const std::span<const float> centroids = mapped.centroids();
-  return IvfReferenceStore::restore(dim, mapped.next_row_id(), mapped.config(),
-                                    util::AlignedVector<float>(centroids.begin(), centroids.end()),
-                                    std::move(id_to_label), std::move(cells));
-}
-
 std::unique_ptr<core::ReferenceStore> open_index(const std::string& path, std::size_t probes) {
   return std::make_unique<MappedIndex>(path, probes);
 }
 
 std::size_t rebuild_index_file(const std::string& path) {
-  IvfReferenceStore store = load_index(path);
-  store.rebuild();
   const std::string tmp = path + ".tmp";
-  write_index_file(tmp, store);
+  std::size_t rows = 0;
+  {
+    // Clusters the live rows straight out of the mapping (base + replayed
+    // journal); the row-id sequence continues past the file's, since ids
+    // are never reused.
+    const MappedIndex mapped(path);
+    const IvfReferenceStore store(mapped, mapped.config(), mapped.next_row_id());
+    write_index_file(tmp, store);
+    rows = store.size();
+  }
+  // Crash order: the new base is durable before it replaces the old one,
+  // and the rename is durable before the journal it absorbed goes away.
+  io::sync_path(tmp);
   std::filesystem::rename(tmp, path);
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  io::sync_path(dir.empty() ? "." : dir.string());
   std::error_code ec;
   std::filesystem::remove(journal_path_of(path), ec);
+  detail::index_metrics().rebuilds_total->inc();
   detail::index_metrics().journal_bytes->set(0);
-  return store.size();
+  return rows;
 }
 
 IndexJournalWriter::IndexJournalWriter(const std::string& index_path)

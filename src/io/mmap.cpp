@@ -80,4 +80,16 @@ void MappedFile::reset() noexcept {
   mapped_ = false;
 }
 
+void sync_path(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) fail(path, "open");
+  if (::fsync(fd) != 0) {
+    const int saved = errno;
+    ::close(fd);
+    errno = saved;
+    fail(path, "fsync");
+  }
+  ::close(fd);
+}
+
 }  // namespace wf::io

@@ -169,10 +169,4 @@ void Mlp::adam_step(double learning_rate) {
   zero_grad();
 }
 
-std::size_t Mlp::parameter_count() const {
-  std::size_t n = 0;
-  for (const Layer& layer : layers_) n += layer.w.rows() * layer.w.cols() + layer.b.size();
-  return n;
-}
-
 }  // namespace wf::nn

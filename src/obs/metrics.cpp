@@ -17,7 +17,7 @@ std::size_t bucket_index(double value) {
 }
 
 // The exact formula the ad-hoc eval percentile helpers used; keeping it
-// byte-identical is what lets exp_serve/exp_robust port without CSV drift.
+// byte-identical is what let exp_robust port without CSV drift.
 double exact_quantile(std::vector<double> samples, double p) {
   std::sort(samples.begin(), samples.end());
   const auto rank = static_cast<std::size_t>(p * static_cast<double>(samples.size() - 1));

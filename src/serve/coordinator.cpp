@@ -12,12 +12,6 @@ namespace wf::serve {
 
 namespace {
 
-CoordinatorConfig legacy_config(int retry_ms) {
-  CoordinatorConfig config;
-  config.connect_retry_ms = retry_ms;
-  return config;
-}
-
 std::string address_string(const BackendAddress& address) {
   return address.host + ":" + std::to_string(address.port);
 }
@@ -102,9 +96,6 @@ CoordinatorHandler::CoordinatorHandler(const std::vector<BackendAddress>& backen
 
   reconnect_thread_ = std::thread(&CoordinatorHandler::reconnect_loop, this);
 }
-
-CoordinatorHandler::CoordinatorHandler(const std::vector<BackendAddress>& backends, int retry_ms)
-    : CoordinatorHandler(backends, legacy_config(retry_ms)) {}
 
 CoordinatorHandler::~CoordinatorHandler() {
   {

@@ -18,10 +18,6 @@ struct Overrides {
   std::optional<std::size_t> threads;
   std::optional<std::size_t> shards;
   std::optional<std::string> results_dir;
-  std::optional<std::size_t> serve_timeout_ms;
-  std::optional<bool> obs;
-  std::optional<std::string> log_level;
-  std::optional<std::string> simd;
   std::mutex mutex;
 };
 
@@ -93,31 +89,16 @@ std::string Env::results_dir() {
 }
 
 std::size_t Env::serve_timeout_ms() {
-  {
-    std::lock_guard<std::mutex> lock(overrides().mutex);
-    if (overrides().serve_timeout_ms) return *overrides().serve_timeout_ms;
-  }
   return parse_count("WF_SERVE_TIMEOUT_MS", 3600000);
 }
 
 bool Env::obs() {
-  {
-    std::lock_guard<std::mutex> lock(overrides().mutex);
-    if (overrides().obs) return *overrides().obs;
-  }
   return parse_flag(std::getenv("WF_OBS"));
 }
 
 std::string Env::log_level() {
-  std::string value;
-  {
-    std::lock_guard<std::mutex> lock(overrides().mutex);
-    if (overrides().log_level) value = *overrides().log_level;
-  }
-  if (value.empty()) {
-    const char* env = std::getenv("WF_LOG_LEVEL");
-    if (env != nullptr) value = env;
-  }
+  const char* env = std::getenv("WF_LOG_LEVEL");
+  std::string value = env != nullptr ? env : "";
   std::transform(value.begin(), value.end(), value.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
   // Unknown spellings read as the default rather than warning: this is
@@ -127,39 +108,12 @@ std::string Env::log_level() {
 }
 
 std::string Env::simd() {
-  std::string value;
-  {
-    std::lock_guard<std::mutex> lock(overrides().mutex);
-    if (overrides().simd) value = *overrides().simd;
-  }
-  if (value.empty()) {
-    const char* env = std::getenv("WF_SIMD");
-    if (env != nullptr) value = env;
-  }
+  const char* env = std::getenv("WF_SIMD");
+  std::string value = env != nullptr ? env : "";
   std::transform(value.begin(), value.end(), value.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
   if (value.empty()) return "auto";
   return value;
-}
-
-void Env::override_simd(std::string mode) {
-  std::lock_guard<std::mutex> lock(overrides().mutex);
-  overrides().simd = std::move(mode);
-}
-
-void Env::override_obs(bool obs) {
-  std::lock_guard<std::mutex> lock(overrides().mutex);
-  overrides().obs = obs;
-}
-
-void Env::override_log_level(std::string level) {
-  std::lock_guard<std::mutex> lock(overrides().mutex);
-  overrides().log_level = std::move(level);
-}
-
-void Env::override_serve_timeout_ms(std::size_t ms) {
-  std::lock_guard<std::mutex> lock(overrides().mutex);
-  overrides().serve_timeout_ms = ms;
 }
 
 void Env::override_smoke(bool smoke) {

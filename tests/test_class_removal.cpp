@@ -215,11 +215,11 @@ int main() {
                 [&](std::size_t c) -> const core::RowTables& { return store.cell(c); });
       const auto want = knn.rank_batch(fresh_store(live, dim), queries);
       CHECK(same_rankings(knn.rank_batch(store, queries), want));
-      // Save -> load goes through IvfReferenceStore::restore.
+      // Write -> open goes through the mapped view of the file.
       index::write_index_file(path, store);
-      const index::IvfReferenceStore loaded = index::load_index(path);
-      CHECK(loaded.size() == store.size());
-      CHECK(same_rankings(knn.rank_batch(loaded, queries), want));
+      const std::unique_ptr<core::ReferenceStore> loaded = index::open_index(path);
+      CHECK(loaded->size() == store.size());
+      CHECK(same_rankings(knn.rank_batch(*loaded, queries), want));
     };
     run_removal_sequence(
         rows, single_label, readd, store, [&](int label) { store.remove_class(label); },
@@ -312,7 +312,7 @@ int main() {
     {
       const std::unique_ptr<core::ReferenceStore> opened = open_checked(0);
       CHECK(same_rankings(knn.rank_batch(*opened, queries), want_pre));
-      CHECK(index::load_index(path).size() == live.size());
+      CHECK(index::open_index(path)->size() == live.size());
     }
     CHECK(index::rebuild_index_file(path) == live_rows.size());
     CHECK(read_file(path) == compacted);
@@ -323,7 +323,6 @@ int main() {
     // the base already, so every reader refuses rather than duplicate rows.
     write_file(journal.journal_path(), journal_bytes);
     CHECK(throws_io_error([&] { index::open_index(path); }));
-    CHECK(throws_io_error([&] { index::load_index(path); }));
     CHECK(throws_io_error([&] { index::rebuild_index_file(path); }));
     CHECK(read_file(path) == compacted);
     CHECK(read_file(journal.journal_path()) == journal_bytes);

@@ -404,21 +404,31 @@ int main() {
     // still a MappedIndex and answers exactly like the in-memory store.
     journal.remove_class(700);
     churned.remove_class(700);
+    // The class of the last add goes too, so the highest live row id falls
+    // below next_row_id: compaction must keep the sequence, not restart it.
+    journal.remove_class(rows[8].label);
+    churned.remove_class(rows[8].label);
     const std::unique_ptr<core::ReferenceStore> reloaded = index::open_index(path);
     CHECK(dynamic_cast<const index::MappedIndex*>(reloaded.get()) != nullptr);
     CHECK(reloaded->size() == churned.size());
     check_rankings_identical(knn.rank_batch(churned, queries),
                              knn.rank_batch(*reloaded, queries));
 
-    // Compaction: rebuild the file, journal gone, answers == in-memory
-    // rebuild of the identically-churned store.
+    // Compaction: rebuild the file, journal gone, answers == a fresh
+    // clustering of the identically-churned in-memory store. With the
+    // row-id sequence carried over, the two files match byte for byte.
     const std::size_t compacted = index::rebuild_index_file(path);
     CHECK(compacted == churned.size());
     CHECK(!std::filesystem::exists(journal.journal_path()));
-    churned.rebuild();
+    CHECK(index::read_index_info(path).next_row_id == churned.next_row_id());
+    const index::IvfReferenceStore oracle(churned, churned.config(), churned.next_row_id());
     const std::unique_ptr<core::ReferenceStore> rebuilt = index::open_index(path);
-    check_rankings_identical(knn.rank_batch(churned, queries),
+    check_rankings_identical(knn.rank_batch(oracle, queries),
                              knn.rank_batch(*rebuilt, queries));
+    const std::string oracle_file = temp_path("wf_test_index_compact_oracle.wfx");
+    index::write_index_file(oracle_file, oracle);
+    CHECK(test::read_file(oracle_file) == test::read_file(path));
+    std::filesystem::remove(oracle_file);
   }
 
   // --- P < C against a brute-force scan of exactly the probed clusters -----
@@ -453,23 +463,6 @@ int main() {
     CHECK(tails_with_early > 0);
     std::filesystem::remove(journal.journal_path());
     std::filesystem::remove(oracle_path);
-  }
-
-  // --- churn accounting drives maybe_rebuild --------------------------------
-  {
-    index::IvfConfig config;
-    config.clusters = 4;
-    config.rebuild_churn = 0.25;
-    index::IvfReferenceStore store(flat, config);
-    CHECK(store.churn() == 0);
-    CHECK(!store.maybe_rebuild());
-    util::Rng fresh(31);
-    const std::size_t threshold = flat.size() / 4;
-    for (std::size_t i = 0; i <= threshold; ++i) store.add(random_point(fresh, dim), 701);
-    CHECK(store.churn() > threshold);
-    CHECK(store.maybe_rebuild());
-    CHECK(store.churn() == 0);
-    CHECK(!store.maybe_rebuild());
   }
 
   // --- every supported SIMD mode agrees with scalar -------------------------

@@ -26,7 +26,7 @@ using wf::obs::Span;
 namespace {
 
 // The formula the obs::Histogram contract promises: the exact percentile
-// math eval/exp_serve and eval/exp_robust used before the port.
+// math eval/exp_robust used before the port.
 double oracle_quantile(std::vector<double> sorted, double p) {
   std::sort(sorted.begin(), sorted.end());
   return sorted[static_cast<std::size_t>(p * static_cast<double>(sorted.size() - 1))];
@@ -77,7 +77,7 @@ void test_histogram_exact_quantiles() {
   CHECK_NEAR(hist.sum(), sum, 1e-6);
 
   // Quantiles must be bit-identical to the sorted-vector oracle — this is
-  // what keeps the exp_serve/exp_robust CSVs unchanged after the port.
+  // what keeps the exp_robust CSV unchanged after the port.
   for (const double p : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0})
     CHECK(hist.quantile(p) == oracle_quantile(samples, p));
 

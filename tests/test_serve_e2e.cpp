@@ -185,8 +185,10 @@ int main() {
       backends.back()->start();
       addresses.push_back({"127.0.0.1", backends.back()->port()});
     }
-    serve::Server coordinator(std::make_shared<serve::CoordinatorHandler>(addresses, 2000),
-                              {});
+    serve::Server coordinator(
+        std::make_shared<serve::CoordinatorHandler>(
+            addresses, serve::CoordinatorConfig{.connect_retry_ms = 2000}),
+        {});
     coordinator.start();
 
     serve::Client client("127.0.0.1", coordinator.port(), 2000);
@@ -221,7 +223,8 @@ int main() {
     half.start();
     bool threw = false;
     try {
-      serve::CoordinatorHandler bad({{"127.0.0.1", half.port()}}, 2000);
+      serve::CoordinatorHandler bad({{"127.0.0.1", half.port()}},
+                                    serve::CoordinatorConfig{.connect_retry_ms = 2000});
     } catch (const std::runtime_error&) {
       threw = true;
     }
