@@ -3,6 +3,7 @@
 // from a fresh model, and steady-state steps),
 // SIMD dot kernels and the distance GEMM, k-NN query (scalar, batched,
 // every class touched, IVF-pruned and the adaptive pass's two-query probe),
+// the IVF build,
 // random-forest prediction, FL padding and the parallel crawler.
 #include <benchmark/benchmark.h>
 
@@ -303,6 +304,32 @@ void BM_KnnQueryBatchPruned(benchmark::State& state) {
                           static_cast<std::int64_t>(corpus.queries.rows()));
 }
 BENCHMARK(BM_KnnQueryBatchPruned)->Unit(benchmark::kMillisecond);
+
+// The IVF build (k-means++ seeding, Lloyd iterations, final assignment and
+// cell fill) of 65,536 clustered rows (1,024 classes, dim 32) into C = 256
+// clusters, as `wf index build` and every compaction run it. Items are rows.
+void BM_IvfBuild(benchmark::State& state) {
+  constexpr std::size_t kClasses = 1024, kPerClass = 64, kDim = 32;
+  util::Rng rng(26);
+  std::vector<float> centres(kClasses * kDim);
+  for (float& v : centres) v = static_cast<float>(rng.normal());
+  std::vector<float> row(kDim);
+  core::ShardedReferenceSet refs(kDim, 4);
+  for (std::size_t i = 0; i < kClasses * kPerClass; ++i) {
+    const std::size_t cls = i % kClasses;
+    for (std::size_t d = 0; d < kDim; ++d)
+      row[d] = centres[cls * kDim + d] + static_cast<float>(rng.normal(0.0, 0.35));
+    refs.add(row, static_cast<int>(cls));
+  }
+  index::IvfConfig config;
+  config.clusters = 256;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index::IvfReferenceStore(refs, config));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(refs.size()));
+}
+BENCHMARK(BM_IvfBuild)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // Scalar k-NN query at 100k references: rank() is a one-row rank_batch,
 // whose one query tile is split into shard groups spread across the pool

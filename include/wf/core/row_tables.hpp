@@ -50,6 +50,8 @@ struct RowTables {
   }
   void append(std::span<const float> embedding, double sq_norm, int class_id,
               std::uint64_t row_id);
+  // Capacity for `rows` rows of width `dim` in all four columns.
+  void reserve(std::size_t rows, std::size_t dim);
 };
 
 // A store's dense class-id space: ids 0 .. size() - 1, each naming one

@@ -81,7 +81,9 @@ inline double squared_norm(const float* v, std::size_t n) {
   return acc;
 }
 
-// Squared Euclidean distance between two equally sized vectors.
+// Squared Euclidean distance between two equally sized vectors. The IVF
+// seeding kernel (nn/simd.hpp SquaredDistancesFn) replays this sequence
+// lane by lane; change one and the other with it.
 inline double squared_distance(std::span<const float> a, std::span<const float> b) {
   double acc = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {

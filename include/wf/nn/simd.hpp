@@ -20,8 +20,10 @@
 // row's (l0+l1)+(l2+l3) and (l4+l5)+(l6+l7) halves, permute2f128 lines the
 // halves up, one add joins them and a second adds the scalar tail. That is
 // the same tree as above, so the tile is bit-identical to the per-pair
-// kernel. Rows past the last full tile, and the scalar and NEON modes, call
-// the per-pair kernel for every row.
+// kernel. When k is a multiple of 8 there is no scalar tail, and the tile
+// adds a zero register instead: that is the oracle's "+ tail" with tail =
+// +0.0f, so a -0.0 sum still comes out +0.0. Rows past the last full tile,
+// and the scalar and NEON modes, call the per-pair kernel for every row.
 //
 // The training kernels follow the same rule: one scalar loop is the
 // WF_SIMD=scalar oracle and the AVX2 twin replays its operations exactly.
@@ -42,6 +44,15 @@
 //     and IEEE division and square root (vdivpd, vsqrtpd), which round like
 //     their scalar forms.
 // The NEON mode runs the scalar training kernels.
+//
+// The IVF build's k-means++ seeding has a kernel of its own.
+//   - SquaredDistancesFn: the squared distance of every training sample
+//     from the last chosen centroid. The samples are stored column-major,
+//     so each sample has its own lane. Each lane replays
+//     nn::squared_distance: it starts at 0.0 and adds d * d, with
+//     d = double(x[i]) - double(c[i]), for i = 0 .. dim - 1, one multiply
+//     then one add. The AVX2 twin keeps four samples per register; NEON runs
+//     the scalar loop.
 
 #include <cstddef>
 #include <cstdint>
@@ -88,6 +99,12 @@ DotRowsFn dot_rows_kernel(SimdMode mode);
 using AxpyRowsFn = void (*)(const float* coef, std::size_t coef_stride, std::size_t count,
                             const float* rows, std::size_t n, float* out);
 AxpyRowsFn axpy_rows_kernel(SimdMode mode);
+
+// out[s] = nn::squared_distance(x_s, point) for the n samples x_s of a
+// column-major block: dimension i of sample s is cols[i * n + s].
+using SquaredDistancesFn = void (*)(const float* cols, std::size_t n, const float* point,
+                                    std::size_t dim, double* out);
+SquaredDistancesFn squared_distances_kernel(SimdMode mode);
 
 // The optimizer's fixed Adam hyper-parameters.
 inline constexpr double kAdamBeta1 = 0.9;

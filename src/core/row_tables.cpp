@@ -14,6 +14,13 @@ void RowTables::append(std::span<const float> embedding, double sq_norm, int cla
   row_ids.push_back(row_id);
 }
 
+void RowTables::reserve(std::size_t rows, std::size_t dim) {
+  data.reserve(rows * dim);
+  sq_norms.reserve(rows);
+  class_ids.reserve(rows);
+  row_ids.reserve(rows);
+}
+
 ClassIdSpace::ClassIdSpace(std::vector<int> labels_by_id) : labels_(std::move(labels_by_id)) {
   if (labels_.size() > kMaxClassIds)
     throw std::invalid_argument("class-id table holds more than 2^24 ids");

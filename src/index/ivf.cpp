@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "nn/matrix.hpp"
+#include "nn/simd.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -134,10 +135,12 @@ void assign_rows(RowAt row_at, std::size_t n, std::size_t dim, const float* cent
   });
 }
 
-// One row of a store, read in place.
+// One row of a store, read in place, with the store's cached ‖r‖² (every
+// store computes it with nn::squared_norm's formula).
 struct RowRef {
   std::uint64_t row_id;
   const float* data;
+  double sq_norm;
   int label;
 };
 
@@ -152,7 +155,7 @@ std::vector<RowRef> rows_by_id(const core::ReferenceStore& store) {
   for (std::size_t s = 0; s < store.shard_count(); ++s) {
     const core::ShardView shard = store.shard_view(s);
     for (std::size_t j = 0; j < shard.rows; ++j)
-      rows.push_back({shard.row_ids[j], shard.data + j * dim,
+      rows.push_back({shard.row_ids[j], shard.data + j * dim, shard.sq_norms[j],
                       store.label_of_id(static_cast<std::size_t>(shard.class_ids[j]))});
   }
   std::sort(rows.begin(), rows.end(),
@@ -201,32 +204,43 @@ IvfReferenceStore::IvfReferenceStore(const core::ReferenceStore& base, const Ivf
 
   // k-means++ init over the sample: each next centroid is drawn with
   // probability proportional to its squared distance from the chosen set.
-  std::vector<double> d2(sample, 1e300);
-  const std::size_t first = rng.index(sample);
-  std::copy_n(train.data() + first * dim_, dim_, centroids_.data());
-  for (std::size_t c = 1; c < n_clusters; ++c) {
-    const float* last = centroids_.data() + (c - 1) * dim_;
-    double total = 0.0;
-    for (std::size_t s = 0; s < sample; ++s) {
-      const double d = nn::squared_distance({train.data() + s * dim_, dim_}, {last, dim_});
-      if (d < d2[s]) d2[s] = d;
-      total += d2[s];
-    }
-    std::size_t pick = 0;
-    if (total > 0.0) {
-      const double r = rng.uniform() * total;
-      double cum = 0.0;
+  // A round's distances come from the seeding kernel (nn/simd.hpp) over a
+  // column-major copy of the sample, one lane per sample, each lane exactly
+  // nn::squared_distance. The min-update, the running total and the pick
+  // stay in sample order here, so the draw is the serial loop's.
+  {
+    util::AlignedVector<float> cols(dim_ * sample);
+    for (std::size_t s = 0; s < sample; ++s)
+      for (std::size_t d = 0; d < dim_; ++d) cols[d * sample + s] = train[s * dim_ + d];
+    const nn::detail::SquaredDistancesFn distances =
+        nn::detail::squared_distances_kernel(nn::simd_mode());
+    std::vector<double> dist(sample);
+    std::vector<double> d2(sample, 1e300);
+    const std::size_t first = rng.index(sample);
+    std::copy_n(train.data() + first * dim_, dim_, centroids_.data());
+    for (std::size_t c = 1; c < n_clusters; ++c) {
+      distances(cols.data(), sample, centroids_.data() + (c - 1) * dim_, dim_, dist.data());
+      double total = 0.0;
       for (std::size_t s = 0; s < sample; ++s) {
-        cum += d2[s];
-        if (cum >= r) {
-          pick = s;
-          break;
-        }
+        if (dist[s] < d2[s]) d2[s] = dist[s];
+        total += d2[s];
       }
-    } else {
-      pick = rng.index(sample);  // all-duplicate corner: any row works
+      std::size_t pick = 0;
+      if (total > 0.0) {
+        const double r = rng.uniform() * total;
+        double cum = 0.0;
+        for (std::size_t s = 0; s < sample; ++s) {
+          cum += d2[s];
+          if (cum >= r) {
+            pick = s;
+            break;
+          }
+        }
+      } else {
+        pick = rng.index(sample);  // all-duplicate corner: any row works
+      }
+      std::copy_n(train.data() + pick * dim_, dim_, centroids_.data() + c * dim_);
     }
-    std::copy_n(train.data() + pick * dim_, dim_, centroids_.data() + c * dim_);
   }
   for (std::size_t c = 0; c < n_clusters; ++c)
     centroid_norms_[c] = nn::squared_norm(centroids_.data() + c * dim_, dim_);
@@ -261,12 +275,16 @@ IvfReferenceStore::IvfReferenceStore(const core::ReferenceStore& base, const Ivf
 
   // Final pass: assign every row and fill the cells in insertion order, so
   // within a cell rows keep their global (dist, insertion-id) tie-break
-  // order and class ids are dense in first-appearance order.
+  // order and class ids are dense in first-appearance order. Each cell is
+  // sized from the assignment first, and each row keeps its source ‖r‖².
   assign_rows([&](std::size_t i) { return rows[i].data; }, n, dim_, centroids_.data(),
               centroid_norms_.data(), n_clusters, assign);
+  std::fill(counts.begin(), counts.end(), std::size_t{0});
+  for (std::size_t i = 0; i < n; ++i) ++counts[assign[i]];
+  for (std::size_t c = 0; c < n_clusters; ++c) cells_[c].reserve(counts[c], dim_);
   for (std::size_t i = 0; i < n; ++i)
-    cells_[assign[i]].append({rows[i].data, dim_}, nn::squared_norm(rows[i].data, dim_),
-                             ids_.intern(rows[i].label), rows[i].row_id);
+    cells_[assign[i]].append({rows[i].data, dim_}, rows[i].sq_norm, ids_.intern(rows[i].label),
+                             rows[i].row_id);
 }
 
 core::ShardView IvfReferenceStore::shard_view(std::size_t shard) const {

@@ -272,9 +272,8 @@ IvfConfig config_of(const Header& h) {
   return config;
 }
 
-}  // namespace
-
-void write_index_file(const std::string& path, const IvfReferenceStore& store) {
+// Writes `store` to `path` in place.
+void write_base(const std::string& path, const IvfReferenceStore& store) {
   require_little_endian();
   if (store.dim() == 0 || store.clusters() == 0)
     throw io::IoError("cannot write an empty index (no clusters)");
@@ -353,33 +352,47 @@ void write_index_file(const std::string& path, const IvfReferenceStore& store) {
   if (!out) throw io::IoError("write failed: " + path);
 }
 
+// Writes `store` to <path>.tmp and renames it over `path`. A process that
+// has the old file mapped (a serving daemon) keeps reading the old inode:
+// the rename replaces the directory entry, where a write in place would
+// truncate the pages under the mapping. `durable` adds the fsyncs a
+// compaction needs before it drops a journal: the new base before the
+// rename, the directory after it.
+void write_replacing(const std::string& path, const IvfReferenceStore& store, bool durable) {
+  const std::string tmp = path + ".tmp";
+  write_base(tmp, store);
+  if (durable) io::sync_path(tmp);
+  std::filesystem::rename(tmp, path);
+  if (durable) {
+    const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+    io::sync_path(dir.empty() ? "." : dir.string());
+  }
+}
+
+}  // namespace
+
+void write_index_file(const std::string& path, const IvfReferenceStore& store) {
+  write_replacing(path, store, false);
+}
+
 std::unique_ptr<core::ReferenceStore> open_index(const std::string& path, std::size_t probes) {
   return std::make_unique<MappedIndex>(path, probes);
 }
 
 std::size_t rebuild_index_file(const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  std::size_t rows = 0;
-  {
-    // Clusters the live rows straight out of the mapping (base + replayed
-    // journal); the row-id sequence continues past the file's, since ids
-    // are never reused.
-    const MappedIndex mapped(path);
-    const IvfReferenceStore store(mapped, mapped.config(), mapped.next_row_id());
-    write_index_file(tmp, store);
-    rows = store.size();
-  }
+  // Clusters the live rows straight out of the mapping (base + replayed
+  // journal); the row-id sequence continues past the file's, since ids
+  // are never reused.
+  const MappedIndex mapped(path);
+  const IvfReferenceStore store(mapped, mapped.config(), mapped.next_row_id());
   // Crash order: the new base is durable before it replaces the old one,
   // and the rename is durable before the journal it absorbed goes away.
-  io::sync_path(tmp);
-  std::filesystem::rename(tmp, path);
-  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
-  io::sync_path(dir.empty() ? "." : dir.string());
+  write_replacing(path, store, true);
   std::error_code ec;
   std::filesystem::remove(journal_path_of(path), ec);
   detail::index_metrics().rebuilds_total->inc();
   detail::index_metrics().journal_bytes->set(0);
-  return rows;
+  return store.size();
 }
 
 IndexJournalWriter::IndexJournalWriter(const std::string& index_path)

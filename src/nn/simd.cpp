@@ -64,6 +64,22 @@ void adam_scalar(float* w, const float* g, float* m, float* v, std::size_t n,
   }
 }
 
+// The scalar seeding kernel (nn/simd.hpp): one lane per sample, each
+// replaying nn::squared_distance. Dimension-outer, so every pass reads one
+// contiguous column; lane s still adds its terms in dimension order.
+void squared_distances_scalar(const float* cols, std::size_t n, const float* point,
+                              std::size_t dim, double* out) {
+  std::fill(out, out + n, 0.0);
+  for (std::size_t i = 0; i < dim; ++i) {
+    const double c = static_cast<double>(point[i]);
+    const float* col = cols + i * n;
+    for (std::size_t s = 0; s < n; ++s) {
+      const double d = static_cast<double>(col[s]) - c;
+      out[s] += d * d;
+    }
+  }
+}
+
 #ifdef WF_SIMD_HAVE_AVX2
 // One 8-float register = the scalar kernel's eight lanes. Separate multiply
 // and add (no FMA: target("avx2") does not enable it, and a fused step
@@ -106,19 +122,63 @@ __attribute__((target("avx2"))) void dot_rows_avx2(const float* a, const float* 
       acc6 = _mm256_add_ps(acc6, _mm256_mul_ps(x, _mm256_loadu_ps(r + 6 * k + i)));
       acc7 = _mm256_add_ps(acc7, _mm256_mul_ps(x, _mm256_loadu_ps(r + 7 * k + i)));
     }
-    alignas(32) float tail[8];
-    for (std::size_t t = 0; t < 8; ++t) {
-      float s = 0.0f;
-      for (std::size_t i = k8; i < k; ++i) s += a[i] * r[t * k + i];
-      tail[t] = s;
+    // The eight scalar tails. With no tail the oracle still adds +0.0f,
+    // which a zero register gives without a store-to-load round trip.
+    __m256 tails = _mm256_setzero_ps();
+    if (k8 != k) {
+      alignas(32) float tail[8];
+      for (std::size_t t = 0; t < 8; ++t) {
+        float s = 0.0f;
+        for (std::size_t i = k8; i < k; ++i) s += a[i] * r[t * k + i];
+        tail[t] = s;
+      }
+      tails = _mm256_load_ps(tail);
     }
     const __m256 lo = _mm256_hadd_ps(_mm256_hadd_ps(acc0, acc1), _mm256_hadd_ps(acc2, acc3));
     const __m256 hi = _mm256_hadd_ps(_mm256_hadd_ps(acc4, acc5), _mm256_hadd_ps(acc6, acc7));
     const __m256 sum = _mm256_add_ps(_mm256_permute2f128_ps(lo, hi, 0x20),
                                      _mm256_permute2f128_ps(lo, hi, 0x31));
-    _mm256_storeu_ps(out + j, _mm256_add_ps(sum, _mm256_load_ps(tail)));
+    _mm256_storeu_ps(out + j, _mm256_add_ps(sum, tails));
   }
   for (; j < n; ++j) out[j] = dot_avx2(a, b + j * k, k);
+}
+
+// squared_distances_scalar 16 samples at a time: four 4-double registers,
+// each lane starting at +0.0 and adding its own d * d per dimension (a
+// separate vmulpd and vaddpd), so every lane is the scalar lane's sequence.
+// The last n % 16 samples take the same sequence one lane at a time.
+__attribute__((target("avx2"))) void squared_distances_avx2(const float* cols, std::size_t n,
+                                                            const float* point, std::size_t dim,
+                                                            double* out) {
+  std::size_t s = 0;
+  for (; s + 16 <= n; s += 16) {
+    __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
+    __m256d acc2 = _mm256_setzero_pd(), acc3 = _mm256_setzero_pd();
+    for (std::size_t i = 0; i < dim; ++i) {
+      const __m256d c = _mm256_set1_pd(static_cast<double>(point[i]));
+      const float* x = cols + i * n + s;
+      const __m256d d0 = _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(x)), c);
+      const __m256d d1 = _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(x + 4)), c);
+      const __m256d d2 = _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(x + 8)), c);
+      const __m256d d3 = _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(x + 12)), c);
+      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(d0, d0));
+      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(d1, d1));
+      acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(d2, d2));
+      acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(d3, d3));
+    }
+    _mm256_storeu_pd(out + s, acc0);
+    _mm256_storeu_pd(out + s + 4, acc1);
+    _mm256_storeu_pd(out + s + 8, acc2);
+    _mm256_storeu_pd(out + s + 12, acc3);
+  }
+  for (; s < n; ++s) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < dim; ++i) {
+      const double d = static_cast<double>(cols[i * n + s]) - static_cast<double>(point[i]);
+      acc += d * d;
+    }
+    out[s] = acc;
+  }
 }
 
 // axpy_rows_scalar with the zero test hoisted: each chunk of coefficients is
@@ -374,6 +434,14 @@ AxpyRowsFn axpy_rows_kernel(SimdMode mode) {
 #endif
   (void)mode;
   return &axpy_rows_scalar;
+}
+
+SquaredDistancesFn squared_distances_kernel(SimdMode mode) {
+#ifdef WF_SIMD_HAVE_AVX2
+  if (mode == SimdMode::kAvx2) return &squared_distances_avx2;
+#endif
+  (void)mode;
+  return &squared_distances_scalar;
 }
 
 AdamFn adam_kernel(SimdMode mode) {

@@ -9,15 +9,21 @@
 // in-memory store mutated the same way; every supported SIMD mode agrees
 // with scalar, per dot product and through the tiled GEMM; rankings to a
 // depth D are the total ranking's first D entries on IVF (P < C and P = C)
-// and mapped stores, NaN rows and queries included; and the aligned
-// allocation the kernels rely on really is 64-byte aligned.
+// and mapped stores, NaN rows and queries included; the aligned
+// allocation the kernels rely on really is 64-byte aligned; a mapped index
+// keeps answering after another index is written over its path; the
+// k-means++ seeding kernel equals nn::squared_distance bit for bit in
+// every mode; and the written IVFX bytes of two seeded corpora match
+// golden hashes in every mode.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <iostream>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/knn.hpp"
@@ -101,6 +107,40 @@ std::vector<std::vector<std::uint64_t>> top10_rows(const core::KnnClassifier& kn
 bool is_aligned(const void* p) {
   return reinterpret_cast<std::uintptr_t>(p) % util::kSimdAlignment == 0;
 }
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// FNV-1a of the IVFX file that `wf index build` writes for a seeded
+// clustered corpus (`classes` x `per_class` rows of width `dim`) at C =
+// `clusters`, under the active SIMD mode.
+std::uint64_t index_file_hash(std::size_t dim, int classes, int per_class, std::size_t clusters,
+                              std::uint64_t seed) {
+  util::Rng rng(seed);
+  core::ShardedReferenceSet base(dim, 3);
+  for (const Row& row : make_rows(rng, dim, classes, per_class))
+    base.add(row.embedding, row.label);
+  index::IvfConfig config;
+  config.clusters = clusters;
+  config.probes = 4;
+  const std::string path = temp_path("wf_test_index_golden.wfx");
+  index::write_index_file(path, index::IvfReferenceStore(base, config));
+  const std::uint64_t h = fnv1a(test::read_file(path));
+  std::filesystem::remove(path);
+  return h;
+}
+
+// The IVFX bytes of both corpora as every earlier build has written them:
+// 4,000 rows at dim 32 in 64 clusters (a 2,048-row training sample), and
+// 1,000 rows at the odd width 13 in 16 clusters.
+constexpr std::uint64_t kWideIndexHash = 0xafa85da2c8430ec6ull;
+constexpr std::uint64_t kOddIndexHash = 0xfecbf8ae3316ef8full;
 
 // One row of a probed cluster as the pruned-scan oracle sees it.
 struct ProbedRow {
@@ -381,6 +421,27 @@ int main() {
     CHECK(info.journal_bytes == 0);
   }
 
+  // --- writing over a mapped index leaves the mapping answering -----------
+  // A serving process keeps its mapping while `wf index build` replaces the
+  // file with a different, smaller index.
+  {
+    const std::string live_path = temp_path("wf_test_index_live.wfx");
+    index::write_index_file(live_path, mem);
+    const std::unique_ptr<core::ReferenceStore> serving = index::open_index(live_path);
+    const auto before = knn.rank_batch(*serving, queries);
+    util::Rng other_rng(99);
+    core::ShardedReferenceSet other(dim, 2);
+    for (const Row& row : make_rows(other_rng, dim, 3, 5)) other.add(row.embedding, row.label);
+    index::IvfConfig other_config;
+    other_config.clusters = 2;
+    index::write_index_file(live_path, index::IvfReferenceStore(other, other_config));
+    check_rankings_identical(before, knn.rank_batch(*serving, queries));
+    check_rankings_identical(exact_rankings, knn.rank_batch(*serving, queries));
+    CHECK(index::open_index(live_path)->size() == other.size());
+    CHECK(!std::filesystem::exists(live_path + ".tmp"));
+    std::filesystem::remove(live_path);
+  }
+
   // --- journal appends: mapped tails == in-memory adds ----------------------
   {
     index::IvfReferenceStore churned = mem;
@@ -514,6 +575,53 @@ int main() {
           }
         }
       }
+    }
+    nn::set_simd_mode(previous);
+  }
+
+  // --- the seeding kernel equals nn::squared_distance lane by lane ---------
+  // Sample 0 equals the point (distance +0.0); samples 1 and n - 1 hold
+  // large magnitudes of both signs. Counts 1 to 5 run the one-lane tail
+  // alone, 255 and 257 run it after the 16-lane tiles.
+  {
+    util::Rng lane_rng(47);
+    for (const nn::SimdMode mode : nn::supported_simd_modes()) {
+      const nn::detail::SquaredDistancesFn distances =
+          nn::detail::squared_distances_kernel(mode);
+      for (const std::size_t d : {1, 3, 4, 7, 8, 9, 31, 32, 33}) {
+        for (const std::size_t n : {1, 3, 4, 5, 255, 257}) {
+          const std::vector<float> point = random_point(lane_rng, d);
+          std::vector<std::vector<float>> samples;
+          for (std::size_t s = 0; s < n; ++s) samples.push_back(random_point(lane_rng, d, 3.0));
+          samples[0] = point;
+          for (const std::size_t s : {std::size_t{1}, n - 1})
+            if (s > 0 && s < n)
+              for (std::size_t i = 0; i < d; ++i)
+                samples[s][i] = (i % 2 == 0 ? 1.0e38f : -1.7e19f) * (1.0f + 0.01f * samples[s][i]);
+          std::vector<float> cols(d * n);
+          for (std::size_t s = 0; s < n; ++s)
+            for (std::size_t i = 0; i < d; ++i) cols[i * n + s] = samples[s][i];
+          std::vector<double> got(n, -1.0), want(n);
+          distances(cols.data(), n, point.data(), d, got.data());
+          for (std::size_t s = 0; s < n; ++s) want[s] = nn::squared_distance(samples[s], point);
+          CHECK(std::memcmp(got.data(), want.data(), n * sizeof(double)) == 0);
+          CHECK(got[0] == 0.0 && !std::signbit(got[0]));
+        }
+      }
+    }
+  }
+
+  // --- the index layout is pinned to history, under every SIMD mode ------
+  {
+    const nn::SimdMode previous = nn::simd_mode();
+    for (const nn::SimdMode mode : nn::supported_simd_modes()) {
+      CHECK(nn::set_simd_mode(mode));
+      const std::uint64_t wide = index_file_hash(32, 80, 50, 64, 2604);
+      const std::uint64_t odd = index_file_hash(13, 25, 40, 16, 1313);
+      std::cout << nn::simd_mode_name(mode) << std::hex << ": wide index 0x" << wide
+                << ", odd index 0x" << odd << std::dec << "\n";
+      CHECK(wide == kWideIndexHash);
+      CHECK(odd == kOddIndexHash);
     }
     nn::set_simd_mode(previous);
   }
