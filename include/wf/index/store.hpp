@@ -53,9 +53,10 @@ namespace wf::index {
 inline constexpr std::uint32_t kIndexLayoutVersion = 1;
 inline constexpr std::uint32_t kJournalLayoutVersion = 1;
 
-// Writes `store` to `path` in the base-store layout above (no journal),
-// through <path>.tmp and a rename: a process that has the old file mapped
-// keeps answering from it.
+// Writes `store` to `path` in the base-store layout above, through
+// <path>.tmp and a rename: a process that has the old file mapped keeps
+// answering from it. Then deletes <path>.journal, which belonged to the
+// replaced file.
 void write_index_file(const std::string& path, const IvfReferenceStore& store);
 
 // The serving entry point: a MappedIndex of `path` and its journal.

@@ -42,7 +42,8 @@
 //     precision. The AVX2 twin does four elements at a time with the same
 //     float -> double -> float conversions, separate multiplies and adds,
 //     and IEEE division and square root (vdivpd, vsqrtpd), which round like
-//     their scalar forms.
+//     their scalar forms. Once the first bias correction is exactly 1.0
+//     (t >= 356) it skips that division, since x / 1.0 == x.
 // The NEON mode runs the scalar training kernels.
 //
 // The IVF build's k-means++ seeding has a kernel of its own.
@@ -53,6 +54,16 @@
 //     d = double(x[i]) - double(c[i]), for i = 0 .. dim - 1, one multiply
 //     then one add. The AVX2 twin keeps four samples per register; NEON runs
 //     the scalar loop.
+//
+// The IVF nearest-centroid assignment has one too.
+//   - ArgminMarginFn: the cluster c of least margin norms[c] - 2 * dots[c]
+//     (dots widened to double, one multiply then one subtract). Ties go to
+//     the lowest index, and +0.0 and -0.0 tie. A NaN margin never wins,
+//     except that a NaN margin(0) makes the answer 0. The scalar loop keeps
+//     the running least under strict <. The AVX2 twin takes the least
+//     margin with vminpd (which keeps the running value when the new one
+//     is NaN), then returns the first index whose margin equals it. NEON
+//     runs the scalar loop.
 
 #include <cstddef>
 #include <cstdint>
@@ -105,6 +116,11 @@ AxpyRowsFn axpy_rows_kernel(SimdMode mode);
 using SquaredDistancesFn = void (*)(const float* cols, std::size_t n, const float* point,
                                     std::size_t dim, double* out);
 SquaredDistancesFn squared_distances_kernel(SimdMode mode);
+
+// The least-margin cluster of n >= 1 clusters, margin(c) = norms[c] -
+// 2 * double(dots[c]); see above for ties and NaN.
+using ArgminMarginFn = std::size_t (*)(const double* norms, const float* dots, std::size_t n);
+ArgminMarginFn argmin_margin_kernel(SimdMode mode);
 
 // The optimizer's fixed Adam hyper-parameters.
 inline constexpr double kAdamBeta1 = 0.9;

@@ -19,23 +19,9 @@ namespace {
 
 // The ranking key of cluster c for a row with dot products `dots`:
 // margin(c) = ‖c‖² − 2·<row, c>, i.e. ‖row − c‖² without the constant ‖row‖².
+// nn::detail::ArgminMarginFn ranks by the same formula.
 double margin(const double* norms, const float* dots, std::size_t c) {
   return norms[c] - 2.0 * static_cast<double>(dots[c]);
-}
-
-// The cluster of least margin; strict less keeps the lowest index on ties,
-// exactly as the (margin, cluster) pair order of nearest_centroids does.
-std::size_t argmin_margin(const double* norms, const float* dots, std::size_t n) {
-  std::size_t best = 0;
-  double best_margin = margin(norms, dots, 0);
-  for (std::size_t c = 1; c < n; ++c) {
-    const double m = margin(norms, dots, c);
-    if (m < best_margin) {
-      best_margin = m;
-      best = c;
-    }
-  }
-  return best;
 }
 
 }  // namespace
@@ -65,8 +51,10 @@ void nearest_centroids(const float* row, const float* centroids, const double* n
   thread_local std::vector<float> dots;
   dots.resize(n);
   nn::gemm_nt_serial(row, 1, centroids, n, dim, dots.data());
+  // The dispatched argmin keeps the lowest index on ties, exactly as the
+  // (margin, cluster) pair order below does.
   if (count == 1) {
-    out.push_back(argmin_margin(norms, dots.data(), n));
+    out.push_back(nn::detail::argmin_margin_kernel(nn::simd_mode())(norms, dots.data(), n));
     return;
   }
   thread_local std::vector<std::pair<double, std::size_t>> ranked;
@@ -110,6 +98,17 @@ namespace {
 
 constexpr std::size_t kAssignTile = 256;  // rows per centroid-assignment GEMM
 
+// The k-means++ seeding splits its training sample into blocks of
+// kSeedBlock samples once sample x dim reaches kSeedSplitMin floats, and
+// runs each round's blocks on the pool. An interleaved sweep of the round
+// loop at dim 32 (4-vCPU x86-64 host, AVX2, 4-thread pool; median of 15):
+// at 2,048 samples one block is no slower (1.63 ms, 256-sample blocks
+// 1.66, larger blocks 20-40 % slower); blocks win from 4,096 samples on
+// (6.1 -> 4.4 ms, 8,192: 23 -> 12 ms, 16,384: 80 -> 36 ms), 256-sample
+// blocks by up to 15 % over 512 or 1,024.
+constexpr std::size_t kSeedBlock = 256;
+constexpr std::size_t kSeedSplitMin = 4096 * 32;
+
 // Nearest-centroid assignment of the `n` rows row_at(0..n), GEMM-tiled
 // (each tile gathered into one contiguous block) and parallel over the
 // pool; each row's answer is schedule-independent.
@@ -118,6 +117,7 @@ void assign_rows(RowAt row_at, std::size_t n, std::size_t dim, const float* cent
                  const double* centroid_norms, std::size_t n_centroids,
                  std::vector<std::size_t>& out) {
   out.resize(n);
+  const nn::detail::ArgminMarginFn argmin = nn::detail::argmin_margin_kernel(nn::simd_mode());
   util::global_pool().parallel_blocks(0, n, kAssignTile, [&](std::size_t lo, std::size_t hi) {
     thread_local util::AlignedVector<float> tile;
     thread_local std::vector<float> dots;
@@ -129,8 +129,7 @@ void assign_rows(RowAt row_at, std::size_t n, std::size_t dim, const float* cent
       dots.resize((t1 - t0) * n_centroids);
       nn::gemm_nt_serial(tile.data(), t1 - t0, centroids, n_centroids, dim, dots.data());
       for (std::size_t i = t0; i < t1; ++i)
-        out[i] = argmin_margin(centroid_norms, dots.data() + (i - t0) * n_centroids,
-                               n_centroids);
+        out[i] = argmin(centroid_norms, dots.data() + (i - t0) * n_centroids, n_centroids);
     }
   });
 }
@@ -204,14 +203,27 @@ IvfReferenceStore::IvfReferenceStore(const core::ReferenceStore& base, const Ivf
 
   // k-means++ init over the sample: each next centroid is drawn with
   // probability proportional to its squared distance from the chosen set.
-  // A round's distances come from the seeding kernel (nn/simd.hpp) over a
-  // column-major copy of the sample, one lane per sample, each lane exactly
-  // nn::squared_distance. The min-update, the running total and the pick
-  // stay in sample order here, so the draw is the serial loop's.
+  // A round's distances come from the seeding kernel (nn/simd.hpp), one
+  // lane per sample, each lane exactly nn::squared_distance. The kernel
+  // reads the sample as blocks of `block` samples (the last one shorter),
+  // each block column-major on its own: dimension i of sample s0 + j in the
+  // block at s0 is cols[s0 * dim + i * n_b + j]. A sample below
+  // kSeedSplitMin is one block, one kernel call per round on this thread.
+  // Otherwise each round runs the blocks on the pool, and each block
+  // min-updates its own d2 entries after its kernel call. Lanes do not
+  // interact, so d2 is the same for every split. The running total and the
+  // rng draw stay serial in sample order, and the pick searches the total's
+  // partial sums, so each draw is the serial loop's.
   {
+    const std::size_t block = sample * dim_ >= kSeedSplitMin ? kSeedBlock : sample;
+    const std::size_t n_blocks = (sample + block - 1) / block;
     util::AlignedVector<float> cols(dim_ * sample);
-    for (std::size_t s = 0; s < sample; ++s)
-      for (std::size_t d = 0; d < dim_; ++d) cols[d * sample + s] = train[s * dim_ + d];
+    for (std::size_t s0 = 0; s0 < sample; s0 += block) {
+      const std::size_t n_b = std::min(block, sample - s0);
+      float* dst = cols.data() + s0 * dim_;
+      for (std::size_t j = 0; j < n_b; ++j)
+        for (std::size_t d = 0; d < dim_; ++d) dst[d * n_b + j] = train[(s0 + j) * dim_ + d];
+    }
     const nn::detail::SquaredDistancesFn distances =
         nn::detail::squared_distances_kernel(nn::simd_mode());
     std::vector<double> dist(sample);
@@ -219,23 +231,31 @@ IvfReferenceStore::IvfReferenceStore(const core::ReferenceStore& base, const Ivf
     const std::size_t first = rng.index(sample);
     std::copy_n(train.data() + first * dim_, dim_, centroids_.data());
     for (std::size_t c = 1; c < n_clusters; ++c) {
-      distances(cols.data(), sample, centroids_.data() + (c - 1) * dim_, dim_, dist.data());
+      const float* point = centroids_.data() + (c - 1) * dim_;
+      util::global_pool().parallel_blocks(0, n_blocks, 1, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t b = lo; b < hi; ++b) {
+          const std::size_t s0 = b * block, s1 = std::min(sample, s0 + block);
+          distances(cols.data() + s0 * dim_, s1 - s0, point, dim_, dist.data() + s0);
+          for (std::size_t s = s0; s < s1; ++s)
+            if (dist[s] < d2[s]) d2[s] = dist[s];
+        }
+      });
+      // The running total's partial sums are the cumulative sums of the
+      // serial pick (the same adds in the same order), so `dist` keeps them
+      // and the pick is the first sample whose sum reaches r. They never
+      // fall, since d2 is never NaN or negative. A NaN r (0 * inf) is
+      // reached by no sum, lower_bound returns the first sample, and the
+      // pick is 0, as in the serial scan.
       double total = 0.0;
       for (std::size_t s = 0; s < sample; ++s) {
-        if (dist[s] < d2[s]) d2[s] = dist[s];
         total += d2[s];
+        dist[s] = total;
       }
       std::size_t pick = 0;
       if (total > 0.0) {
         const double r = rng.uniform() * total;
-        double cum = 0.0;
-        for (std::size_t s = 0; s < sample; ++s) {
-          cum += d2[s];
-          if (cum >= r) {
-            pick = s;
-            break;
-          }
-        }
+        const auto hit = std::lower_bound(dist.begin(), dist.end(), r);
+        if (hit != dist.end()) pick = static_cast<std::size_t>(hit - dist.begin());
       } else {
         pick = rng.index(sample);  // all-duplicate corner: any row works
       }

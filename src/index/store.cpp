@@ -352,12 +352,15 @@ void write_base(const std::string& path, const IvfReferenceStore& store) {
   if (!out) throw io::IoError("write failed: " + path);
 }
 
-// Writes `store` to <path>.tmp and renames it over `path`. A process that
-// has the old file mapped (a serving daemon) keeps reading the old inode:
-// the rename replaces the directory entry, where a write in place would
-// truncate the pages under the mapping. `durable` adds the fsyncs a
-// compaction needs before it drops a journal: the new base before the
-// rename, the directory after it.
+// Writes `store` to <path>.tmp, renames it over `path` and deletes the old
+// base's journal, which belongs to the file it replaced: replayed onto the
+// new base it would add foreign rows, or fail on a cluster-count mismatch.
+// A process that has the old file mapped (a serving daemon) keeps reading
+// the old inode: the rename replaces the directory entry, where a write in
+// place would truncate the pages under the mapping. `durable` adds the
+// fsyncs a compaction needs before it drops a journal: the new base before
+// the rename, the directory after it. A crash between the rename and the
+// delete still leaves the old journal beside the new base.
 void write_replacing(const std::string& path, const IvfReferenceStore& store, bool durable) {
   const std::string tmp = path + ".tmp";
   write_base(tmp, store);
@@ -367,6 +370,8 @@ void write_replacing(const std::string& path, const IvfReferenceStore& store, bo
     const std::filesystem::path dir = std::filesystem::path(path).parent_path();
     io::sync_path(dir.empty() ? "." : dir.string());
   }
+  std::error_code ec;
+  std::filesystem::remove(journal_path_of(path), ec);
 }
 
 }  // namespace
@@ -388,8 +393,6 @@ std::size_t rebuild_index_file(const std::string& path) {
   // Crash order: the new base is durable before it replaces the old one,
   // and the rename is durable before the journal it absorbed goes away.
   write_replacing(path, store, true);
-  std::error_code ec;
-  std::filesystem::remove(journal_path_of(path), ec);
   detail::index_metrics().rebuilds_total->inc();
   detail::index_metrics().journal_bytes->set(0);
   return store.size();

@@ -80,6 +80,26 @@ void squared_distances_scalar(const float* cols, std::size_t n, const float* poi
   }
 }
 
+// The scalar nearest-centroid argmin (nn/simd.hpp): the cluster of least
+// margin(c) = norms[c] - 2 * dots[c]. Strict less keeps the lowest index on
+// ties and never lets a NaN margin win; a NaN margin(0) is never replaced.
+double margin(const double* norms, const float* dots, std::size_t c) {
+  return norms[c] - 2.0 * static_cast<double>(dots[c]);
+}
+
+std::size_t argmin_margin_scalar(const double* norms, const float* dots, std::size_t n) {
+  std::size_t best = 0;
+  double best_margin = margin(norms, dots, 0);
+  for (std::size_t c = 1; c < n; ++c) {
+    const double m = margin(norms, dots, c);
+    if (m < best_margin) {
+      best_margin = m;
+      best = c;
+    }
+  }
+  return best;
+}
+
 #ifdef WF_SIMD_HAVE_AVX2
 // One 8-float register = the scalar kernel's eight lanes. Separate multiply
 // and add (no FMA: target("avx2") does not enable it, and a fused step
@@ -181,6 +201,49 @@ __attribute__((target("avx2"))) void squared_distances_avx2(const float* cols, s
   }
 }
 
+// Four margins c .. c + 3, each margin()'s multiply then subtract.
+__attribute__((target("avx2"))) inline __m256d margins_avx2(const double* norms,
+                                                           const float* dots, std::size_t c) {
+  return _mm256_sub_pd(_mm256_loadu_pd(norms + c),
+                       _mm256_mul_pd(_mm256_set1_pd(2.0), _mm256_cvtps_pd(_mm_loadu_ps(dots + c))));
+}
+
+// argmin_margin_scalar in two passes. The first finds the least margin:
+// vminpd(m, run) returns run when m is NaN, so a NaN never enters the
+// running minima, which start at margin(0). The minimum of a set does not
+// depend on the order it is taken in (+0.0 and -0.0 compare equal), so four
+// running registers are safe. The second pass returns the first index whose
+// margin compares equal to it, which is the one the scalar loop keeps.
+__attribute__((target("avx2"))) std::size_t argmin_margin_avx2(const double* norms,
+                                                               const float* dots,
+                                                               std::size_t n) {
+  const double first = margin(norms, dots, 0);
+  if (n < 4 || std::isnan(first)) return argmin_margin_scalar(norms, dots, n);
+  __m256d run0 = _mm256_set1_pd(first), run1 = run0, run2 = run0, run3 = run0;
+  std::size_t c = 0;
+  for (; c + 16 <= n; c += 16) {
+    run0 = _mm256_min_pd(margins_avx2(norms, dots, c), run0);
+    run1 = _mm256_min_pd(margins_avx2(norms, dots, c + 4), run1);
+    run2 = _mm256_min_pd(margins_avx2(norms, dots, c + 8), run2);
+    run3 = _mm256_min_pd(margins_avx2(norms, dots, c + 12), run3);
+  }
+  for (; c + 4 <= n; c += 4) run0 = _mm256_min_pd(margins_avx2(norms, dots, c), run0);
+  const __m256d run = _mm256_min_pd(_mm256_min_pd(run0, run1), _mm256_min_pd(run2, run3));
+  const __m128d pair = _mm_min_pd(_mm256_castpd256_pd128(run), _mm256_extractf128_pd(run, 1));
+  double least = _mm_cvtsd_f64(_mm_min_sd(pair, _mm_unpackhi_pd(pair, pair)));
+  for (std::size_t t = c; t < n; ++t) least = std::min(least, margin(norms, dots, t));
+
+  const __m256d target = _mm256_set1_pd(least);
+  for (c = 0; c + 4 <= n; c += 4) {
+    const int hits =
+        _mm256_movemask_pd(_mm256_cmp_pd(margins_avx2(norms, dots, c), target, _CMP_EQ_OQ));
+    if (hits != 0) return c + static_cast<std::size_t>(__builtin_ctz(static_cast<unsigned>(hits)));
+  }
+  for (; c < n; ++c)
+    if (margin(norms, dots, c) == least) break;
+  return c;
+}
+
 // axpy_rows_scalar with the zero test hoisted: each chunk of coefficients is
 // compacted to its non-zero entries first, so the column tiles below loop
 // without a branch. Every output column still sees the same adds in the
@@ -256,6 +319,9 @@ __attribute__((target("avx2"))) void adam_avx2(float* w, const float* g, float* 
   const __m256d bias2 = _mm256_set1_pd(step.bias2);
   const __m256d rate = _mm256_set1_pd(step.learning_rate);
   const __m256d eps = _mm256_set1_pd(detail::kAdamEps);
+  // From t = 356 on, 1 - 0.9^t rounds to 1.0, and x / 1.0 == x for every
+  // double, so the division can go.
+  const bool divide1 = step.bias1 != 1.0;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256d grad = _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(g + i)), scale);
@@ -266,7 +332,8 @@ __attribute__((target("avx2"))) void adam_avx2(float* w, const float* g, float* 
                       _mm256_mul_pd(_mm256_mul_pd(rest2, grad), grad)));
     _mm_storeu_ps(m + i, mf);
     _mm_storeu_ps(v + i, vf);
-    const __m256d mhat = _mm256_div_pd(_mm256_cvtps_pd(mf), bias1);
+    __m256d mhat = _mm256_cvtps_pd(mf);
+    if (divide1) mhat = _mm256_div_pd(mhat, bias1);
     const __m256d vhat = _mm256_div_pd(_mm256_cvtps_pd(vf), bias2);
     const __m256d update = _mm256_div_pd(_mm256_mul_pd(rate, mhat),
                                          _mm256_add_pd(_mm256_sqrt_pd(vhat), eps));
@@ -442,6 +509,14 @@ SquaredDistancesFn squared_distances_kernel(SimdMode mode) {
 #endif
   (void)mode;
   return &squared_distances_scalar;
+}
+
+ArgminMarginFn argmin_margin_kernel(SimdMode mode) {
+#ifdef WF_SIMD_HAVE_AVX2
+  if (mode == SimdMode::kAvx2) return &argmin_margin_avx2;
+#endif
+  (void)mode;
+  return &argmin_margin_scalar;
 }
 
 AdamFn adam_kernel(SimdMode mode) {

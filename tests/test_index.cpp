@@ -13,18 +13,25 @@
 // allocation the kernels rely on really is 64-byte aligned; a mapped index
 // keeps answering after another index is written over its path; the
 // k-means++ seeding kernel equals nn::squared_distance bit for bit in
-// every mode; and the written IVFX bytes of two seeded corpora match
-// golden hashes in every mode.
+// every mode; the nearest-centroid argmin kernel equals its plain loop in
+// every mode, on ties, signed zeros, infinities, subnormals and NaN; the
+// written IVFX bytes of three seeded corpora (one large enough to split the
+// seeding rounds into blocks) match golden hashes in every mode; and
+// writing a new index over a journaled one leaves no journal to replay.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/knn.hpp"
 #include "core/openworld.hpp"
@@ -43,8 +50,12 @@ using namespace wf;
 
 static_assert(util::kSimdAlignment == 64, "SIMD tiles assume 64-byte rows");
 
+// Per-process names: ctest runs this binary under several thread counts at
+// once.
 std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return (std::filesystem::temp_directory_path() /
+          (std::to_string(::getpid()) + "_" + name))
+      .string();
 }
 
 std::vector<float> random_point(util::Rng& rng, std::size_t dim, double spread = 1.0) {
@@ -136,11 +147,43 @@ std::uint64_t index_file_hash(std::size_t dim, int classes, int per_class, std::
   return h;
 }
 
-// The IVFX bytes of both corpora as every earlier build has written them:
-// 4,000 rows at dim 32 in 64 clusters (a 2,048-row training sample), and
-// 1,000 rows at the odd width 13 in 16 clusters.
+// The IVFX bytes of the corpora as every earlier build has written them:
+// 4,000 rows at dim 32 in 64 clusters (a 2,048-row training sample), 1,000
+// rows at the odd width 13 in 16 clusters, and 6,006 rows at dim 32 in 200
+// clusters. That last sample (all 6,006 rows) is past the size from which
+// the seeding rounds run in blocks on the pool, and its last block is a
+// short one.
 constexpr std::uint64_t kWideIndexHash = 0xafa85da2c8430ec6ull;
 constexpr std::uint64_t kOddIndexHash = 0xfecbf8ae3316ef8full;
+constexpr std::uint64_t kBlockedIndexHash = 0x85580314ca6a2741ull;
+
+// The nearest-centroid rule written out: the first cluster of least margin
+// under strict <, so a NaN margin never wins and a NaN margin(0) stays.
+std::size_t plain_argmin(const std::vector<double>& norms, const std::vector<float>& dots) {
+  std::size_t best = 0;
+  double best_margin = norms[0] - 2.0 * static_cast<double>(dots[0]);
+  for (std::size_t c = 1; c < norms.size(); ++c) {
+    const double m = norms[c] - 2.0 * static_cast<double>(dots[c]);
+    if (m < best_margin) {
+      best_margin = m;
+      best = c;
+    }
+  }
+  return best;
+}
+
+// Every supported argmin kernel against plain_argmin on one input.
+void check_argmin(const std::vector<double>& norms, const std::vector<float>& dots) {
+  const std::size_t want = plain_argmin(norms, dots);
+  for (const nn::SimdMode mode : nn::supported_simd_modes()) {
+    const std::size_t got =
+        nn::detail::argmin_margin_kernel(mode)(norms.data(), dots.data(), norms.size());
+    if (got != want)
+      std::cerr << nn::simd_mode_name(mode) << " argmin over " << norms.size() << ": " << got
+                << ", want " << want << "\n";
+    CHECK(got == want);
+  }
+}
 
 // One row of a probed cluster as the pruned-scan oracle sees it.
 struct ProbedRow {
@@ -611,6 +654,144 @@ int main() {
     }
   }
 
+  // --- the argmin kernel equals the plain loop ------------------------------
+  // Counts straddle the 4-margin registers, the 16-margin unrolled loop and
+  // the tail. Least margins tie across lanes, across registers and across
+  // the vector/tail boundary, as exact copies and as -0.0 beside +0.0;
+  // infinities, subnormals and NaN (first, in the middle, everywhere) are
+  // mixed in.
+  {
+    util::Rng argmin_rng(53);
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    for (const std::size_t n : {1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 512, 513}) {
+      std::vector<double> norms(n);
+      std::vector<float> dots(n);
+      const auto fill = [&] {
+        for (std::size_t c = 0; c < n; ++c) {
+          norms[c] = 4.0 + argmin_rng.uniform();  // every margin in (2, 7)
+          dots[c] = static_cast<float>(2.0 * argmin_rng.uniform() - 1.0);
+        }
+      };
+      fill();
+      check_argmin(norms, dots);
+
+      // Two least margins: equal copies, then -0.0 before +0.0 and after it.
+      const std::size_t vec_end = n & ~std::size_t{3};
+      const std::pair<std::size_t, std::size_t> pairs[] = {
+          {0, 1}, {1, 2}, {2, 5}, {3, 12}, {0, n - 1}, {vec_end - 1, n - 1}, {n - 2, n - 1}};
+      for (const auto& [p, q] : pairs) {
+        if (p >= q || q >= n) continue;
+        for (const int kind : {0, 1, 2}) {
+          fill();
+          const double lo = kind == 0 ? -100.0 : (kind == 1 ? -0.0 : 0.0);
+          const double hi = kind == 0 ? -100.0 : (kind == 1 ? 0.0 : -0.0);
+          norms[p] = lo;
+          norms[q] = hi;
+          dots[p] = dots[q] = 0.0f;
+          check_argmin(norms, dots);
+          CHECK(nn::detail::argmin_margin_kernel(nn::simd_mode())(norms.data(), dots.data(),
+                                                                   n) == p);
+        }
+      }
+
+      // Subnormal margins: the least one, repeated, beside larger ones.
+      for (std::size_t c = 0; c < n; ++c) {
+        norms[c] = tiny * static_cast<double>(1 + (c * 7) % 5);
+        dots[c] = 0.0f;
+      }
+      check_argmin(norms, dots);
+
+      // Infinities: +inf everywhere, then one -inf; inf - inf is NaN.
+      fill();
+      for (std::size_t c = 0; c < n; c += 3) norms[c] = inf;
+      check_argmin(norms, dots);
+      std::fill(norms.begin(), norms.end(), inf);
+      check_argmin(norms, dots);
+      norms[n / 2] = -inf;
+      check_argmin(norms, dots);
+      fill();
+      norms[n - 1] = inf;
+      dots[n - 1] = std::numeric_limits<float>::infinity();
+      check_argmin(norms, dots);
+
+      // NaN in the middle, NaN first (the answer is 0), NaN everywhere.
+      fill();
+      for (std::size_t c = n / 3; c < n; c += 5) norms[c] = nan;
+      check_argmin(norms, dots);
+      // A NaN after the least margin in the same register lane, one and
+      // four registers later: a minimum that let the NaN through would
+      // lose the least margin.
+      for (const std::size_t p : {1, 6, 15}) {
+        if (p >= n) continue;
+        fill();
+        norms[p] = -100.0;
+        if (p + 4 < n) norms[p + 4] = nan;
+        if (p + 16 < n) norms[p + 16] = nan;
+        check_argmin(norms, dots);
+      }
+      fill();
+      norms[0] = nan;
+      check_argmin(norms, dots);
+      CHECK(nn::detail::argmin_margin_kernel(nn::simd_mode())(norms.data(), dots.data(), n) ==
+            0);
+      std::fill(norms.begin(), norms.end(), nan);
+      check_argmin(norms, dots);
+      // NaN everywhere but the first and the last margins.
+      norms[n - 1] = 1.0;
+      norms[0] = 2.0;
+      check_argmin(norms, dots);
+    }
+  }
+
+  // --- a new index over a journaled path drops the old journal -------------
+  // The journal belongs to the base it was written against: replayed onto
+  // a new base it would add the old rows and removals (same cluster count)
+  // or make every open fail (a different one).
+  {
+    const std::string stale_path = temp_path("wf_test_index_stale.wfx");
+    util::Rng stale_rng(808);
+    core::ShardedReferenceSet old_rows(dim, 2);
+    for (const Row& row : make_rows(stale_rng, dim, 20, 20)) old_rows.add(row.embedding, row.label);
+    CHECK(old_rows.size() == 400);
+    index::IvfConfig config;
+    config.clusters = 8;
+    index::write_index_file(stale_path, index::IvfReferenceStore(old_rows, config));
+    {
+      index::IndexJournalWriter journal(stale_path);
+      for (int i = 0; i < 3; ++i) journal.add(random_point(stale_rng, dim), 990);
+      journal.remove_class(700);
+      CHECK(index::open_index(stale_path)->size() == 400 + 3 - 20);
+    }
+    core::ShardedReferenceSet new_rows(dim, 2);
+    for (const Row& row : make_rows(stale_rng, dim, 5, 20)) new_rows.add(row.embedding, row.label);
+    const index::IvfReferenceStore fresh(new_rows, config);
+    index::write_index_file(stale_path, fresh);
+    CHECK(!std::filesystem::exists(stale_path + ".journal"));
+    const std::unique_ptr<core::ReferenceStore> reopened = index::open_index(stale_path);
+    CHECK(reopened->size() == 100);
+    std::vector<int> labels;
+    for (std::size_t id = 0; id < reopened->n_class_ids(); ++id)
+      labels.push_back(reopened->label_of_id(id));
+    std::sort(labels.begin(), labels.end());
+    CHECK(labels == fresh.classes());
+    CHECK(std::find(labels.begin(), labels.end(), 990) == labels.end());
+    check_rankings_identical(knn.rank_batch(fresh, queries), knn.rank_batch(*reopened, queries));
+
+    // A different cluster count over a journaled path opens too.
+    index::IndexJournalWriter(stale_path).add(random_point(stale_rng, dim), 991);
+    config.clusters = 3;
+    const index::IvfReferenceStore coarse(new_rows, config);
+    index::write_index_file(stale_path, coarse);
+    const std::unique_ptr<core::ReferenceStore> coarse_open = index::open_index(stale_path);
+    CHECK(coarse_open->size() == 100);
+    CHECK(index::read_index_info(stale_path).clusters == 3);
+    check_rankings_identical(knn.rank_batch(coarse, queries),
+                             knn.rank_batch(*coarse_open, queries));
+    std::filesystem::remove(stale_path);
+  }
+
   // --- the index layout is pinned to history, under every SIMD mode ------
   {
     const nn::SimdMode previous = nn::simd_mode();
@@ -618,10 +799,13 @@ int main() {
       CHECK(nn::set_simd_mode(mode));
       const std::uint64_t wide = index_file_hash(32, 80, 50, 64, 2604);
       const std::uint64_t odd = index_file_hash(13, 25, 40, 16, 1313);
+      const std::uint64_t blocked = index_file_hash(32, 143, 42, 200, 2806);
       std::cout << nn::simd_mode_name(mode) << std::hex << ": wide index 0x" << wide
-                << ", odd index 0x" << odd << std::dec << "\n";
+                << ", odd index 0x" << odd << ", blocked index 0x" << blocked << std::dec
+                << "\n";
       CHECK(wide == kWideIndexHash);
       CHECK(odd == kOddIndexHash);
+      CHECK(blocked == kBlockedIndexHash);
     }
     nn::set_simd_mode(previous);
   }

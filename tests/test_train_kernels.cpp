@@ -5,7 +5,8 @@
 //    odd shapes, with zero coefficients beside inf and NaN rows (the
 //    zero-skip), -0.0 outputs and subnormal values;
 //  - the Adam kernel against the plain update loop, on odd lengths, early
-//    and late steps, -0.0 and subnormal gradients;
+//    and late steps (either side of the step where the first bias
+//    correction becomes 1.0), -0.0 and subnormal gradients;
 //  - a golden FNV-1a hash of all weight bits after a few dozen training
 //    steps of two fixed configurations, under every SIMD mode. Training
 //    runs on the global pool; ctest runs this test at WF_THREADS=1 and 4
@@ -151,12 +152,14 @@ void plain_adam(std::vector<float>& w, const std::vector<float>& g, std::vector<
 
 void check_adam_kernel(nn::detail::AdamFn adam) {
   util::Rng rng(43);
-  // t = 400 is past the step where 1 - 0.9^t rounds to exactly 1.0.
-  for (const int t : {1, 2, 17, 400, 1500})
+  // 1 - 0.9^t rounds to exactly 1.0 from t = 356 on, where the AVX2
+  // kernel skips that division; 355 to 357 straddle the switch.
+  for (const int t : {1, 2, 17, 355, 356, 357, 400, 1500})
     for (const std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{4}, std::size_t{7},
                                 std::size_t{37}, std::size_t{1031}}) {
       const nn::detail::AdamStep step{1e-3, 1.0 / 64.0, 1.0 - std::pow(0.9, t),
                                       1.0 - std::pow(0.999, t)};
+      CHECK((step.bias1 == 1.0) == (t >= 356));
       std::vector<float> w(n), g(n), m(n), v(n);
       for (std::size_t i = 0; i < n; ++i) {
         w[i] = awkward_value(rng);
