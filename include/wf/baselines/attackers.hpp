@@ -57,8 +57,7 @@ class FeatureKnnAttacker final : public core::Attacker {
   // n_shards as in AdaptiveFingerprinter: 0 resolves via
   // ShardedReferenceSet::default_shard_count().
   explicit FeatureKnnAttacker(int k = 40, std::size_t n_shards = 1)
-      : n_shards_(n_shards == 0 ? core::ShardedReferenceSet::default_shard_count() : n_shards),
-        knn_(k) {}
+      : references_(/*dim=*/0, n_shards), knn_(k) {}
 
   std::string name() const override { return "kfp-knn"; }
   core::TrainStats train(const data::Dataset& train) override;
@@ -79,7 +78,6 @@ class FeatureKnnAttacker final : public core::Attacker {
   const core::ShardedReferenceSet& references() const { return references_; }
 
  private:
-  std::size_t n_shards_;
   core::ShardedReferenceSet references_;
   core::KnnClassifier knn_;
 };

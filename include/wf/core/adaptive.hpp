@@ -30,7 +30,9 @@ class AdaptiveFingerprinter final : public Attacker {
  public:
   // `n_shards` partitions the reference set for the sharded query paths;
   // 0 resolves via ShardedReferenceSet::default_shard_count() (WF_SHARDS,
-  // else one shard per pool thread). Rankings are identical for any count.
+  // else one shard per pool thread). Rankings are identical for any count,
+  // and a model file does not record it: load_body re-shards the loaded
+  // references under the reader's default_shard_count().
   AdaptiveFingerprinter(const EmbeddingConfig& config, int knn_k, std::size_t n_shards = 0);
   // Placeholder state for Attacker::load / io::load_attacker (single shard,
   // default config; everything is replaced by load_body).
@@ -109,7 +111,6 @@ class AdaptiveFingerprinter final : public Attacker {
 
  private:
   EmbeddingModel model_;
-  std::size_t n_shards_;
   ShardedReferenceSet references_;
   KnnClassifier knn_;
   std::shared_ptr<const ReferenceStore> store_override_;

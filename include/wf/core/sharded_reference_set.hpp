@@ -56,20 +56,28 @@ class ShardedReferenceSet final : public ReferenceStore {
   // the global pool — enough to keep every worker on its own shard.
   static std::size_t default_shard_count();
 
-  // One shard's dense tables, as wf::io serializes them. Restoring these
-  // verbatim — including row ids and the dense class-id space — reproduces
-  // every ranking bit-identically, merge tie-breaks included.
+  // One shard's dense tables. The shard layout is a runtime property of
+  // this object alone: wf::io saves rows_by_id() and restore() deals the
+  // rows again, so a file never records a shard count.
   using ShardTables = RowTables;
   const ShardTables& shard_tables(std::size_t shard) const { return shards_[shard]; }
   std::uint64_t next_row_id() const { return next_row_id_; }
   const std::vector<int>& id_to_label() const { return ids_.labels(); }
 
-  // Rebuild a set from serialized tables; validates cross-table
-  // consistency (core::check_row_tables) and throws std::invalid_argument
-  // on a mismatch, a repeated label, or ids past the candidate-key limits.
+  // Every row in one table, in ascending row id: a function of the adds and
+  // removals alone, the same for any shard count.
+  RowTables rows_by_id() const;
+
+  // Rebuild a set from serialized tables (any number, any row order):
+  // validates cross-table consistency (core::check_row_tables), then deals
+  // every row into default_shard_count() shards by row id % S, as add()
+  // does. Row ids and the dense class-id space are kept verbatim, so every
+  // ranking is bit-identical to the saved set's, merge tie-breaks included.
+  // Throws std::invalid_argument on a mismatch, a repeated label, or ids
+  // past the candidate-key limits.
   static ShardedReferenceSet restore(std::size_t dim, std::uint64_t next_row_id,
                                      std::vector<int> id_to_label,
-                                     std::vector<ShardTables> shards);
+                                     std::vector<ShardTables> tables);
 
  private:
   std::size_t dim_ = 0;

@@ -8,10 +8,10 @@
 namespace wf::eval {
 
 // One experiment of the suite, as driven by `wf run <name>`. `run` prints
-// the experiment's tables and mirrors them (plus a bench_<name>.json) under
-// results_dir(); experiments that support attacker sweeps pass the factory
-// through, the rest (costs runs every attacker, ablation sweeps the
-// adaptive attacker's internals) ignore it.
+// the experiment's tables and mirrors them under results_dir(); experiments
+// that support attacker sweeps pass the factory through, the rest (costs
+// runs every attacker, ablation sweeps the adaptive attacker's internals)
+// ignore it.
 struct Experiment {
   const char* name;  // CLI name, e.g. "exp1"
   const char* description;

@@ -4,11 +4,14 @@
 // class (src/io/mmap.cpp) is the one sanctioned home of raw
 // mmap/munmap/mprotect calls in the tree — the wf-lint mmap-discipline rule
 // enforces it — so lifetime bugs (double unmap, leaked mappings,
-// use-after-close) have exactly one place to hide. Beside it, sync_path is
-// the durability step of the files those mappings read.
+// use-after-close) have exactly one place to hide. Beside it, replace_file
+// and sync_path are the one write path and the durability step of the files
+// those mappings (and the WFIO readers) read.
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <string>
 
 namespace wf::io {
@@ -51,5 +54,15 @@ class MappedFile {
 // directory, its entries: a rename or unlink inside it) survive a power
 // loss. Throws IoError when the path cannot be opened or synced.
 void sync_path(const std::string& path);
+
+// Writes `path` whole or not at all: `write` fills <path>.tmp, which is
+// then renamed over `path`. A reader, or a process that has the old file
+// mapped (a serving daemon), sees the old bytes or the new ones, never a
+// torn mix. When `write` or the rename throws, the temp file is removed and
+// `path` is left as it was. `durable` adds the fsyncs a caller needs before
+// it drops state the old file held: the temp file before the rename, its
+// directory after it. Throws IoError when the temp file cannot be written.
+void replace_file(const std::string& path, const std::function<void(std::ostream&)>& write,
+                  bool durable = false);
 
 }  // namespace wf::io

@@ -63,6 +63,17 @@ nn::Mlp load_mlp(Reader& in);
 void save_embedding_config(Writer& out, const core::EmbeddingConfig& config);
 core::EmbeddingConfig load_embedding_config(Reader& in);
 
+// The k-NN attackers' KNNC body: i32 k, then a retired u64 (the shard count
+// of earlier builds), written as 1 so older readers accept the file and
+// never read back. load_knn_k throws IoError when k < 1.
+void save_knn_k(Writer& out, int k);
+int load_knn_k(Reader& in);
+
+// u64 dim | u64 table count | u64 next_row_id | i32[] id -> label | per
+// table: f32[] data, i32[] labels, f64[] norms, i32[] class ids, u64[] row
+// ids. The writer stores one table in ascending row id, so the bytes do not
+// depend on the set's shard count; the reader accepts 1..4096 tables (older
+// files hold one per shard) and re-shards under default_shard_count().
 void save_reference_set(Writer& out, const core::ShardedReferenceSet& refs);
 core::ShardedReferenceSet load_reference_set(Reader& in);
 
@@ -76,7 +87,9 @@ data::Dataset load_dataset(const std::string& path);
 // Attacker files ("ATKR" kind): header, a NAME section with the registry
 // name, then the attacker's own body sections. load_attacker dispatches on
 // the stored name ("adaptive", "forest", "kfp-knn") and rebuilds the
-// matching concrete type.
+// matching concrete type. Both path writers (save_dataset, save_attacker)
+// go through io::replace_file, so a save that fails leaves the old file
+// intact.
 void save_attacker(std::ostream& out, const core::Attacker& attacker);
 void save_attacker(const std::string& path, const core::Attacker& attacker);
 std::unique_ptr<core::Attacker> load_attacker(std::istream& in);

@@ -11,10 +11,6 @@
 
 #include "util/table.hpp"
 
-namespace wf::util {
-class BenchReport;
-}
-
 namespace wf::obs {
 
 // Monotonic event count. Lock-free: hot paths pay one relaxed fetch_add.
@@ -153,9 +149,5 @@ class Registry {
 // p50, p90, p99. Counters put their count in Value too, so a stats consumer
 // can always awk column 3.
 util::Table snapshot_table(const Snapshot& snapshot);
-
-// Mirror every entry into BenchReport metrics: counters/gauges as
-// <name>, histograms as <name>.count/.sum/.p50/.p90/.p99.
-void snapshot_report(const Snapshot& snapshot, util::BenchReport& report);
 
 }  // namespace wf::obs

@@ -108,7 +108,7 @@ core::TrainStats FeatureKnnAttacker::train(const data::Dataset& train) {
 }
 
 void FeatureKnnAttacker::set_references(const data::Dataset& references) {
-  references_ = core::ShardedReferenceSet(references.feature_dim(), n_shards_);
+  references_ = core::ShardedReferenceSet(references.feature_dim(), references_.shard_count());
   for (std::size_t i = 0; i < references.size(); ++i)
     references_.add(references[i].features, references[i].label);
 }
@@ -125,27 +125,16 @@ void FeatureKnnAttacker::adapt(int label, const data::Dataset& fresh) {
 }
 
 void FeatureKnnAttacker::save_body(io::Writer& out) const {
-  io::write_section(out, "KNNC", [&](io::Writer& w) {
-    w.i32(knn_.k());
-    w.u64(n_shards_);
-  });
+  io::write_section(out, "KNNC", [&](io::Writer& w) { io::save_knn_k(w, knn_.k()); });
   io::write_section(out, "REFS",
                     [&](io::Writer& w) { io::save_reference_set(w, references_); });
 }
 
 void FeatureKnnAttacker::load_body(io::Reader& in) {
-  int k = 0;
-  std::uint64_t n_shards = 0;
-  io::parse_section(in, "KNNC", [&](io::Reader& r) {
-    k = r.i32();
-    n_shards = r.u64();
-    return 0;
-  });
-  if (k < 1 || n_shards < 1) throw io::IoError("corrupt attacker k-NN parameters");
+  const int k = io::parse_section(in, "KNNC", [](io::Reader& r) { return io::load_knn_k(r); });
   references_ = io::parse_section(
       in, "REFS", [](io::Reader& r) { return io::load_reference_set(r); });
   knn_ = core::KnnClassifier(k);
-  n_shards_ = n_shards;
 }
 
 }  // namespace wf::baselines

@@ -30,7 +30,6 @@
 #include "serve/coordinator.hpp"
 #include "serve/fault.hpp"
 #include "serve/server.hpp"
-#include "util/bench_report.hpp"
 #include "util/env.hpp"
 
 namespace {
@@ -133,7 +132,7 @@ int usage(int code) {
       "stats flags (wf stats --port P):\n"
       "  --watch            keep polling every --interval-ms until interrupted\n"
       "  --interval-ms T    poll period for --watch in ms (default 2000)\n"
-      "  --out DIR          also write wf_stats.csv and bench_stats.json to DIR\n"
+      "  --out DIR          also write wf_stats.csv to DIR\n"
       "\n"
       "proxy flags (wf proxy --port P --upstream H:P):\n"
       "  --upstream H:P     where to forward accepted connections\n"
@@ -755,7 +754,7 @@ int cmd_query(const CliOptions& options) {
 
 // One STAT roundtrip against a running daemon (or a --watch polling loop):
 // print the snapshot table, the recent spans when the daemon traced any,
-// and with --out also wf_stats.csv + bench_stats.json for CI to assert on.
+// and with --out also wf_stats.csv for CI to assert on.
 int cmd_stats(const CliOptions& options) {
   if (options.port == 0) {
     std::cerr << "wf: stats needs --port P (the daemon's listen port)\n";
@@ -782,11 +781,6 @@ int cmd_stats(const CliOptions& options) {
     if (options.out_given) {
       const std::string csv = eval::results_dir() + "/wf_stats.csv";
       table.write_csv(csv);
-      util::BenchReport report("stats");
-      report.param("host", options.host);
-      report.param("port", std::to_string(options.port));
-      obs::snapshot_report(snapshot, report);
-      report.write(eval::results_dir());
       std::cout << "stats written to " << csv << "\n";
     }
     if (!options.watch) break;

@@ -10,10 +10,7 @@ namespace wf::core {
 
 AdaptiveFingerprinter::AdaptiveFingerprinter(const EmbeddingConfig& config, int knn_k,
                                              std::size_t n_shards)
-    : model_(config),
-      n_shards_(n_shards == 0 ? ShardedReferenceSet::default_shard_count() : n_shards),
-      references_(config.embedding_dim, n_shards_),
-      knn_(knn_k) {}
+    : model_(config), references_(config.embedding_dim, n_shards), knn_(knn_k) {}
 
 TrainStats AdaptiveFingerprinter::provision(const data::Dataset& train,
                                             data::PairStrategy strategy) {
@@ -22,7 +19,7 @@ TrainStats AdaptiveFingerprinter::provision(const data::Dataset& train,
 }
 
 void AdaptiveFingerprinter::initialize(const data::Dataset& references) {
-  references_ = ShardedReferenceSet(model_.config().embedding_dim, n_shards_);
+  references_ = ShardedReferenceSet(model_.config().embedding_dim, references_.shard_count());
   references_.add_all(model_.embed_dataset(references), references.labels_of());
 }
 
@@ -89,10 +86,7 @@ std::vector<int> AdaptiveFingerprinter::target_classes() const {
 void AdaptiveFingerprinter::save_body(io::Writer& out) const {
   io::write_section(out, "CONF",
                     [&](io::Writer& w) { io::save_embedding_config(w, model_.config()); });
-  io::write_section(out, "KNNC", [&](io::Writer& w) {
-    w.i32(knn_.k());
-    w.u64(n_shards_);
-  });
+  io::write_section(out, "KNNC", [&](io::Writer& w) { io::save_knn_k(w, knn_.k()); });
   io::write_section(out, "MLPW", [&](io::Writer& w) { io::save_mlp(w, model_.net()); });
   io::write_section(out, "REFS",
                     [&](io::Writer& w) { io::save_reference_set(w, references_); });
@@ -101,14 +95,7 @@ void AdaptiveFingerprinter::save_body(io::Writer& out) const {
 void AdaptiveFingerprinter::load_body(io::Reader& in) {
   const EmbeddingConfig config = io::parse_section(
       in, "CONF", [](io::Reader& r) { return io::load_embedding_config(r); });
-  int k = 0;
-  std::uint64_t n_shards = 0;
-  io::parse_section(in, "KNNC", [&](io::Reader& r) {
-    k = r.i32();
-    n_shards = r.u64();
-    return 0;
-  });
-  if (k < 1 || n_shards < 1) throw io::IoError("corrupt attacker k-NN parameters");
+  const int k = io::parse_section(in, "KNNC", [](io::Reader& r) { return io::load_knn_k(r); });
   nn::Mlp net =
       io::parse_section(in, "MLPW", [](io::Reader& r) { return io::load_mlp(r); });
   // The whole architecture — not just the endpoints — must agree with the
@@ -126,7 +113,6 @@ void AdaptiveFingerprinter::load_body(io::Reader& in) {
 
   model_ = EmbeddingModel(config);
   model_.net() = std::move(net);
-  n_shards_ = n_shards;
   references_ = std::move(references);
   knn_ = KnnClassifier(k);
   // An attached store is never serialized: a loaded attacker answers from

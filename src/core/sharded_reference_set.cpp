@@ -47,18 +47,54 @@ void ShardedReferenceSet::remove_class(int label) {
 
 ShardedReferenceSet ShardedReferenceSet::restore(std::size_t dim, std::uint64_t next_row_id,
                                                  std::vector<int> id_to_label,
-                                                 std::vector<ShardTables> shards) {
-  if (shards.empty()) throw std::invalid_argument("ShardedReferenceSet::restore: no shards");
-  ShardedReferenceSet out(dim, shards.size());
+                                                 std::vector<ShardTables> tables) {
+  if (tables.empty()) throw std::invalid_argument("ShardedReferenceSet::restore: no tables");
+  ShardedReferenceSet out(dim, default_shard_count());
   try {
     out.ids_ = ClassIdSpace(std::move(id_to_label));
-    check_row_tables(shards, dim, out.ids_, next_row_id);
+    check_row_tables(tables, dim, out.ids_, next_row_id);
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument(std::string("ShardedReferenceSet::restore: ") + e.what());
   }
   out.next_row_id_ = next_row_id;
-  out.shards_ = std::move(shards);
-  for (const RowTables& s : out.shards_) out.size_ += s.rows();
+  // Deal by row id, add()'s rule, freeing each stored table once dealt.
+  std::vector<std::size_t> rows(out.shards_.size());
+  for (const RowTables& table : tables)
+    for (const std::uint64_t row_id : table.row_ids) ++rows[row_id % rows.size()];
+  for (std::size_t s = 0; s < rows.size(); ++s) out.shards_[s].reserve(rows[s], dim);
+  for (RowTables& table : tables) {
+    for (std::size_t i = 0; i < table.rows(); ++i) {
+      const std::uint64_t row_id = table.row_ids[i];
+      out.shards_[row_id % out.shards_.size()].append(
+          std::span<const float>(table.data.data() + i * dim, dim), table.sq_norms[i],
+          table.class_ids[i], row_id);
+    }
+    out.size_ += table.rows();
+    table = RowTables{};
+  }
+  return out;
+}
+
+RowTables ShardedReferenceSet::rows_by_id() const {
+  struct Slot {
+    std::uint64_t row_id;
+    std::size_t shard;
+    std::size_t row;
+  };
+  std::vector<Slot> slots;
+  slots.reserve(size_);
+  for (std::size_t s = 0; s < shards_.size(); ++s)
+    for (std::size_t i = 0; i < shards_[s].rows(); ++i)
+      slots.push_back({shards_[s].row_ids[i], s, i});
+  std::sort(slots.begin(), slots.end(),
+            [](const Slot& a, const Slot& b) { return a.row_id < b.row_id; });
+  RowTables out;
+  out.reserve(slots.size(), dim_);
+  for (const Slot& slot : slots) {
+    const RowTables& shard = shards_[slot.shard];
+    out.append(std::span<const float>(shard.data.data() + slot.row * dim_, dim_),
+               shard.sq_norms[slot.row], shard.class_ids[slot.row], slot.row_id);
+  }
   return out;
 }
 

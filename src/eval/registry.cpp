@@ -16,17 +16,10 @@
 #include "eval/exp_static.hpp"
 #include "eval/exp_transfer.hpp"
 #include "eval/exp_transport.hpp"
-#include "util/bench_report.hpp"
 
 namespace wf::eval {
 
 namespace {
-
-void report_rows(util::BenchReport& report, double rows) {
-  report.metric("rows", rows);
-  report.metric("rows_per_s", rows / report.seconds());
-  report.write(results_dir());
-}
 
 // Reproduces Fig. 6 (Experiment 1): top-n accuracy of the adaptive
 // fingerprinting adversary on known classes, for growing class counts,
@@ -38,7 +31,6 @@ void report_rows(util::BenchReport& report, double rows) {
 //   3000/6000:    top-1 ~35%, top-10/top-20 >90%
 //   TLS 1.3 (500, version shift): top-3 drops ~95% -> ~70%
 int run_exp1(const AttackerFactory& make_attacker) {
-  util::BenchReport report("exp1_static");
   WikiScenario scenario;
   std::cout << "== Table I: embedding network hyperparameters ==\n";
   core::hyperparameter_table(scenario.config().embedding3).print();
@@ -48,7 +40,6 @@ int run_exp1(const AttackerFactory& make_attacker) {
   const util::Table table = run_exp1_static(scenario, make_attacker);
   table.print();
   std::cout << "CSV written to " << results_dir() << "/exp1_static.csv\n";
-  report_rows(report, static_cast<double>(table.n_rows()));
   return 0;
 }
 
@@ -61,7 +52,6 @@ int run_exp1(const AttackerFactory& make_attacker) {
 // at equal class counts (top-1 ~58% @500, ~50% @1000, top-10 90/80/70%
 // @3000/6000/13000), and n/#classes falls from 0.6% to 0.23%.
 int run_exp2(const AttackerFactory& make_attacker) {
-  util::BenchReport report("exp2_transfer");
   WikiScenario scenario;
   std::cout << "== Fig. 7: classification of classes never seen in training ==\n";
   const Exp2Result result = run_exp2_transfer(scenario, make_attacker);
@@ -70,7 +60,6 @@ int run_exp2(const AttackerFactory& make_attacker) {
   result.table2.print();
   std::cout << "CSVs written to " << results_dir() << "/exp2_transfer.csv, "
             << results_dir() << "/exp2_table2.csv\n";
-  report_rows(report, static_cast<double>(result.accuracy.n_rows()));
   return 0;
 }
 
@@ -83,13 +72,11 @@ int run_exp2(const AttackerFactory& make_attacker) {
 // some leakage characteristics persist across site, encoding and
 // protocol version; theme change hurts the most.
 int run_exp3(const AttackerFactory& make_attacker) {
-  util::BenchReport report("exp3_crosssite");
   WikiScenario scenario;
   std::cout << "== Fig. 8: cross-site / cross-version transfer (2-sequence model) ==\n";
   const util::Table table = run_exp3_crosssite(scenario, make_attacker);
   table.print();
   std::cout << "CSV written to " << results_dir() << "/exp3_crosssite.csv\n";
-  report_rows(report, static_cast<double>(table.n_rows()));
   return 0;
 }
 
@@ -102,7 +89,6 @@ int run_exp3(const AttackerFactory& make_attacker) {
 // hard; FL padding pushes the whole distribution right (the <=10-guess
 // fraction under padding is below the <=1-guess fraction without).
 int run_exp4(const AttackerFactory& make_attacker) {
-  util::BenchReport report("exp4_distinguish");
   WikiScenario scenario;
   const Exp4Result result = run_exp4_distinguish(scenario, make_attacker);
   std::cout << "== Fig. 9: mean guesses per class, known classes (CDF) ==\n";
@@ -112,8 +98,6 @@ int run_exp4(const AttackerFactory& make_attacker) {
   std::cout << "\n== Fig. 11: mean guesses per class under FL padding (CDF) ==\n";
   result.padded.print();
   std::cout << "CSVs written to " << results_dir() << "/exp4_*.csv\n";
-  report_rows(report, static_cast<double>(result.known.n_rows() + result.unknown.n_rows() +
-                                          result.padded.n_rows()));
   return 0;
 }
 
@@ -127,15 +111,12 @@ int run_exp4(const AttackerFactory& make_attacker) {
 // HTTP/2 multiplexing interleaves responses and costs more than HTTP/1.1;
 // accuracy degrades further as loss shuffles retransmitted segments.
 int run_exp5(const AttackerFactory& make_attacker) {
-  util::BenchReport report("exp5_transport");
   WikiScenario scenario;
-  report.param("classes", static_cast<double>(scenario.config().transport_classes));
   std::cout << "== Exp. 5: accuracy under the packet-level transport "
                "(loss x HTTP version x TLS version) ==\n";
   const util::Table table = run_exp5_transport(scenario, make_attacker);
   table.print();
   std::cout << "CSV written to " << results_dir() << "/exp5_transport.csv\n";
-  report_rows(report, static_cast<double>(table.n_rows()));
   return 0;
 }
 
@@ -147,7 +128,6 @@ int run_exp5(const AttackerFactory& make_attacker) {
 // adaptation), CNN classifiers must retrain on every target-set change,
 // forest/feature systems sit in between.
 int run_costs(const AttackerFactory&) {
-  util::BenchReport report("costs");
   WikiScenario scenario;
   const CostResult result = run_cost_experiment(scenario);
   std::cout << "== Table III (as published) ==\n";
@@ -155,7 +135,6 @@ int run_costs(const AttackerFactory&) {
   std::cout << "\n== Table III (measured on this reproduction) ==\n";
   result.measured.print();
   std::cout << "CSVs written to " << results_dir() << "/table3_*.csv\n";
-  report_rows(report, static_cast<double>(result.measured.n_rows()));
   return 0;
 }
 
@@ -167,13 +146,11 @@ int run_costs(const AttackerFactory&) {
 // settings but does not erase it completely; the residual comes from
 // interleaving/order features the total-length padding cannot hide.
 int run_padding(const AttackerFactory& make_attacker) {
-  util::BenchReport report("padding");
   WikiScenario scenario;
   std::cout << "== Figs. 12/13: fixed-length padding vs the adaptive adversary ==\n";
   const util::Table table = run_padding_experiment(scenario, make_attacker);
   table.print();
   std::cout << "CSV written to " << results_dir() << "/padding_fl.csv\n";
-  report_rows(report, static_cast<double>(table.n_rows()));
   return 0;
 }
 
@@ -187,7 +164,6 @@ int run_padding(const AttackerFactory& make_attacker) {
 // per-website anonymity sets buy protection proportional to set size at
 // much lower cost than site-wide FL.
 int run_defense(const AttackerFactory& make_attacker) {
-  util::BenchReport report("defense_ablation");
   WikiScenario scenario;
   std::cout << "== Defense ablation: record policies and trace-level padding ==\n";
   const util::Table table = run_defense_ablation(scenario, make_attacker);
@@ -198,12 +174,6 @@ int run_defense(const AttackerFactory& make_attacker) {
   const util::Table frontier = run_defense_frontier(scenario, make_attacker);
   frontier.print();
   std::cout << "CSV written to " << results_dir() << "/defense_frontier.csv\n";
-
-  report.metric("rows", static_cast<double>(table.n_rows()));
-  report.metric("frontier_rows", static_cast<double>(frontier.n_rows()));
-  report.metric("rows_per_s",
-                static_cast<double>(table.n_rows() + frontier.n_rows()) / report.seconds());
-  report.write(results_dir());
   return 0;
 }
 
@@ -218,20 +188,17 @@ int run_defense(const AttackerFactory& make_attacker) {
 // roughly with rate, blackhole surfacing as timeouts and corrupt mostly as
 // protocol errors — and no fault kind ever corrupts an answered ranking.
 int run_robust(const AttackerFactory&) {
-  util::BenchReport report("robust_serve");
   WikiScenario scenario;
   std::cout << "== robust_serve: availability/error classes under injected faults ==\n";
   const util::Table table = run_robust_serve(scenario);
   table.print();
   std::cout << "CSV written to " << results_dir() << "/robust_serve.csv\n";
-  report_rows(report, static_cast<double>(table.n_rows()));
   return 0;
 }
 
 // Design-choice ablations over the adaptive attacker's internals plus the
 // §VI-C open world (see exp_ablation.cpp).
 int run_ablation(const AttackerFactory&) {
-  util::BenchReport report("ablation");
   const AblationResult result = run_ablation_experiment();
   std::cout << "== Ablations over design choices ==\n";
   result.design.print();
@@ -240,8 +207,6 @@ int run_ablation(const AttackerFactory&) {
   std::cout << "\n== Open-world precision/recall sweep ==\n";
   result.pr_sweep.print();
   std::cout << "CSV written to " << results_dir() << "/ablation.csv\n";
-  report.metric("openworld_pr_points", static_cast<double>(result.pr_sweep.n_rows()));
-  report_rows(report, static_cast<double>(result.design.n_rows()));
   return 0;
 }
 
@@ -250,12 +215,10 @@ int run_ablation(const AttackerFactory&) {
 // corpus — QPS, speedup and recall@10 per cluster count x probe count x
 // SIMD mode. The Clusters=0/Probes=0 rows are the exact baselines.
 int run_million(const AttackerFactory&) {
-  util::BenchReport report("perf_million");
   std::cout << "== perf_million: IVF-pruned scan vs exact, clusters x probes x SIMD ==\n";
   const util::Table table = run_million_experiment();
   table.print();
   std::cout << "CSV written to " << results_dir() << "/perf_million.csv\n";
-  report_rows(report, static_cast<double>(table.n_rows()));
   return 0;
 }
 

@@ -272,8 +272,8 @@ IvfConfig config_of(const Header& h) {
   return config;
 }
 
-// Writes `store` to `path` in place.
-void write_base(const std::string& path, const IvfReferenceStore& store) {
+// Writes `store` as a whole IVFX base file to `out`.
+void write_base(std::ostream& out, const IvfReferenceStore& store) {
   require_little_endian();
   if (store.dim() == 0 || store.clusters() == 0)
     throw io::IoError("cannot write an empty index (no clusters)");
@@ -288,8 +288,6 @@ void write_base(const std::string& path, const IvfReferenceStore& store) {
   const Layout l = layout_of(h);
   h.file_bytes = l.total;
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw io::IoError("cannot open " + path + " for writing");
   io::Writer w(out);
   io::write_header(w, "IVFX");
   w.u32(kIndexLayoutVersion);
@@ -348,28 +346,17 @@ void write_base(const std::string& path, const IvfReferenceStore& store) {
     offset += 8 * cell.row_ids.size();
   }
   WF_CHECK(offset == l.total, "index writer: layout/write drift");
-  out.flush();
-  if (!out) throw io::IoError("write failed: " + path);
 }
 
-// Writes `store` to <path>.tmp, renames it over `path` and deletes the old
-// base's journal, which belongs to the file it replaced: replayed onto the
-// new base it would add foreign rows, or fail on a cluster-count mismatch.
-// A process that has the old file mapped (a serving daemon) keeps reading
-// the old inode: the rename replaces the directory entry, where a write in
-// place would truncate the pages under the mapping. `durable` adds the
-// fsyncs a compaction needs before it drops a journal: the new base before
-// the rename, the directory after it. A crash between the rename and the
-// delete still leaves the old journal beside the new base.
+// Replaces `path` with `store` (io::replace_file) and deletes the old base's
+// journal, which belongs to the file it replaced: replayed onto the new base
+// it would add foreign rows, or fail on a cluster-count mismatch. A serving
+// daemon keeps reading the old inode, where a write in place would truncate
+// the pages under its mapping. `durable` adds the fsyncs a compaction needs
+// before it drops a journal. A crash between the rename and the delete
+// still leaves the old journal beside the new base.
 void write_replacing(const std::string& path, const IvfReferenceStore& store, bool durable) {
-  const std::string tmp = path + ".tmp";
-  write_base(tmp, store);
-  if (durable) io::sync_path(tmp);
-  std::filesystem::rename(tmp, path);
-  if (durable) {
-    const std::filesystem::path dir = std::filesystem::path(path).parent_path();
-    io::sync_path(dir.empty() ? "." : dir.string());
-  }
+  io::replace_file(path, [&](std::ostream& out) { write_base(out, store); }, durable);
   std::error_code ec;
   std::filesystem::remove(journal_path_of(path), ec);
 }

@@ -7,6 +7,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <utility>
 
 #include "io/binary.hpp"
@@ -90,6 +92,30 @@ void sync_path(const std::string& path) {
     fail(path, "fsync");
   }
   ::close(fd);
+}
+
+void replace_file(const std::string& path, const std::function<void(std::ostream&)>& write,
+                  bool durable) {
+  const std::string tmp = path + ".tmp";
+  try {
+    {
+      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+      if (!out) throw IoError("cannot open " + tmp + " for writing");
+      write(out);
+      out.flush();
+      if (!out) throw IoError("write failed: " + tmp);
+    }
+    if (durable) sync_path(tmp);
+    std::filesystem::rename(tmp, path);
+  } catch (...) {
+    std::error_code ec;
+    std::filesystem::remove(tmp, ec);
+    throw;
+  }
+  if (durable) {
+    const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+    sync_path(dir.empty() ? "." : dir.string());
+  }
 }
 
 }  // namespace wf::io

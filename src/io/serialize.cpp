@@ -6,6 +6,7 @@
 #include "baselines/attackers.hpp"
 #include "core/adaptive.hpp"
 #include "core/attacker.hpp"
+#include "io/mmap.hpp"
 
 namespace wf::io {
 
@@ -197,45 +198,55 @@ core::EmbeddingConfig load_embedding_config(Reader& in) {
   return config;
 }
 
+void save_knn_k(Writer& out, int k) {
+  out.i32(k);
+  out.u64(1);
+}
+
+int load_knn_k(Reader& in) {
+  const int k = in.i32();
+  in.u64();
+  if (k < 1) throw IoError("corrupt attacker k-NN parameters");
+  return k;
+}
+
 void save_reference_set(Writer& out, const core::ShardedReferenceSet& refs) {
+  const core::RowTables table = refs.rows_by_id();
   out.u64(refs.dim());
-  out.u64(refs.shard_count());
+  out.u64(1);  // table count
   out.u64(refs.next_row_id());
   out.i32_vec(refs.id_to_label());
-  for (std::size_t s = 0; s < refs.shard_count(); ++s) {
-    const core::ShardedReferenceSet::ShardTables& tables = refs.shard_tables(s);
-    out.f32_vec(tables.data);
-    std::vector<int> labels(tables.rows());
-    for (std::size_t i = 0; i < labels.size(); ++i)
-      labels[i] = refs.label_of_id(static_cast<std::size_t>(tables.class_ids[i]));
-    out.i32_vec(labels);
-    out.f64_vec(tables.sq_norms);
-    out.i32_vec(tables.class_ids);
-    out.u64_vec(tables.row_ids);
-  }
+  out.f32_vec(table.data);
+  std::vector<int> labels(table.rows());
+  for (std::size_t i = 0; i < labels.size(); ++i)
+    labels[i] = refs.label_of_id(static_cast<std::size_t>(table.class_ids[i]));
+  out.i32_vec(labels);
+  out.f64_vec(table.sq_norms);
+  out.i32_vec(table.class_ids);
+  out.u64_vec(table.row_ids);
 }
 
 core::ShardedReferenceSet load_reference_set(Reader& in) {
   const std::uint64_t dim = in.u64();
   if (dim > kMaxFeatureDim) throw IoError("corrupt reference-set width");
-  const std::uint64_t n_shards = in.u64();
-  if (n_shards == 0 || n_shards > 4096) throw IoError("corrupt reference-set shard count");
+  const std::uint64_t n_tables = in.u64();
+  if (n_tables == 0 || n_tables > 4096) throw IoError("corrupt reference-set table count");
   const std::uint64_t next_row_id = in.u64();
   std::vector<int> id_to_label = in.i32_vec();
-  std::vector<core::ShardedReferenceSet::ShardTables> shards(n_shards);
-  for (auto& shard : shards) {
+  std::vector<core::RowTables> tables(n_tables);
+  for (auto& table : tables) {
     const std::vector<float> data = in.f32_vec();
-    shard.data.assign(data.begin(), data.end());
+    table.data.assign(data.begin(), data.end());
     const std::vector<int> labels = in.i32_vec();
-    shard.sq_norms = in.f64_vec();
-    shard.class_ids = in.i32_vec();
-    shard.row_ids = in.u64_vec();
+    table.sq_norms = in.f64_vec();
+    table.class_ids = in.i32_vec();
+    table.row_ids = in.u64_vec();
     // The format keeps each row's label; the tables derive it from the
     // class id, so the two must agree.
-    if (labels.size() != shard.class_ids.size())
+    if (labels.size() != table.class_ids.size())
       throw IoError("corrupt reference set: label and class-id columns disagree");
     for (std::size_t i = 0; i < labels.size(); ++i) {
-      const int id = shard.class_ids[i];
+      const int id = table.class_ids[i];
       if (id < 0 || static_cast<std::size_t>(id) >= id_to_label.size() ||
           id_to_label[static_cast<std::size_t>(id)] != labels[i])
         throw IoError("corrupt reference set: row class id does not name the row's label");
@@ -243,7 +254,7 @@ core::ShardedReferenceSet load_reference_set(Reader& in) {
   }
   try {
     return core::ShardedReferenceSet::restore(dim, next_row_id, std::move(id_to_label),
-                                              std::move(shards));
+                                              std::move(tables));
   } catch (const std::invalid_argument& e) {
     throw IoError(e.what());
   }
@@ -278,13 +289,11 @@ data::Dataset load_dataset_body(Reader& in) {
 }
 
 void save_dataset(const std::string& path, const data::Dataset& dataset) {
-  std::ofstream file(path, std::ios::binary);
-  if (!file) throw IoError("cannot open " + path + " for writing");
-  Writer out(file);
-  write_header(out, "DATA");
-  write_section(out, "CORP", [&](Writer& w) { save_dataset_body(w, dataset); });
-  file.flush();
-  if (!file) throw IoError("write failed: " + path);
+  replace_file(path, [&](std::ostream& file) {
+    Writer out(file);
+    write_header(out, "DATA");
+    write_section(out, "CORP", [&](Writer& w) { save_dataset_body(w, dataset); });
+  });
 }
 
 data::Dataset load_dataset(const std::string& path) {
@@ -303,11 +312,7 @@ void save_attacker(std::ostream& stream, const core::Attacker& attacker) {
 }
 
 void save_attacker(const std::string& path, const core::Attacker& attacker) {
-  std::ofstream file(path, std::ios::binary);
-  if (!file) throw IoError("cannot open " + path + " for writing");
-  save_attacker(file, attacker);
-  file.flush();
-  if (!file) throw IoError("write failed: " + path);
+  replace_file(path, [&](std::ostream& file) { save_attacker(file, attacker); });
 }
 
 std::string read_attacker_name(Reader& in) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/bench_report.hpp"
 
 namespace wf::obs {
 
@@ -239,26 +238,6 @@ util::Table snapshot_table(const Snapshot& snapshot) {
                    hist ? util::Table::num(entry.p99, 3) : ""});
   }
   return table;
-}
-
-void snapshot_report(const Snapshot& snapshot, util::BenchReport& report) {
-  for (const SnapshotEntry& entry : snapshot.entries) {
-    switch (entry.kind) {
-      case InstrumentKind::counter:
-        report.metric(entry.name, static_cast<double>(entry.count));
-        break;
-      case InstrumentKind::gauge:
-        report.metric(entry.name, entry.value);
-        break;
-      case InstrumentKind::histogram:
-        report.metric(entry.name + ".count", static_cast<double>(entry.count));
-        report.metric(entry.name + ".sum", entry.sum);
-        report.metric(entry.name + ".p50", entry.p50);
-        report.metric(entry.name + ".p90", entry.p90);
-        report.metric(entry.name + ".p99", entry.p99);
-        break;
-    }
-  }
 }
 
 }  // namespace wf::obs

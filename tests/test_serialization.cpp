@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "io/serialize.hpp"
 #include "netsim/browser.hpp"
 #include "test_common.hpp"
+#include "util/env.hpp"
 
 using namespace wf;
 
@@ -43,6 +45,30 @@ bool rankings_equal(const std::vector<std::vector<core::RankedLabel>>& a,
   }
   return true;
 }
+
+// Writes its first section, then fails: a save that dies mid-file.
+class FailingAttacker final : public core::Attacker {
+ public:
+  std::string name() const override { return "adaptive"; }
+  core::TrainStats train(const data::Dataset&) override { return {}; }
+  void set_references(const data::Dataset&) override {}
+  std::vector<std::vector<core::RankedLabel>> fingerprint_batch(
+      const data::Dataset&) const override {
+    return {};
+  }
+  void adapt(int, const data::Dataset&) override {}
+  std::vector<int> target_classes() const override { return {}; }
+  std::unique_ptr<core::Attacker> clone() const override {
+    return std::make_unique<FailingAttacker>(*this);
+  }
+  void save_body(io::Writer& out) const override {
+    io::write_section(out, "CONF", [](io::Writer& w) {
+      io::save_embedding_config(w, core::EmbeddingConfig{});
+    });
+    throw std::runtime_error("save interrupted");
+  }
+  void load_body(io::Reader&) override {}
+};
 
 using test::read_file;
 using test::throws_io_error;
@@ -95,7 +121,10 @@ int main() {
     reloaded.load(model_path);
     CHECK(rankings_equal(before, reloaded.fingerprint_batch(split.second)));
     CHECK(reloaded.references().size() == attacker.references().size());
-    CHECK(reloaded.references().shard_count() == attacker.references().shard_count());
+    // The file holds no shard layout: a load deals the rows into the
+    // reader's own default_shard_count() shards.
+    CHECK(reloaded.references().shard_count() ==
+          core::ShardedReferenceSet::default_shard_count());
 
     // The embeddings themselves are bit-identical, so the §VI-C open-world
     // calibration lands on the exact same threshold.
@@ -133,6 +162,104 @@ int main() {
     twin.adapt_class(3, split.second);
     CHECK(rankings_equal(reloaded->fingerprint_batch(split.second),
                          twin.fingerprint_batch(split.second)));
+  }
+
+  // --- Model bytes do not depend on the shard layout -----------------------
+  {
+    // The same adds, removals and re-adds under any shard count save to the
+    // same bytes: one table in row-id order, ids and class ids unchanged.
+    const nn::Matrix embedded = attacker.model().embed_dataset(split.first);
+    const nn::Matrix fresh = attacker.model().embed_dataset(split.second);
+    const std::vector<int> fresh_labels = split.second.labels_of();
+    std::vector<std::string> saved;
+    for (const std::size_t n_shards : {std::size_t{1}, std::size_t{3}, std::size_t{7}}) {
+      core::ShardedReferenceSet refs(embedded.cols(), n_shards);
+      refs.add_all(embedded, split.first.labels_of());
+      for (const int label : {3, 0}) {
+        refs.remove_class(label);
+        for (std::size_t i = 0; i < fresh.rows(); ++i)
+          if (fresh_labels[i] == label) refs.add(fresh.row_span(i), label);
+      }
+      std::stringstream out;
+      io::Writer w(out);
+      io::save_reference_set(w, refs);
+      saved.push_back(out.str());
+    }
+    CHECK(saved[0] == saved[1]);
+    CHECK(saved[0] == saved[2]);
+  }
+  {
+    // A load honours the reader's shard count, ranks bit-identically, and
+    // saves back to the very same bytes.
+    util::Env::override_shards(5);
+    core::AdaptiveFingerprinter reloaded;
+    reloaded.load(model_path);
+    CHECK(reloaded.references().shard_count() == 5);
+    CHECK(rankings_equal(before, reloaded.fingerprint_batch(split.second)));
+    std::stringstream resaved;
+    io::save_attacker(resaved, reloaded);
+    CHECK(resaved.str() == read_file(model_path));
+    util::Env::override_shards(0);
+  }
+  {
+    // A file of an earlier build, with one table per shard (not in row-id
+    // order after a class swap) and KNNC's shard count 3, still loads and
+    // ranks identically, and saves back in the one-table layout.
+    core::AdaptiveFingerprinter adapted = attacker;
+    adapted.adapt_class(3, split.second);
+    const core::ShardedReferenceSet& refs = adapted.references();
+    CHECK(refs.shard_count() == 3);
+    std::stringstream legacy;
+    io::Writer w(legacy);
+    io::write_header(w, "ATKR");
+    io::write_section(w, "NAME", [](io::Writer& s) { s.str("adaptive"); });
+    io::write_section(w, "CONF", [&](io::Writer& s) {
+      io::save_embedding_config(s, adapted.model().config());
+    });
+    io::write_section(w, "KNNC", [&](io::Writer& s) {
+      s.i32(adapted.classifier().k());
+      s.u64(refs.shard_count());
+    });
+    io::write_section(w, "MLPW", [&](io::Writer& s) { io::save_mlp(s, adapted.model().net()); });
+    io::write_section(w, "REFS", [&](io::Writer& s) {
+      s.u64(refs.dim());
+      s.u64(refs.shard_count());
+      s.u64(refs.next_row_id());
+      s.i32_vec(refs.id_to_label());
+      for (std::size_t shard = 0; shard < refs.shard_count(); ++shard) {
+        const core::RowTables& table = refs.shard_tables(shard);
+        s.f32_vec(table.data);
+        std::vector<int> labels;
+        for (const int id : table.class_ids)
+          labels.push_back(refs.label_of_id(static_cast<std::size_t>(id)));
+        s.i32_vec(labels);
+        s.f64_vec(table.sq_norms);
+        s.i32_vec(table.class_ids);
+        s.u64_vec(table.row_ids);
+      }
+    });
+    const std::unique_ptr<core::Attacker> loaded = io::load_attacker(legacy);
+    CHECK(rankings_equal(adapted.fingerprint_batch(split.second),
+                         loaded->fingerprint_batch(split.second)));
+    std::stringstream current;
+    std::stringstream resaved;
+    io::save_attacker(current, adapted);
+    io::save_attacker(resaved, *loaded);
+    CHECK(resaved.str() == current.str());
+  }
+
+  // --- A failed save leaves the previous file intact ----------------------
+  {
+    const std::string previous = read_file(model_path);
+    bool interrupted = false;
+    try {
+      FailingAttacker().save(model_path);
+    } catch (const std::runtime_error&) {
+      interrupted = true;
+    }
+    CHECK(interrupted);
+    CHECK(read_file(model_path) == previous);
+    CHECK(!std::filesystem::exists(model_path + ".tmp"));
   }
 
   // --- Baseline attacker round trips --------------------------------------
@@ -271,15 +398,15 @@ int main() {
   // --- REFS rows keep a label that must name the row's class id ------------
   {
     const core::ShardedReferenceSet& refs = attacker.references();
-    CHECK(refs.shard_tables(0).rows() > 0);
+    CHECK(refs.size() > 0);
     std::stringstream saved;
     io::Writer w(saved);
     io::save_reference_set(w, refs);
     std::string bytes = saved.str();
-    // dim, shard count and next_row_id, the id table, then shard 0's data
-    // and its label column (each vector is a u64 count + elements).
+    // dim, table count and next_row_id, the id table, then the one table's
+    // data and its label column (each vector is a u64 count + elements).
     const std::size_t first_label =
-        24 + 8 + 4 * refs.id_to_label().size() + 8 + 4 * refs.shard_tables(0).data.size() + 8;
+        24 + 8 + 4 * refs.id_to_label().size() + 8 + 4 * refs.size() * refs.dim() + 8;
     bytes[first_label] = static_cast<char>(bytes[first_label] ^ 1);
     std::stringstream forged(bytes);
     io::Reader r(forged);
