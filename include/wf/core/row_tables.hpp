@@ -93,6 +93,21 @@ std::size_t remove_class_rows(const RowColumns& table, std::size_t dim, int vict
 std::size_t erase_class(int label, std::size_t dim, ClassIdSpace& ids,
                         std::span<RowTables> tables);
 
+// One row of a store, read in place, with the store's cached ‖r‖² (every
+// store computes it with nn::squared_norm's formula), class id and label.
+struct RowRef {
+  std::uint64_t row_id;
+  const float* data;
+  double sq_norm;
+  int class_id;
+  int label;
+};
+
+// A store's rows in global insertion-id order: a function of the adds and
+// removals alone, not of how the store is sharded. IVF builds cluster rows
+// in this order, and wf::io saves a reference set in it.
+std::vector<RowRef> rows_by_id(const ReferenceStore& store);
+
 // Cross-table validation for the restore paths: every table's columns agree
 // with its row count (and `dim`), every class id lies in `ids`, and every
 // row id lies below `next_row_id`, which may not exceed kMaxRowIds. Throws

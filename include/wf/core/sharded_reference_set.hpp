@@ -57,16 +57,12 @@ class ShardedReferenceSet final : public ReferenceStore {
   static std::size_t default_shard_count();
 
   // One shard's dense tables. The shard layout is a runtime property of
-  // this object alone: wf::io saves rows_by_id() and restore() deals the
-  // rows again, so a file never records a shard count.
+  // this object alone: wf::io saves core::rows_by_id() and restore() deals
+  // the rows again, so a file never records a shard count.
   using ShardTables = RowTables;
   const ShardTables& shard_tables(std::size_t shard) const { return shards_[shard]; }
   std::uint64_t next_row_id() const { return next_row_id_; }
   const std::vector<int>& id_to_label() const { return ids_.labels(); }
-
-  // Every row in one table, in ascending row id: a function of the adds and
-  // removals alone, the same for any shard count.
-  RowTables rows_by_id() const;
 
   // Rebuild a set from serialized tables (any number, any row order):
   // validates cross-table consistency (core::check_row_tables), then deals

@@ -34,7 +34,7 @@ namespace wf::serve {
 // ERRR frame where the stream still permits one.
 //
 // Wire evolution: new fields ride either as trailing bytes inside an
-// existing section (EMSG error class, PART rows-scanned) or as an optional
+// existing section (EMSG error class, PART rows-scanned, INFO shard count) or as an optional
 // trailing section (RNKB's DGRD degradation marker, present only on
 // degraded replies). Readers treat absent extensions as their defaults, so
 // a v1 peer's frames still parse — and a full-coverage RNKB reply is
@@ -74,6 +74,10 @@ struct ServerInfo {
   std::int32_t knn_k = 0;          // 0 when the attacker has no k-NN stage
   std::vector<int> classes;
   std::vector<int> id_to_label;
+  // Shards of the store a slice scan partitions: slices of one model only
+  // fit together when every backend deals its rows into the same count.
+  // 0 from peers that predate the field.
+  std::uint64_t shard_count = 0;
 };
 
 // How a request failed, beyond retryable/not: retry loops branch on

@@ -113,4 +113,20 @@ void check_row_tables(std::span<const RowTables> tables, std::size_t dim,
   }
 }
 
+std::vector<RowRef> rows_by_id(const ReferenceStore& store) {
+  std::vector<RowRef> rows;
+  rows.reserve(store.size());
+  const std::size_t dim = store.dim();
+  for (std::size_t s = 0; s < store.shard_count(); ++s) {
+    const ShardView shard = store.shard_view(s);
+    for (std::size_t j = 0; j < shard.rows; ++j)
+      rows.push_back({shard.row_ids[j], shard.data + j * dim, shard.sq_norms[j],
+                      shard.class_ids[j],
+                      store.label_of_id(static_cast<std::size_t>(shard.class_ids[j]))});
+  }
+  std::sort(rows.begin(), rows.end(),
+            [](const RowRef& a, const RowRef& b) { return a.row_id < b.row_id; });
+  return rows;
+}
+
 }  // namespace wf::core

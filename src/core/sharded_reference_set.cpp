@@ -75,29 +75,6 @@ ShardedReferenceSet ShardedReferenceSet::restore(std::size_t dim, std::uint64_t 
   return out;
 }
 
-RowTables ShardedReferenceSet::rows_by_id() const {
-  struct Slot {
-    std::uint64_t row_id;
-    std::size_t shard;
-    std::size_t row;
-  };
-  std::vector<Slot> slots;
-  slots.reserve(size_);
-  for (std::size_t s = 0; s < shards_.size(); ++s)
-    for (std::size_t i = 0; i < shards_[s].rows(); ++i)
-      slots.push_back({shards_[s].row_ids[i], s, i});
-  std::sort(slots.begin(), slots.end(),
-            [](const Slot& a, const Slot& b) { return a.row_id < b.row_id; });
-  RowTables out;
-  out.reserve(slots.size(), dim_);
-  for (const Slot& slot : slots) {
-    const RowTables& shard = shards_[slot.shard];
-    out.append(std::span<const float>(shard.data.data() + slot.row * dim_, dim_),
-               shard.sq_norms[slot.row], shard.class_ids[slot.row], slot.row_id);
-  }
-  return out;
-}
-
 ShardView ShardedReferenceSet::shard_view(std::size_t shard) const {
   WF_CHECK(shard < shards_.size(), "shard_view: shard index out of range");
   return shards_[shard].view();

@@ -134,34 +134,6 @@ void assign_rows(RowAt row_at, std::size_t n, std::size_t dim, const float* cent
   });
 }
 
-// One row of a store, read in place, with the store's cached ‖r‖² (every
-// store computes it with nn::squared_norm's formula).
-struct RowRef {
-  std::uint64_t row_id;
-  const float* data;
-  double sq_norm;
-  int label;
-};
-
-// A store's rows in global insertion-id order. Every build clusters rows in
-// this order, so the clustering (and therefore the file layout) is a
-// function of the content, not of how the source store is sharded or of the
-// add/remove history that produced it.
-std::vector<RowRef> rows_by_id(const core::ReferenceStore& store) {
-  std::vector<RowRef> rows;
-  rows.reserve(store.size());
-  const std::size_t dim = store.dim();
-  for (std::size_t s = 0; s < store.shard_count(); ++s) {
-    const core::ShardView shard = store.shard_view(s);
-    for (std::size_t j = 0; j < shard.rows; ++j)
-      rows.push_back({shard.row_ids[j], shard.data + j * dim, shard.sq_norms[j],
-                      store.label_of_id(static_cast<std::size_t>(shard.class_ids[j]))});
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const RowRef& a, const RowRef& b) { return a.row_id < b.row_id; });
-  return rows;
-}
-
 }  // namespace
 
 IvfReferenceStore::IvfReferenceStore(const core::ReferenceStore& base, const IvfConfig& config,
@@ -169,7 +141,7 @@ IvfReferenceStore::IvfReferenceStore(const core::ReferenceStore& base, const Ivf
     : config_(config), dim_(base.dim()), next_row_id_(next_row_id) {
   // The rows stay in `base`: the build copies only the training sample and
   // then each row once, into its cell.
-  const std::vector<RowRef> rows = rows_by_id(base);
+  const std::vector<core::RowRef> rows = core::rows_by_id(base);
   const std::size_t n = rows.size();
   if (n > 0) next_row_id_ = std::max(next_row_id_, rows.back().row_id + 1);
 

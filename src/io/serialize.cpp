@@ -211,19 +211,25 @@ int load_knn_k(Reader& in) {
 }
 
 void save_reference_set(Writer& out, const core::ShardedReferenceSet& refs) {
-  const core::RowTables table = refs.rows_by_id();
-  out.u64(refs.dim());
+  // One table in ascending row id, each column written straight from the
+  // shards: the bytes do not depend on the shard count.
+  const std::vector<core::RowRef> rows = core::rows_by_id(refs);
+  const std::size_t dim = refs.dim();
+  out.u64(dim);
   out.u64(1);  // table count
   out.u64(refs.next_row_id());
   out.i32_vec(refs.id_to_label());
-  out.f32_vec(table.data);
-  std::vector<int> labels(table.rows());
-  for (std::size_t i = 0; i < labels.size(); ++i)
-    labels[i] = refs.label_of_id(static_cast<std::size_t>(table.class_ids[i]));
-  out.i32_vec(labels);
-  out.f64_vec(table.sq_norms);
-  out.i32_vec(table.class_ids);
-  out.u64_vec(table.row_ids);
+  out.u64(rows.size() * dim);
+  for (const core::RowRef& row : rows)
+    for (std::size_t j = 0; j < dim; ++j) out.f32(row.data[j]);
+  const auto column = [&](auto write) {
+    out.u64(rows.size());
+    for (const core::RowRef& row : rows) write(row);
+  };
+  column([&](const core::RowRef& row) { out.i32(row.label); });
+  column([&](const core::RowRef& row) { out.f64(row.sq_norm); });
+  column([&](const core::RowRef& row) { out.i32(row.class_id); });
+  column([&](const core::RowRef& row) { out.u64(row.row_id); });
 }
 
 core::ShardedReferenceSet load_reference_set(Reader& in) {

@@ -74,6 +74,16 @@ CoordinatorHandler::CoordinatorHandler(const std::vector<BackendAddress>& backen
       throw std::runtime_error(
           "coordinator: backends disagree about the model (attacker/references/k/classes); "
           "they must all load the same saved file");
+    // A loaded model deals its rows into the backend's own shard count, and
+    // a slice is a set of shards: slices over different counts would miss
+    // some rows and scan others twice.
+    if (info.shard_count != first.shard_count)
+      throw std::runtime_error("coordinator: backend " + address_string(connected[i].address) +
+                               " splits its references into " +
+                               std::to_string(info.shard_count) + " shards but " +
+                               address_string(connected.front().address) + " into " +
+                               std::to_string(first.shard_count) +
+                               "; give every backend the same --shards / WF_SHARDS");
   }
 
   expected_ = first;
@@ -183,11 +193,11 @@ void CoordinatorHandler::reconnect_loop() {
       client = std::make_unique<Client>(address.host, address.port, client_config);
       info = client->hello();
       // The revived backend must still be the same deployment: same model,
-      // same slice assignment. Anything else stays down.
+      // same slice assignment and shard count. Anything else stays down.
       ok = info.slice_index == target && info.slice_count == backends_.size() &&
            info.attacker == expected_.attacker && info.n_references == expected_.n_references &&
            info.knn_k == expected_.knn_k && info.classes == expected_.classes &&
-           info.id_to_label == expected_.id_to_label;
+           info.id_to_label == expected_.id_to_label && info.shard_count == expected_.shard_count;
     } catch (const std::exception&) {
       ok = false;
     }

@@ -186,6 +186,9 @@ void write_info(io::Writer& out, const ServerInfo& info) {
     w.i32(info.knn_k);
     w.i32_vec(info.classes);
     w.i32_vec(info.id_to_label);
+    // Wire v2 extension: the slice layout's shard count, for the
+    // coordinator's handshake.
+    w.u64(info.shard_count);
   });
 }
 
@@ -199,6 +202,8 @@ ServerInfo read_info(io::Reader& in) {
     info.knn_k = r.i32();
     info.classes = r.i32_vec();
     info.id_to_label = r.i32_vec();
+    // Absent from v1 peers: default to 0 ("unknown").
+    if (has_more(r)) info.shard_count = r.u64();
     if (info.slice_count == 0 || info.slice_index >= info.slice_count)
       throw io::IoError("corrupt server info (slice)");
     return info;

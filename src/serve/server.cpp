@@ -55,6 +55,7 @@ ServerInfo LocalHandler::info() const {
     const core::ReferenceStore& refs = adaptive_->store();
     info.n_references = refs.size();
     info.knn_k = adaptive_->classifier().k();
+    info.shard_count = refs.shard_count();
     info.id_to_label.reserve(refs.n_class_ids());
     for (std::size_t id = 0; id < refs.n_class_ids(); ++id)
       info.id_to_label.push_back(refs.label_of_id(id));

@@ -191,6 +191,7 @@ int main() {
   {
     // A load honours the reader's shard count, ranks bit-identically, and
     // saves back to the very same bytes.
+    const std::size_t previous_shards = util::Env::shards();
     util::Env::override_shards(5);
     core::AdaptiveFingerprinter reloaded;
     reloaded.load(model_path);
@@ -199,7 +200,7 @@ int main() {
     std::stringstream resaved;
     io::save_attacker(resaved, reloaded);
     CHECK(resaved.str() == read_file(model_path));
-    util::Env::override_shards(0);
+    util::Env::override_shards(previous_shards);
   }
   {
     // A file of an earlier build, with one table per shard (not in row-id

@@ -4,7 +4,10 @@
 // (coalesced batches), and through the scatter/gather coordinator at
 // several shard-slice counts. Also: slice-scan + merge equals rank_batch
 // in-process with at most k candidates per query and slice, protocol
-// errors come back as ERRR frames, and STOP shuts the daemon down cleanly.
+// errors come back as ERRR frames, STOP shuts the daemon down cleanly, and
+// a coordinator refuses slice backends that split a loaded model into
+// different shard counts.
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,6 +22,7 @@
 #include "serve/coordinator.hpp"
 #include "serve/server.hpp"
 #include "test_common.hpp"
+#include "util/env.hpp"
 
 using namespace wf;
 
@@ -230,6 +234,64 @@ int main() {
     }
     CHECK(threw);
     half.stop();
+  }
+
+  // --- slices of a loaded model need one shard count ----------------------
+  {
+    // A load deals the rows into the reader's shard count, and a slice is a
+    // set of shards: backends loaded under the same count serve the exact
+    // answer, backends under different counts are refused at startup.
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "wf_test_serve_slices.wf").string();
+    attacker.save(path);
+    const std::size_t previous_shards = util::Env::shards();
+    const auto load_under = [&](std::size_t n_shards) {
+      util::Env::override_shards(n_shards);
+      auto loaded = std::make_unique<core::AdaptiveFingerprinter>();
+      loaded->load(path);
+      CHECK(loaded->references().shard_count() == n_shards);
+      return loaded;
+    };
+    const auto serve_pair = [&](std::size_t shards0, std::size_t shards1) {
+      std::vector<std::unique_ptr<serve::Server>> pair;
+      std::vector<serve::BackendAddress> addresses;
+      const std::size_t shards[] = {shards0, shards1};
+      for (std::size_t slice = 0; slice < 2; ++slice) {
+        pair.push_back(std::make_unique<serve::Server>(
+            std::make_shared<serve::LocalHandler>(load_under(shards[slice]), slice, 2),
+            serve::ServerConfig{}));
+        pair.back()->start();
+        addresses.push_back({"127.0.0.1", pair.back()->port()});
+      }
+      return std::make_pair(std::move(pair), addresses);
+    };
+    {
+      auto [pair, addresses] = serve_pair(5, 5);
+      serve::Server coordinator(
+          std::make_shared<serve::CoordinatorHandler>(
+              addresses, serve::CoordinatorConfig{.connect_retry_ms = 2000}),
+          {});
+      coordinator.start();
+      serve::Client client("127.0.0.1", coordinator.port(), 2000);
+      CHECK(client.hello().shard_count == 5);
+      CHECK(rankings_equal(expected, client.query(rows_of(test, 0, test.size()))));
+      coordinator.stop();
+      for (auto& backend : pair) backend->stop();
+    }
+    {
+      auto [pair, addresses] = serve_pair(2, 3);
+      bool threw = false;
+      try {
+        serve::CoordinatorHandler bad(addresses,
+                                      serve::CoordinatorConfig{.connect_retry_ms = 2000});
+      } catch (const std::runtime_error&) {
+        threw = true;
+      }
+      CHECK(threw);
+      for (auto& backend : pair) backend->stop();
+    }
+    util::Env::override_shards(previous_shards);
+    std::filesystem::remove(path);
   }
 
   return TEST_MAIN_RESULT();
