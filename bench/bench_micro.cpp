@@ -8,8 +8,12 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "baselines/features.hpp"
 #include "baselines/random_forest.hpp"
@@ -17,6 +21,7 @@
 #include "data/pairs.hpp"
 #include "eval/scenario.hpp"
 #include "index/ivf.hpp"
+#include "index/store.hpp"
 #include "nn/matrix.hpp"
 #include "nn/simd.hpp"
 #include "trace/defense.hpp"
@@ -259,9 +264,11 @@ BENCHMARK(BM_KnnQueryBatchSharded)
 // clustered rows (262,100 references, dim 32) in C = 512 clusters probed at
 // P = 16, k = 40, 512 queries per rank_batch. Each query scans ~11k rows, so
 // the per-query cost is the probe, the cluster GEMMs, the fused k-heap
-// visitor and the sparse per-class finalize, not the 5,242-class space.
+// visitor and the sparse per-class finalize, not the 5,242-class space. The
+// index is queried as it serves: written to a temp file and mapped (the
+// mapping outlives the file).
 struct PrunedCorpus {
-  index::IvfReferenceStore store;
+  std::unique_ptr<index::MappedIndex> store;
   nn::Matrix queries;
 };
 
@@ -284,7 +291,12 @@ const PrunedCorpus& pruned_corpus() {
     index::IvfConfig config;
     config.clusters = 512;
     config.probes = 16;
-    PrunedCorpus c{index::IvfReferenceStore(refs, config), nn::Matrix(kQueries, kDim)};
+    const std::string path = (std::filesystem::temp_directory_path() /
+                              ("wf_bench_pruned_" + std::to_string(::getpid()) + ".wfx"))
+                                 .string();
+    index::write_index_file(path, index::IvfReferenceStore(refs, config));
+    PrunedCorpus c{std::make_unique<index::MappedIndex>(path), nn::Matrix(kQueries, kDim)};
+    std::filesystem::remove(path);
     for (std::size_t q = 0; q < kQueries; ++q) {
       draw(rng.index(kClasses));
       c.queries.set_row(q, row);
@@ -298,7 +310,7 @@ void BM_KnnQueryBatchPruned(benchmark::State& state) {
   const PrunedCorpus& corpus = pruned_corpus();
   const core::KnnClassifier knn(40);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(knn.rank_batch(corpus.store, corpus.queries));
+    benchmark::DoNotOptimize(knn.rank_batch(*corpus.store, corpus.queries));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(corpus.queries.rows()));

@@ -30,12 +30,12 @@ struct ShardView {
   std::size_t rows = 0;
 };
 
-// Shared interface of the reference stores (ShardedReferenceSet, the IVF
-// index and its mmap view): the query kernels scan shard by shard, folding
-// every row into per-query accumulators, without knowing the storage
-// layout. The contract is exact — votes, per-class nearest distances and
-// k-th-neighbour distances are identical to one linear scan over the union
-// of all shards.
+// Shared interface of the two reference stores (ShardedReferenceSet, and
+// index::MappedIndex, the IVF index served from its file): the query
+// kernels scan shard by shard, folding every row into per-query
+// accumulators, without knowing the storage layout. The contract is exact —
+// votes, per-class nearest distances and k-th-neighbour distances are
+// identical to one linear scan over the union of all shards.
 class ReferenceStore {
  public:
   virtual ~ReferenceStore() = default;
@@ -49,7 +49,7 @@ class ReferenceStore {
   virtual std::size_t n_class_ids() const = 0;
   virtual int label_of_id(std::size_t id) const = 0;
 
-  // Query-adaptive probing (wf::index IVF stores). A pruned store picks the
+  // Query-adaptive probing (index::MappedIndex). A pruned store picks the
   // shards worth scanning per query instead of being scanned exhaustively;
   // the kernels route every query through probe_shards() when pruned() is
   // true. probe_shards must append distinct shard indices (a repeat would

@@ -1,11 +1,12 @@
 #pragma once
 
 // The row layout every reference store holds: ShardedReferenceSet keeps one
-// RowTables per shard, IvfReferenceStore one per cluster cell and
-// index::MappedIndex one per journal tail, each store with its dense
-// class-id space in a ClassIdSpace. A mapped IVFX cluster has the same four
-// columns in place. remove_class_rows is the one removal loop behind every
-// store's class removal.
+// RowTables per shard and index::MappedIndex one per journal tail, each
+// store with its dense class-id space in a ClassIdSpace; an IVF build
+// (index::IvfReferenceStore) fills one per cluster cell for the writer. A
+// mapped IVFX cluster has the same four columns in place.
+// remove_class_rows is the one removal loop behind every store's class
+// removal.
 
 #include <cstddef>
 #include <cstdint>
@@ -109,9 +110,10 @@ struct RowRef {
 std::vector<RowRef> rows_by_id(const ReferenceStore& store);
 
 // Cross-table validation for the restore paths: every table's columns agree
-// with its row count (and `dim`), every class id lies in `ids`, and every
-// row id lies below `next_row_id`, which may not exceed kMaxRowIds. Throws
-// std::invalid_argument naming the first violation.
+// with its row count (and `dim`), every class id lies in `ids`, every row id
+// lies below `next_row_id`, which may not exceed kMaxRowIds, and no row id
+// repeats across the tables. Throws std::invalid_argument naming the first
+// violation.
 void check_row_tables(std::span<const RowTables> tables, std::size_t dim,
                       const ClassIdSpace& ids, std::uint64_t next_row_id);
 

@@ -1,9 +1,11 @@
 #pragma once
 
-// On-disk home of an IvfReferenceStore: a fixed-layout, versioned,
-// mmap-friendly base store plus a sidecar append journal, compacted by
-// `wf index rebuild` — the mapstore pattern (base + journal + rebuild)
-// applied to adapt's swap-references churn.
+// The IVF index is a file: write_index_file lays an IvfReferenceStore build
+// out as a fixed-layout, versioned, mmap-friendly base store, a sidecar
+// append journal takes churn, `wf index rebuild` compacts the two, and
+// MappedIndex — the one IVF core::ReferenceStore — serves base + journal.
+// This is the mapstore pattern (base + journal + rebuild) applied to
+// adapt's swap-references churn.
 //
 // Base file ("WFIO" | format v1 | "IVFX" | index layout v1):
 //
@@ -32,11 +34,16 @@
 // {i32 label}. Add row ids start at the base's next_row_id and strictly
 // increase; a journal that breaks this (e.g. one left behind by a rebuild
 // killed after its rename, whose adds the base already holds) is rejected
-// with IoError instead of replayed twice. MappedIndex replays the journal
-// once, in record order, at open: adds become in-memory tail rows, and the
-// first removal of a present class turns the private mapping copy-on-write
-// before the stores' removal loop moves rows in it. The moved rows live in
-// process memory; the file is never written.
+// with IoError instead of replayed twice, as is an unknown record kind. A
+// journal that ends inside its last record or its header (bytes that begin
+// the header this base's writer writes) — an append cut short by a crash —
+// reads as if the partial bytes were absent: each reader logs a warning and
+// counts index.journal_torn_tails, and the next IndexJournalWriter cuts
+// them off. MappedIndex replays the journal once, in record order, at open:
+// adds become in-memory tail rows, and the first removal of a present class
+// turns the private mapping copy-on-write before the removal loop moves
+// rows in it. The moved rows live in process memory; the file is never
+// written.
 
 #include <cstddef>
 #include <cstdint>
@@ -73,12 +80,14 @@ std::unique_ptr<core::ReferenceStore> open_index(const std::string& path,
 std::size_t rebuild_index_file(const std::string& path);
 
 // Sidecar-journal appender: records churn against an existing base store
-// without rewriting it. Cluster assignment uses the base centroids via the
-// same kernel as the in-memory store, and row ids continue the sequence
-// past any previously journaled adds, so replay reproduces exactly what an
-// in-memory store mutated the same way would hold.
+// without rewriting it. An add goes to the cluster of its nearest base
+// centroid (detail::nearest_centroids, the rule of the build and the
+// probe), and row ids continue the sequence past any previously journaled
+// adds, as a rebuild of the live rows would number them.
 class IndexJournalWriter {
  public:
+  // Cuts a torn tail off the journal first, so appends start on a record
+  // boundary.
   explicit IndexJournalWriter(const std::string& index_path);
 
   void add(std::span<const float> embedding, int label);
@@ -107,18 +116,20 @@ struct IndexInfo {
   std::uint64_t file_bytes = 0;
   std::size_t min_cluster_rows = 0;
   std::size_t max_cluster_rows = 0;
-  std::uint64_t journal_bytes = 0;  // 0 when no journal exists
+  std::uint64_t journal_bytes = 0;  // through its last complete record (0: no journal)
   std::size_t journal_adds = 0;
   std::size_t journal_removes = 0;
 };
 IndexInfo read_index_info(const std::string& path);
 
-// The mmap-backed store. Shards [0, C) are the base clusters, their columns
-// in place in the mapping; shards [C, 2C) are the journal tails of the same
-// clusters (core::RowTables), so probing cluster c scans both its base rows
-// and its appended rows. The class-id space continues the file's id table
-// in journal order, exactly as IvfReferenceStore::add and remove_class
-// would have changed it.
+// The mmap-backed store, and the only IVF core::ReferenceStore. Shards
+// [0, C) are the base clusters, their columns in place in the mapping;
+// shards [C, 2C) are the journal tails of the same clusters
+// (core::RowTables), so probing cluster c scans both its base rows and its
+// appended rows. The class-id space continues the file's id table in
+// journal order: an add interns its label, a removal frees its id and the
+// last id takes the slot over (core::ClassIdSpace). set_probes sets P on
+// the open file.
 class MappedIndex final : public core::ReferenceStore {
  public:
   explicit MappedIndex(const std::string& path, std::size_t probes = 0);

@@ -111,6 +111,14 @@ void check_row_tables(std::span<const RowTables> tables, std::size_t dim,
         throw std::invalid_argument("row id not below the next row id");
     }
   }
+  // The merge and finalize tie-breaks rely on unique (distance, row id)
+  // candidate keys.
+  std::vector<std::uint64_t> row_ids;
+  for (const RowTables& t : tables)
+    row_ids.insert(row_ids.end(), t.row_ids.begin(), t.row_ids.end());
+  std::sort(row_ids.begin(), row_ids.end());
+  if (std::adjacent_find(row_ids.begin(), row_ids.end()) != row_ids.end())
+    throw std::invalid_argument("row id repeats");
 }
 
 std::vector<RowRef> rows_by_id(const ReferenceStore& store) {

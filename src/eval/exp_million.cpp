@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <functional>
 #include <iterator>
 #include <string>
@@ -12,6 +13,7 @@
 #include "core/sharded_reference_set.hpp"
 #include "eval/scenario.hpp"
 #include "index/ivf.hpp"
+#include "index/store.hpp"
 #include "nn/matrix.hpp"
 #include "nn/simd.hpp"
 #include "util/env.hpp"
@@ -159,7 +161,11 @@ util::Table run_million_experiment() {
       index::IvfConfig config;
       config.clusters = clusters;
       util::log_info() << "perf_million: k-means into " << clusters << " clusters";
-      index::IvfReferenceStore ivf(corpus.refs, config);
+      // The sweep queries the index as it serves: written, then mapped.
+      const std::string path = results_dir() + "/perf_million_" + std::to_string(n_refs) + "_" +
+                               std::to_string(clusters) + ".wfx";
+      index::write_index_file(path, index::IvfReferenceStore(corpus.refs, config));
+      index::MappedIndex ivf(path);
       for (const std::size_t probes : probe_sweep(clusters)) {
         ivf.set_probes(probes);
         const double recall = recall_at_10(exact_top, top_rows(knn, ivf, corpus.queries));
@@ -172,6 +178,7 @@ util::Table run_million_experiment() {
                          util::Table::num(recall, 4)});
         }
       }
+      std::filesystem::remove(path);
     }
   }
   nn::set_simd_mode(previous_mode);

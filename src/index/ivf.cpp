@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <stdexcept>
 #include <utility>
 
 #include "nn/matrix.hpp"
 #include "nn/simd.hpp"
-#include "obs/metrics.hpp"
-#include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -27,17 +24,6 @@ double margin(const double* norms, const float* dots, std::size_t c) {
 }  // namespace
 
 namespace detail {
-
-const IndexMetrics& index_metrics() {
-  static const IndexMetrics metrics = {
-      &obs::Registry::global().counter("index.probes_total"),
-      &obs::Registry::global().counter("index.clusters_scanned"),
-      &obs::Registry::global().counter("index.rows_scanned"),
-      &obs::Registry::global().counter("index.rebuilds_total"),
-      &obs::Registry::global().gauge("index.journal_bytes"),
-  };
-  return metrics;
-}
 
 void nearest_centroids(const float* row, const float* centroids, const double* norms,
                        std::size_t n, std::size_t dim, std::size_t count,
@@ -64,32 +50,6 @@ void nearest_centroids(const float* row, const float* centroids, const double* n
   std::partial_sort(ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(count),
                     ranked.end());
   for (std::size_t p = 0; p < count; ++p) out.push_back(ranked[p].second);
-}
-
-void probe_clusters(const core::ReferenceStore& store, std::span<const float> query,
-                    const float* centroids, std::span<const double> norms, std::size_t probes,
-                    std::vector<std::size_t>& out) {
-  out.clear();
-  const std::size_t n = norms.size();
-  if (n == 0) return;
-  WF_CHECK(query.size() == store.dim(), "probe_shards: query width mismatch");
-  nearest_centroids(query.data(), centroids, norms.data(), n, store.dim(),
-                    probes == 0 ? n : std::min(probes, n), out);
-  const std::size_t picked = out.size();
-  std::uint64_t rows = 0;
-  for (std::size_t p = 0; p < picked; ++p) rows += store.shard_view(out[p]).rows;
-  // A probed cluster's journal tail holds the rows appended to it since the
-  // base was written; together they are exactly the cluster's live rows.
-  if (store.shard_count() > n)
-    for (std::size_t p = 0; p < picked; ++p)
-      if (const std::size_t tail = store.shard_view(n + out[p]).rows; tail > 0) {
-        out.push_back(n + out[p]);
-        rows += tail;
-      }
-  const IndexMetrics& metrics = index_metrics();
-  metrics.probes_total->inc();
-  metrics.clusters_scanned->inc(picked);
-  metrics.rows_scanned->inc(rows);
 }
 
 }  // namespace detail
@@ -154,7 +114,7 @@ IvfReferenceStore::IvfReferenceStore(const core::ReferenceStore& base, const Ivf
         std::max<std::size_t>(n, 1));
 
   centroids_.assign(n_clusters * dim_, 0.0f);
-  centroid_norms_.assign(n_clusters, 0.0);
+  std::vector<double> centroid_norms(n_clusters, 0.0);  // cached ‖c‖² per centroid
   cells_.assign(n_clusters, {});
   size_ = n;
   if (n == 0) return;
@@ -235,7 +195,7 @@ IvfReferenceStore::IvfReferenceStore(const core::ReferenceStore& base, const Ivf
     }
   }
   for (std::size_t c = 0; c < n_clusters; ++c)
-    centroid_norms_[c] = nn::squared_norm(centroids_.data() + c * dim_, dim_);
+    centroid_norms[c] = nn::squared_norm(centroids_.data() + c * dim_, dim_);
 
   // Lloyd iterations on the sample: GEMM-tiled assignment, then serial
   // mean update in sample order (double accumulation) — deterministic at
@@ -245,7 +205,7 @@ IvfReferenceStore::IvfReferenceStore(const core::ReferenceStore& base, const Ivf
   std::vector<std::size_t> counts(n_clusters);
   const auto train_row = [&](std::size_t s) { return train.data() + s * dim_; };
   for (std::size_t iter = 0; iter < kKmeansIters; ++iter) {
-    assign_rows(train_row, sample, dim_, centroids_.data(), centroid_norms_.data(), n_clusters,
+    assign_rows(train_row, sample, dim_, centroids_.data(), centroid_norms.data(), n_clusters,
                 assign);
     std::fill(sums.begin(), sums.end(), 0.0);
     std::fill(counts.begin(), counts.end(), std::size_t{0});
@@ -261,7 +221,7 @@ IvfReferenceStore::IvfReferenceStore(const core::ReferenceStore& base, const Ivf
       const double inv = 1.0 / static_cast<double>(counts[c]);
       for (std::size_t d = 0; d < dim_; ++d)
         centroid[d] = static_cast<float>(sums[c * dim_ + d] * inv);
-      centroid_norms_[c] = nn::squared_norm(centroid, dim_);
+      centroid_norms[c] = nn::squared_norm(centroid, dim_);
     }
   }
 
@@ -270,53 +230,13 @@ IvfReferenceStore::IvfReferenceStore(const core::ReferenceStore& base, const Ivf
   // order and class ids are dense in first-appearance order. Each cell is
   // sized from the assignment first, and each row keeps its source ‖r‖².
   assign_rows([&](std::size_t i) { return rows[i].data; }, n, dim_, centroids_.data(),
-              centroid_norms_.data(), n_clusters, assign);
+              centroid_norms.data(), n_clusters, assign);
   std::fill(counts.begin(), counts.end(), std::size_t{0});
   for (std::size_t i = 0; i < n; ++i) ++counts[assign[i]];
   for (std::size_t c = 0; c < n_clusters; ++c) cells_[c].reserve(counts[c], dim_);
   for (std::size_t i = 0; i < n; ++i)
     cells_[assign[i]].append({rows[i].data, dim_}, rows[i].sq_norm, ids_.intern(rows[i].label),
                              rows[i].row_id);
-}
-
-core::ShardView IvfReferenceStore::shard_view(std::size_t shard) const {
-  WF_CHECK(shard < cells_.size(), "IvfReferenceStore::shard_view: cluster out of range");
-  return cells_[shard].view();
-}
-
-std::size_t IvfReferenceStore::effective_probes() const {
-  const std::size_t n_clusters = cells_.size();
-  if (config_.probes == 0) return n_clusters;
-  return std::min(config_.probes, n_clusters);
-}
-
-void IvfReferenceStore::probe_shards(std::span<const float> query,
-                                     std::vector<std::size_t>& out) const {
-  detail::probe_clusters(*this, query, centroids_.data(), centroid_norms_, config_.probes, out);
-}
-
-std::vector<int> IvfReferenceStore::classes() const {
-  std::vector<int> labels = ids_.labels();
-  std::sort(labels.begin(), labels.end());
-  return labels;
-}
-
-void IvfReferenceStore::add(std::span<const float> embedding, int label) {
-  WF_CHECK(!cells_.empty(), "IvfReferenceStore::add: store has no clusters");
-  WF_CHECK(embedding.size() == dim_, "IvfReferenceStore::add: width mismatch");
-  if (next_row_id_ >= core::kMaxRowIds)
-    throw std::invalid_argument("IvfReferenceStore::add: row ids exhausted (2^40)");
-  thread_local std::vector<std::size_t> nearest;
-  detail::nearest_centroids(embedding.data(), centroids_.data(), centroid_norms_.data(),
-                            cells_.size(), dim_, 1, nearest);
-  const int class_id = ids_.intern(label);
-  cells_[nearest.front()].append(embedding, nn::squared_norm(embedding.data(), dim_), class_id,
-                                 next_row_id_++);
-  ++size_;
-}
-
-void IvfReferenceStore::remove_class(int label) {
-  size_ -= core::erase_class(label, dim_, ids_, cells_);
 }
 
 }  // namespace wf::index

@@ -15,6 +15,7 @@
 #include "nn/matrix.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
+#include "util/log.hpp"
 
 namespace wf::index {
 
@@ -32,7 +33,47 @@ void require_little_endian() {
 
 std::string journal_path_of(const std::string& path) { return path + ".journal"; }
 
+// The shared obs instruments, fetched once from the global registry.
+struct IndexMetrics {
+  obs::Counter* probes_total;
+  obs::Counter* clusters_scanned;
+  obs::Counter* rows_scanned;
+  obs::Counter* rebuilds_total;
+  obs::Counter* journal_torn_tails;
+  obs::Gauge* journal_bytes;
+};
+
+const IndexMetrics& index_metrics() {
+  static const IndexMetrics metrics = {
+      &obs::Registry::global().counter("index.probes_total"),
+      &obs::Registry::global().counter("index.clusters_scanned"),
+      &obs::Registry::global().counter("index.rows_scanned"),
+      &obs::Registry::global().counter("index.rebuilds_total"),
+      &obs::Registry::global().counter("index.journal_torn_tails"),
+      &obs::Registry::global().gauge("index.journal_bytes"),
+  };
+  return metrics;
+}
+
 constexpr std::size_t kHeaderBytes = 104;
+
+// Journal framing (see index/store.hpp): an add record's bytes besides its
+// embedding (kind, cluster, label, row id, ‖r‖²) and a remove record's
+// (kind, label).
+constexpr std::uint64_t kAddRecordFixedBytes = 29;
+constexpr std::uint64_t kRemoveRecordBytes = 5;
+
+// The journal header of a base of width `dim` with `clusters` clusters:
+// "WFIO", format version, "IVFJ", layout version, dim, clusters (32 B).
+std::string journal_header(std::uint64_t dim, std::uint64_t clusters) {
+  std::ostringstream buf;
+  io::Writer w(buf);
+  io::write_header(w, "IVFJ");
+  w.u32(kJournalLayoutVersion);
+  w.u64(dim);
+  w.u64(clusters);
+  return buf.str();
+}
 
 std::size_t align64(std::size_t offset) { return (offset + 63) & ~std::size_t{63}; }
 
@@ -211,17 +252,39 @@ std::int64_t journal_size_or_zero(const std::string& journal_path) {
 // Streams the journal (if one exists) of the base with header `h` through
 // the two callbacks in record order. on_add(cluster, label, row_id, sq_norm,
 // embedding); on_remove(label). Shared by every journal consumer so they
-// cannot drift: a mid-record EOF is an IoError, a clean end between records
-// is the end of the journal. Add row ids must start at h.next_row_id and
-// strictly increase, as IndexJournalWriter writes them; anything else is a
-// journal the base already absorbed (or a forged one) and raises IoError.
+// cannot drift. Returns the bytes of the complete header and records: a
+// journal that ends inside its header or its last record (an append cut
+// short) reads as if the partial bytes were absent, with a warning and one
+// index.journal_torn_tails count. An unknown record kind raises IoError.
+// Add row ids must start at h.next_row_id and strictly increase, as
+// IndexJournalWriter writes them; anything else is a journal the base
+// already absorbed (or a forged one) and raises IoError.
 template <typename OnAdd, typename OnRemove>
-void scan_journal(const std::string& journal_path, const Header& h, OnAdd&& on_add,
-                  OnRemove&& on_remove) {
+std::uint64_t scan_journal(const std::string& journal_path, const Header& h, OnAdd&& on_add,
+                           OnRemove&& on_remove) {
   const std::uint64_t dim = h.dim;
   const std::uint64_t clusters = h.clusters;
-  std::ifstream in(journal_path, std::ios::binary);
-  if (!in) return;  // no journal: a bare base store
+  std::ifstream in(journal_path, std::ios::binary | std::ios::ate);
+  if (!in) return 0;  // no journal: a bare base store
+  const auto bytes = static_cast<std::uint64_t>(in.tellg());
+  in.seekg(0);
+  const auto torn = [&](std::uint64_t complete) {
+    util::log_warn() << "index journal " << journal_path << ": ignoring a torn tail of "
+                     << bytes - complete << " bytes (an append cut short)";
+    index_metrics().journal_torn_tails->inc();
+    return complete;
+  };
+  if (bytes == 0) return 0;
+  // A header is torn only if its bytes begin the one header this base's
+  // writer would have written; anything else is a corrupt journal.
+  const std::string header = journal_header(dim, clusters);
+  if (bytes < header.size()) {
+    std::string head(bytes, '\0');
+    in.read(head.data(), static_cast<std::streamsize>(bytes));
+    if (!in || head != header.substr(0, bytes))
+      throw io::IoError("corrupt journal header: " + journal_path);
+    return torn(0);
+  }
   io::Reader r(in);
   const std::string kind = io::read_header(r);
   if (kind != "IVFJ") throw io::IoError("expected a IVFJ journal, found " + kind);
@@ -232,12 +295,14 @@ void scan_journal(const std::string& journal_path, const Header& h, OnAdd&& on_a
   if (r.u64() != dim) throw io::IoError("journal/index dim mismatch: " + journal_path);
   if (r.u64() != clusters)
     throw io::IoError("journal/index cluster count mismatch: " + journal_path);
+  const std::uint64_t add_bytes = kAddRecordFixedBytes + 4 * dim;
   std::vector<float> embedding(dim);
   std::uint64_t next_row_id = h.next_row_id;
-  for (;;) {
-    if (in.peek() == std::char_traits<char>::eof()) break;
+  std::uint64_t offset = header.size();
+  while (offset < bytes) {
     const std::uint8_t record = r.u8();
     if (record == 1) {
+      if (bytes - offset < add_bytes) return torn(offset);
       const std::uint64_t cluster = r.u64();
       const int label = r.i32();
       const std::uint64_t row_id = r.u64();
@@ -254,12 +319,16 @@ void scan_journal(const std::string& journal_path, const Header& h, OnAdd&& on_a
                           "journal if a rebuild was interrupted");
       next_row_id = row_id + 1;
       on_add(cluster, label, row_id, sq_norm, embedding);
+      offset += add_bytes;
     } else if (record == 2) {
+      if (bytes - offset < kRemoveRecordBytes) return torn(offset);
       on_remove(r.i32());
+      offset += kRemoveRecordBytes;
     } else {
       throw io::IoError("unknown journal record kind " + std::to_string(record));
     }
   }
+  return offset;
 }
 
 IvfConfig config_of(const Header& h) {
@@ -380,8 +449,8 @@ std::size_t rebuild_index_file(const std::string& path) {
   // Crash order: the new base is durable before it replaces the old one,
   // and the rename is durable before the journal it absorbed goes away.
   write_replacing(path, store, true);
-  detail::index_metrics().rebuilds_total->inc();
-  detail::index_metrics().journal_bytes->set(0);
+  index_metrics().rebuilds_total->inc();
+  index_metrics().journal_bytes->set(0);
   return store.size();
 }
 
@@ -395,21 +464,28 @@ IndexJournalWriter::IndexJournalWriter(const std::string& index_path)
   for (std::size_t c = 0; c < t.header.clusters; ++c)
     centroid_norms_[c] = nn::squared_norm(centroids_.data() + c * dim_, dim_);
   next_row_id_ = t.header.next_row_id;
-  // Continue the row-id sequence past anything already journaled, so replay
-  // sees the same ids a live in-memory store would have handed out.
-  scan_journal(
+  // Continue the row-id sequence past anything already journaled.
+  const std::uint64_t complete = scan_journal(
       journal_path_, t.header,
       [&](std::uint64_t, int, std::uint64_t row_id, double, const std::vector<float>&) {
         next_row_id_ = row_id + 1;
       },
       [](int) {});
-  detail::index_metrics().journal_bytes->set(journal_size_or_zero(journal_path_));
+  // Cut a torn tail off, so the next append starts on a record boundary
+  // (and writes a fresh header when none survived).
+  if (complete < static_cast<std::uint64_t>(journal_size_or_zero(journal_path_))) {
+    std::error_code ec;
+    std::filesystem::resize_file(journal_path_, complete, ec);
+    if (ec)
+      throw io::IoError("cannot cut the torn tail of " + journal_path_ + ": " + ec.message());
+  }
+  index_metrics().journal_bytes->set(static_cast<std::int64_t>(complete));
 }
 
 void IndexJournalWriter::add(std::span<const float> embedding, int label) {
   if (embedding.size() != dim_)
     throw io::IoError("IndexJournalWriter::add: embedding width mismatch");
-  // The cluster the live store's add() would pick, or replay diverges.
+  // The cluster of the nearest base centroid, which the probe scans with it.
   thread_local std::vector<std::size_t> nearest;
   detail::nearest_centroids(embedding.data(), centroids_.data(), centroid_norms_.data(),
                             centroid_norms_.size(), dim_, 1, nearest);
@@ -438,18 +514,15 @@ void IndexJournalWriter::append(const std::string& record) {
   const bool fresh = journal_size_or_zero(journal_path_) == 0;
   std::ofstream out(journal_path_, std::ios::binary | std::ios::app);
   if (!out) throw io::IoError("cannot open journal " + journal_path_ + " for append");
-  io::Writer w(out);
   if (fresh) {
-    io::write_header(w, "IVFJ");
-    w.u32(kJournalLayoutVersion);
-    w.u64(dim_);
-    w.u64(centroid_norms_.size());
+    const std::string header = journal_header(dim_, centroid_norms_.size());
+    raw_write(out, header.data(), header.size());
   }
   raw_write(out, record.data(), record.size());
   out.flush();
   if (!out) throw io::IoError("journal write failed: " + journal_path_);
   out.close();
-  detail::index_metrics().journal_bytes->set(journal_size_or_zero(journal_path_));
+  index_metrics().journal_bytes->set(journal_size_or_zero(journal_path_));
 }
 
 IndexInfo read_index_info(const std::string& path) {
@@ -468,8 +541,7 @@ IndexInfo read_index_info(const std::string& path) {
     info.min_cluster_rows = std::min<std::size_t>(info.min_cluster_rows, t.cluster_rows[c]);
     info.max_cluster_rows = std::max<std::size_t>(info.max_cluster_rows, t.cluster_rows[c]);
   }
-  info.journal_bytes = static_cast<std::uint64_t>(journal_size_or_zero(journal_path_of(path)));
-  scan_journal(
+  info.journal_bytes = scan_journal(
       journal_path_of(path), t.header,
       [&](std::uint64_t, int, std::uint64_t, double, const std::vector<float>&) {
         ++info.journal_adds;
@@ -511,7 +583,7 @@ MappedIndex::MappedIndex(const std::string& path, std::size_t probes) : map_(pat
 
   // The one journal replay, in record order.
   bool writable = false;
-  scan_journal(
+  const std::uint64_t journal_bytes = scan_journal(
       journal_path_of(path), t.header,
       [&](std::uint64_t cluster, int label, std::uint64_t row_id, double sq_norm,
           const std::vector<float>& embedding) {
@@ -533,13 +605,13 @@ MappedIndex::MappedIndex(const std::string& path, std::size_t probes) : map_(pat
         }
         remove_class(label);
       });
-  detail::index_metrics().journal_bytes->set(journal_size_or_zero(journal_path_of(path)));
+  index_metrics().journal_bytes->set(static_cast<std::int64_t>(journal_bytes));
 }
 
 void MappedIndex::remove_class(int label) {
-  // The same removal IvfReferenceStore::remove_class runs over its cells,
-  // split across the base clusters and the tails: the victim and last ids
-  // are read before erase_class releases the victim.
+  // core::erase_class's removal, split across the base clusters and the
+  // tails: the victim and last ids are read before erase_class releases
+  // the victim.
   const int victim = ids_.find(label);
   const int last = static_cast<int>(ids_.size()) - 1;
   for (core::RowColumns& cluster : base_) {
@@ -559,7 +631,24 @@ core::ShardView MappedIndex::shard_view(std::size_t shard) const {
 
 void MappedIndex::probe_shards(std::span<const float> query,
                                std::vector<std::size_t>& out) const {
-  detail::probe_clusters(*this, query, centroids_, centroid_norms_, config_.probes, out);
+  WF_CHECK(query.size() == dim_, "probe_shards: query width mismatch");
+  const std::size_t n = base_.size();
+  detail::nearest_centroids(query.data(), centroids_, centroid_norms_.data(), n, dim_,
+                            config_.probes == 0 ? n : std::min(config_.probes, n), out);
+  const std::size_t picked = out.size();
+  std::uint64_t rows = 0;
+  for (std::size_t p = 0; p < picked; ++p) rows += base_[out[p]].rows;
+  // A probed cluster's journal tail holds the rows appended to it since the
+  // base was written; together they are exactly the cluster's live rows.
+  for (std::size_t p = 0; p < picked; ++p)
+    if (const std::size_t tail = tails_[out[p]].rows(); tail > 0) {
+      out.push_back(n + out[p]);
+      rows += tail;
+    }
+  const IndexMetrics& metrics = index_metrics();
+  metrics.probes_total->inc();
+  metrics.clusters_scanned->inc(picked);
+  metrics.rows_scanned->inc(rows);
 }
 
 }  // namespace wf::index

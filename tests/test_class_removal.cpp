@@ -1,15 +1,16 @@
-// Class removal (core::erase_class / remove_class_rows) in every store.
+// Class removal (core::erase_class / remove_class_rows) in both stores.
 // Removing, in turn, the class holding id 0, the class holding the last id,
 // a middle class, an absent label (a no-op), a class held by a single shard
 // or cell, and finally every class, then re-adding rows: after each step the
-// dense id tables are consistent, a save -> load round trip is accepted, and
-// rankings equal those of a store built fresh from the surviving rows. A
-// journal of adds and removals opens as a MappedIndex that matches an
-// IvfReferenceStore churned the same way at P = C and P = 2, leaves the file's
-// bytes alone, and ranks like its compacted file; a rebuild killed at any
-// step never replays the journal onto rows the base already holds. Row and
-// class ids past the packed candidate key (40 + 24 bits) are rejected by
-// restore and add.
+// dense id tables are consistent, a save -> load round trip (a compaction,
+// for an index) is accepted, and rankings equal those of a store built
+// fresh from the surviving rows. An index takes the steps through its
+// journal: every open is a MappedIndex holding test::IndexOracle's rows and
+// id space, ranks like the surviving rows at P = C and like a scan of
+// exactly the probed clusters at P = 2, leaves the file's bytes alone, and
+// ranks like its compacted file; a rebuild killed at any step never replays
+// the journal onto rows the base already holds. Row and class ids past the
+// packed candidate key (40 + 24 bits) are rejected by restore and add.
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
@@ -35,14 +36,12 @@
 namespace {
 
 using namespace wf;
+using test::IndexOracle;
 using test::LabeledRow;
 using test::read_file;
+using test::temp_path;
 using test::throws_io_error;
 using test::write_file;
-
-std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 std::vector<float> random_point(util::Rng& rng, std::size_t dim, double spread = 1.0) {
   std::vector<float> v(dim);
@@ -82,18 +81,17 @@ bool same_rankings(const std::vector<std::vector<core::RankedLabel>>& a,
 
 // Dense and consistent: n_ids distinct labels, every row's class id lies in
 // the id space, and every id is held by at least one row.
-void check_ids(const core::ReferenceStore& store, std::size_t n_tables,
-               const std::function<const core::RowTables&(std::size_t)>& table) {
+void check_ids(const core::ReferenceStore& store) {
   const std::size_t n_ids = store.n_class_ids();
   std::set<int> labels;
   for (std::size_t id = 0; id < n_ids; ++id) labels.insert(store.label_of_id(id));
   CHECK(labels.size() == n_ids);
   std::vector<int> held(n_ids, 0);
   std::size_t rows = 0;
-  for (std::size_t s = 0; s < n_tables; ++s) {
-    const core::RowTables& t = table(s);
-    rows += t.rows();
-    for (std::size_t i = 0; i < t.rows(); ++i) {
+  for (std::size_t s = 0; s < store.shard_count(); ++s) {
+    const core::ShardView t = store.shard_view(s);
+    rows += t.rows;
+    for (std::size_t i = 0; i < t.rows; ++i) {
       const int id = t.class_ids[i];
       CHECK(id >= 0 && static_cast<std::size_t>(id) < n_ids);
       if (id < 0 || static_cast<std::size_t>(id) >= n_ids) continue;
@@ -119,10 +117,12 @@ std::vector<LabeledRow> without(const std::vector<LabeledRow>& live, int label) 
 }
 
 // The removal sequence, shared by both stores: `remove(label)` and
-// `add(row)` mutate the store under test, `check(live)` compares it with
-// the surviving rows after each step.
+// `add(row)` mutate the store under test, `current()` is its state after
+// the last step, and `check(live)` compares it with the surviving rows
+// after each step.
 void run_removal_sequence(const std::vector<LabeledRow>& rows, int single_label,
-                          const std::vector<LabeledRow>& readd, const core::ReferenceStore& store,
+                          const std::vector<LabeledRow>& readd,
+                          const std::function<const core::ReferenceStore&()>& current,
                           const std::function<void(int)>& remove,
                           const std::function<void(const LabeledRow&)>& add,
                           const std::function<void(const std::vector<LabeledRow>&)>& check) {
@@ -133,24 +133,26 @@ void run_removal_sequence(const std::vector<LabeledRow>& rows, int single_label,
     live = without(live, label);
     check(live);
   };
-  remove_label(store.label_of_id(0));
-  remove_label(store.label_of_id(store.n_class_ids() - 1));
-  const int middle = store.label_of_id(store.n_class_ids() / 2 - 1);
+  remove_label(current().label_of_id(0));
+  remove_label(current().label_of_id(current().n_class_ids() - 1));
+  const int middle = current().label_of_id(current().n_class_ids() / 2 - 1);
   CHECK(middle != single_label);
   remove_label(middle);
   {
-    const std::size_t size = store.size();
+    const std::size_t size = current().size();
     std::vector<int> ids;
-    for (std::size_t id = 0; id < store.n_class_ids(); ++id) ids.push_back(store.label_of_id(id));
+    for (std::size_t id = 0; id < current().n_class_ids(); ++id)
+      ids.push_back(current().label_of_id(id));
     remove(123456);  // absent: nothing moves
-    CHECK(store.size() == size);
-    for (std::size_t id = 0; id < ids.size() && id < store.n_class_ids(); ++id)
-      CHECK(store.label_of_id(id) == ids[id]);
+    CHECK(current().size() == size);
+    for (std::size_t id = 0; id < ids.size() && id < current().n_class_ids(); ++id)
+      CHECK(current().label_of_id(id) == ids[id]);
     check(live);
   }
   remove_label(single_label);
-  while (store.n_class_ids() > 0) remove_label(store.label_of_id(store.n_class_ids() / 3));
-  CHECK(store.size() == 0 && live.empty());
+  while (current().n_class_ids() > 0)
+    remove_label(current().label_of_id(current().n_class_ids() / 3));
+  CHECK(current().size() == 0 && live.empty());
   for (const LabeledRow& r : readd) {
     add(r);
     live.push_back(r);
@@ -184,8 +186,7 @@ int main() {
     core::ShardedReferenceSet store(dim, n_shards);
     for (const LabeledRow& r : rows) store.add(r.embedding, r.label);
     const auto check = [&](const std::vector<LabeledRow>& live) {
-      check_ids(store, store.shard_count(),
-                [&](std::size_t s) -> const core::RowTables& { return store.shard_tables(s); });
+      check_ids(store);
       const auto want = knn.rank_batch(fresh_store(live, dim), queries);
       CHECK(same_rankings(knn.rank_batch(store, queries), want));
       // Save -> load goes through ShardedReferenceSet::restore.
@@ -198,92 +199,100 @@ int main() {
       CHECK(same_rankings(knn.rank_batch(loaded, queries), want));
     };
     run_removal_sequence(
-        rows, single_label, readd, store, [&](int label) { store.remove_class(label); },
+        rows, single_label, readd, [&]() -> const core::ReferenceStore& { return store; },
+        [&](int label) { store.remove_class(label); },
         [&](const LabeledRow& r) { store.add(r.embedding, r.label); }, check);
   }
 
-  // --- IvfReferenceStore at P = C --------------------------------------------
-  const std::string path = temp_path("wf_test_class_removal.wfx");
+  // --- MappedIndex at P = C, through its journal ------------------------------
+  // Each step is appended to the journal and the file reopened; a
+  // compaction of a copy of base + journal must rank the same.
   for (const std::size_t clusters : {std::size_t{1}, std::size_t{4}}) {
     core::ShardedReferenceSet base(dim, 2);
     for (const LabeledRow& r : rows) base.add(r.embedding, r.label);
     index::IvfConfig config;
     config.clusters = clusters;
-    index::IvfReferenceStore store(base, config);
+    const test::TempIndex index(base, config, "wf_test_class_removal_steps.wfx");
+    IndexOracle oracle(index.build);
+    index::IndexJournalWriter journal(index.path);
+    std::unique_ptr<index::MappedIndex> opened = index.reopen();
+    const std::string copy = temp_path("wf_test_class_removal_steps_copy.wfx");
     const auto check = [&](const std::vector<LabeledRow>& live) {
-      check_ids(store, store.clusters(),
-                [&](std::size_t c) -> const core::RowTables& { return store.cell(c); });
+      check_ids(*opened);
+      oracle.check(*opened);
       const auto want = knn.rank_batch(fresh_store(live, dim), queries);
-      CHECK(same_rankings(knn.rank_batch(store, queries), want));
-      // Write -> open goes through the mapped view of the file.
-      index::write_index_file(path, store);
-      const std::unique_ptr<core::ReferenceStore> loaded = index::open_index(path);
-      CHECK(loaded->size() == store.size());
-      CHECK(same_rankings(knn.rank_batch(*loaded, queries), want));
+      CHECK(same_rankings(knn.rank_batch(*opened, queries), want));
+      write_file(copy, read_file(index.path));
+      write_file(copy + ".journal", read_file(journal.journal_path()));
+      CHECK(index::rebuild_index_file(copy) == live.size());
+      CHECK(same_rankings(knn.rank_batch(*index::open_index(copy), queries), want));
     };
     run_removal_sequence(
-        rows, single_label, readd, store, [&](int label) { store.remove_class(label); },
-        [&](const LabeledRow& r) { store.add(r.embedding, r.label); }, check);
+        rows, single_label, readd, [&]() -> const core::ReferenceStore& { return *opened; },
+        [&](int label) {
+          journal.remove_class(label);
+          oracle.remove_class(label);
+          opened = index.reopen();
+        },
+        [&](const LabeledRow& r) {
+          journal.add(r.embedding, r.label);
+          oracle.add(r.embedding, r.label);
+          opened = index.reopen();
+        },
+        check);
+    std::filesystem::remove(copy);
   }
 
   // --- journal churn: one replay onto the mapped index -----------------------
-  // Each step goes to the journal and to an in-memory IvfReferenceStore built
-  // from the same base; every open of the journaled file must be a MappedIndex
-  // with that store's id space and rankings, at P = C and P = 2.
+  // Every open of the journaled file must be a MappedIndex with the
+  // oracle's rows and id space, rank like the surviving rows at P = C, and
+  // at P = 2 probe the two nearest clusters and rank like a scan of them.
   {
     core::ShardedReferenceSet base(dim, 2);
     for (const LabeledRow& r : rows) base.add(r.embedding, r.label);
     index::IvfConfig config;
     config.clusters = 4;
-    index::IvfReferenceStore live(base, config);
-    index::write_index_file(path, live);
-    std::filesystem::remove(path + ".journal");  // left by an aborted run
+    const test::TempIndex index(base, config, "wf_test_class_removal.wfx");
+    const std::string& path = index.path;
     const std::string pristine = read_file(path);
-    std::vector<LabeledRow> live_rows = rows;
+    IndexOracle oracle(index.build);
     index::IndexJournalWriter journal(path);
 
     const auto open_checked = [&](std::size_t probes) {
       std::unique_ptr<core::ReferenceStore> opened = index::open_index(path, probes);
       CHECK(dynamic_cast<const index::MappedIndex*>(opened.get()) != nullptr);
-      CHECK(opened->size() == live.size());
-      CHECK(opened->n_class_ids() == live.n_class_ids());
-      for (std::size_t id = 0; id < opened->n_class_ids() && id < live.n_class_ids(); ++id)
-        CHECK(opened->label_of_id(id) == live.label_of_id(id));
+      oracle.check(*opened);
       return opened;
     };
     const auto check = [&] {
-      for (const std::size_t probes : {std::size_t{0}, std::size_t{2}}) {
-        live.set_probes(probes);
-        const std::unique_ptr<core::ReferenceStore> opened = open_checked(probes);
-        CHECK(same_rankings(knn.rank_batch(*opened, queries), knn.rank_batch(live, queries)));
-      }
-      live.set_probes(0);
-      CHECK(same_rankings(knn.rank_batch(live, queries),
-                          knn.rank_batch(fresh_store(live_rows, dim), queries)));
+      const auto exact = open_checked(0);
+      CHECK(same_rankings(knn.rank_batch(*exact, queries),
+                          knn.rank_batch(fresh_store(oracle.live(), dim), queries)));
+      const auto pruned = open_checked(2);
+      oracle.check_probes(*pruned, queries, 2);
+      test::check_pruned_against_oracle(*pruned, knn, queries, {});
       // Removals replay onto a copy-on-write view: the file never changes.
       CHECK(read_file(path) == pristine);
     };
     const auto remove = [&](int label) {
       journal.remove_class(label);
-      live.remove_class(label);
-      live_rows = without(live_rows, label);
+      oracle.remove_class(label);
       check();
     };
     const auto add = [&](const LabeledRow& r) {
       journal.add(r.embedding, r.label);
-      live.add(r.embedding, r.label);
-      live_rows.push_back(r);
+      oracle.add(r.embedding, r.label);
     };
 
     check();
-    remove(live.label_of_id(0));                       // base id 0
-    remove(live.label_of_id(live.n_class_ids() - 1));  // base's last id
-    for (const LabeledRow& r : readd) add(r);          // 900: journal tails only
+    remove(oracle.ids().label_of(0));                        // base id 0
+    remove(oracle.ids().label_of(oracle.ids().size() - 1));  // base's last id
+    for (const LabeledRow& r : readd) add(r);                // 900: journal tails only
     check();
-    CHECK(live.label_of_id(live.n_class_ids() - 1) == 900);
-    remove(live.label_of_id(0));  // the tail-only class takes over id 0
-    remove(900);                  // rows only in journal tails
-    remove(305);                  // base and tail rows, then re-added
+    CHECK(oracle.ids().label_of(oracle.ids().size() - 1) == 900);
+    remove(oracle.ids().label_of(0));  // the tail-only class takes over id 0
+    remove(900);                       // rows only in journal tails
+    remove(305);                       // base and tail rows, then re-added
     for (const LabeledRow& r : make_rows(rng, dim, 305, 1, 4)) add(r);
     check();
     remove(single_label);
@@ -301,20 +310,18 @@ int main() {
     const std::string copy = temp_path("wf_test_class_removal_copy.wfx");
     write_file(copy, pristine);
     write_file(copy + ".journal", journal_bytes);
-    CHECK(index::rebuild_index_file(copy) == live_rows.size());
+    CHECK(index::rebuild_index_file(copy) == oracle.size());
     const std::string compacted = read_file(copy);
     std::filesystem::remove(copy);
-    const auto want = knn.rank_batch(fresh_store(live_rows, dim), queries);
-    const auto want_pre = knn.rank_batch(live, queries);
+    const auto want = knn.rank_batch(fresh_store(oracle.live(), dim), queries);
 
     // Killed before the rename: the pre-rebuild state, and a rerun completes.
     write_file(path + ".tmp", compacted);
     {
       const std::unique_ptr<core::ReferenceStore> opened = open_checked(0);
-      CHECK(same_rankings(knn.rank_batch(*opened, queries), want_pre));
-      CHECK(index::open_index(path)->size() == live.size());
+      CHECK(same_rankings(knn.rank_batch(*opened, queries), want));
     }
-    CHECK(index::rebuild_index_file(path) == live_rows.size());
+    CHECK(index::rebuild_index_file(path) == oracle.size());
     CHECK(read_file(path) == compacted);
     CHECK(!std::filesystem::exists(path + ".tmp"));
     CHECK(!std::filesystem::exists(journal.journal_path()));
@@ -331,10 +338,9 @@ int main() {
     std::filesystem::remove(journal.journal_path());
     const std::unique_ptr<core::ReferenceStore> done = index::open_index(path);
     CHECK(dynamic_cast<const index::MappedIndex*>(done.get()) != nullptr);
-    CHECK(done->size() == live_rows.size());
+    CHECK(done->size() == oracle.size());
     CHECK(same_rankings(knn.rank_batch(*done, queries), want));
   }
-  std::filesystem::remove(path);
 
   // --- candidate-key limits: row ids below 2^40 ------------------------------
   {

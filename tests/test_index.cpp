@@ -1,23 +1,26 @@
-// wf::index invariants: the IVF-pruned scan at P = C is bit-identical to
-// the exact sharded scan (rankings AND open-world kth distances) for
-// several cluster counts; the seeded k-means is deterministic and depends
-// only on content, not on how the base store was sharded; P < C rankings
-// and kth distances (in-memory and mapped, with journal-added classes) equal
-// a brute-force scan of exactly the probed clusters; recall@10 at a
-// pinned (C, P) clears 0.95; an index written to disk and reopened (mmap
-// base, journal tails, full reload, rebuild) answers bit-identically to the
-// in-memory store mutated the same way; every supported SIMD mode agrees
-// with scalar, per dot product and through the tiled GEMM; rankings to a
-// depth D are the total ranking's first D entries on IVF (P < C and P = C)
-// and mapped stores, NaN rows and queries included; the aligned
-// allocation the kernels rely on really is 64-byte aligned; a mapped index
-// keeps answering after another index is written over its path; the
-// k-means++ seeding kernel equals nn::squared_distance bit for bit in
-// every mode; the nearest-centroid argmin kernel equals its plain loop in
-// every mode, on ties, signed zeros, infinities, subnormals and NaN; the
-// written IVFX bytes of three seeded corpora (one large enough to split the
-// seeding rounds into blocks) match golden hashes in every mode; and
-// writing a new index over a journaled one leaves no journal to replay.
+// wf::index invariants, on the index as it serves (a written file opened as
+// MappedIndex): the IVF-pruned scan at P = C is bit-identical to the exact
+// sharded scan (rankings AND open-world kth distances) for several cluster
+// counts; the seeded k-means is deterministic and depends only on content,
+// not on how the base store was sharded, down to the written bytes; P < C
+// probes take the P nearest centroids, and their rankings and kth
+// distances (with journal-added classes) equal a brute-force scan of
+// exactly the probed clusters; recall@10 at a pinned (C, P) clears 0.95; a
+// journal of adds and removals replays to test::IndexOracle's rows, id
+// space and nearest-centroid cells, and compacts to the bytes of a build of
+// the oracle's rows; a journal torn inside a record or its header opens
+// without the torn part, and the next writer cuts it off; every supported
+// SIMD mode agrees with scalar, per dot product and through the tiled GEMM;
+// rankings to a depth D are the total ranking's first D entries at P < C
+// and P = C, NaN rows and queries included; the aligned allocation the
+// kernels rely on really is 64-byte aligned; a mapped index keeps answering
+// after another index is written over its path; the k-means++ seeding
+// kernel equals nn::squared_distance bit for bit in every mode; the
+// nearest-centroid argmin kernel equals its plain loop in every mode, on
+// ties, signed zeros, infinities, subnormals and NaN; the written IVFX
+// bytes of three seeded corpora (one large enough to split the seeding
+// rounds into blocks) match golden hashes in every mode; and writing a new
+// index over a journaled one leaves no journal to replay.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -40,6 +43,7 @@
 #include "index/store.hpp"
 #include "nn/matrix.hpp"
 #include "nn/simd.hpp"
+#include "obs/metrics.hpp"
 #include "test_common.hpp"
 #include "util/aligned.hpp"
 #include "util/rng.hpp"
@@ -47,16 +51,14 @@
 namespace {
 
 using namespace wf;
+using test::check_pruned_against_oracle;
+using test::check_rankings_identical;
+using test::IndexOracle;
+using test::plain_argmin;
+using test::temp_path;
+using test::TempIndex;
 
 static_assert(util::kSimdAlignment == 64, "SIMD tiles assume 64-byte rows");
-
-// Per-process names: ctest runs this binary under several thread counts at
-// once.
-std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::to_string(::getpid()) + "_" + name))
-      .string();
-}
 
 std::vector<float> random_point(util::Rng& rng, std::size_t dim, double spread = 1.0) {
   std::vector<float> v(dim);
@@ -83,19 +85,6 @@ std::vector<Row> make_rows(util::Rng& rng, std::size_t dim, int n_classes, int p
     }
   }
   return rows;
-}
-
-void check_rankings_identical(const std::vector<std::vector<core::RankedLabel>>& a,
-                              const std::vector<std::vector<core::RankedLabel>>& b) {
-  CHECK(a.size() == b.size());
-  for (std::size_t q = 0; q < a.size() && q < b.size(); ++q) {
-    CHECK(a[q].size() == b[q].size());
-    for (std::size_t i = 0; i < a[q].size() && i < b[q].size(); ++i) {
-      CHECK(a[q][i].label == b[q][i].label);
-      CHECK(a[q][i].votes == b[q][i].votes);
-      CHECK(a[q][i].distance == b[q][i].distance);  // bit-identical, no tolerance
-    }
-  }
 }
 
 // Each query's 10 nearest row ids, via a single-slice scan (the store's k
@@ -157,21 +146,6 @@ constexpr std::uint64_t kWideIndexHash = 0xafa85da2c8430ec6ull;
 constexpr std::uint64_t kOddIndexHash = 0xfecbf8ae3316ef8full;
 constexpr std::uint64_t kBlockedIndexHash = 0x85580314ca6a2741ull;
 
-// The nearest-centroid rule written out: the first cluster of least margin
-// under strict <, so a NaN margin never wins and a NaN margin(0) stays.
-std::size_t plain_argmin(const std::vector<double>& norms, const std::vector<float>& dots) {
-  std::size_t best = 0;
-  double best_margin = norms[0] - 2.0 * static_cast<double>(dots[0]);
-  for (std::size_t c = 1; c < norms.size(); ++c) {
-    const double m = norms[c] - 2.0 * static_cast<double>(dots[c]);
-    if (m < best_margin) {
-      best_margin = m;
-      best = c;
-    }
-  }
-  return best;
-}
-
 // Every supported argmin kernel against plain_argmin on one input.
 void check_argmin(const std::vector<double>& norms, const std::vector<float>& dots) {
   const std::size_t want = plain_argmin(norms, dots);
@@ -183,116 +157,6 @@ void check_argmin(const std::vector<double>& norms, const std::vector<float>& do
                 << ", want " << want << "\n";
     CHECK(got == want);
   }
-}
-
-// One row of a probed cluster as the pruned-scan oracle sees it.
-struct ProbedRow {
-  double dist;
-  std::uint64_t row_id;
-  std::size_t class_id;
-};
-
-// Every row of exactly the shards `store` probes for `query`, sorted by
-// (dist, insertion id). Distances use the scan's own formula and the active
-// dot kernel, so they match the GEMM's bit for bit; everything else — the
-// selection, votes, per-class minima, ranking order — is independent of the
-// tile/heap machinery under test.
-std::vector<ProbedRow> probed_rows(const core::ReferenceStore& store,
-                                   std::span<const float> query) {
-  const std::size_t dim = store.dim();
-  const double qnorm = nn::squared_norm(query.data(), dim);
-  std::vector<std::size_t> shards;
-  store.probe_shards(query, shards);
-  std::vector<ProbedRow> out;
-  for (const std::size_t s : shards) {
-    const core::ShardView view = store.shard_view(s);
-    for (std::size_t j = 0; j < view.rows; ++j) {
-      const float* row = view.data + j * dim;
-      double dist = qnorm + nn::squared_norm(row, dim) -
-                    2.0 * static_cast<double>(nn::simd_dot(query.data(), row, dim));
-      if (dist < 0.0) dist = 0.0;
-      out.push_back({dist, view.row_ids[j], static_cast<std::size_t>(view.class_ids[j])});
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const ProbedRow& a, const ProbedRow& b) {
-    return a.dist != b.dist ? a.dist < b.dist : a.row_id < b.row_id;
-  });
-  return out;
-}
-
-// The ranking contract over the probed rows: the k nearest vote, every class
-// id of the store appears once, and a class no probed row belongs to ranks
-// with 0 votes at distance 1e300.
-std::vector<core::RankedLabel> oracle_rank(const core::ReferenceStore& store,
-                                           std::span<const float> query, int k_cfg) {
-  const std::vector<ProbedRow> rows = probed_rows(store, query);
-  const std::size_t k =
-      std::min<std::size_t>(static_cast<std::size_t>(std::max(0, k_cfg)), store.size());
-  std::vector<core::RankedLabel> ranking(store.n_class_ids());
-  for (std::size_t id = 0; id < ranking.size(); ++id)
-    ranking[id] = {store.label_of_id(id), 0, 1e300};
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    core::RankedLabel& entry = ranking[rows[i].class_id];
-    if (i < k) ++entry.votes;
-    entry.distance = std::min(entry.distance, rows[i].dist);
-  }
-  std::sort(ranking.begin(), ranking.end(),
-            [](const core::RankedLabel& a, const core::RankedLabel& b) {
-              if (a.votes != b.votes) return a.votes > b.votes;
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.label < b.label;
-            });
-  return ranking;
-}
-
-// The open-world statistic over the probed rows: the neighbour-th nearest,
-// clamped to the farthest probed row, sqrt(1e300) when nothing was probed.
-double oracle_kth(const core::ReferenceStore& store, std::span<const float> query,
-                  int neighbour) {
-  const std::vector<ProbedRow> rows = probed_rows(store, query);
-  if (rows.empty()) return std::sqrt(1e300);
-  const std::size_t k = std::min<std::size_t>(
-      std::min<std::size_t>(static_cast<std::size_t>(neighbour), store.size()), rows.size());
-  return std::sqrt(rows[k - 1].dist);
-}
-
-// Checks one pruned store against the probed-rows oracle: full rankings
-// bit for bit, the untouched tail (0 votes, 1e300, ascending label), and
-// the open-world distances at two neighbour counts. Returns how many
-// queries ranked one of `early_labels` inside their untouched tail.
-std::size_t check_pruned_against_oracle(const core::ReferenceStore& store,
-                                        const core::KnnClassifier& knn,
-                                        const nn::Matrix& queries,
-                                        const std::vector<int>& early_labels) {
-  std::size_t tails_with_early = 0;
-  const auto rankings = knn.rank_batch(store, queries);
-  CHECK(rankings.size() == queries.rows());
-  for (std::size_t q = 0; q < rankings.size(); ++q) {
-    const auto want = oracle_rank(store, queries.row_span(q), knn.k());
-    check_rankings_identical({want}, {rankings[q]});
-    std::size_t tail = rankings[q].size();
-    while (tail > 0 && rankings[q][tail - 1].votes == 0 &&
-           rankings[q][tail - 1].distance == 1e300)
-      --tail;
-    CHECK(tail < rankings[q].size());  // P < C: some class is never probed
-    bool early = false;
-    for (std::size_t i = tail; i < rankings[q].size(); ++i) {
-      if (i > tail) CHECK(rankings[q][i - 1].label < rankings[q][i].label);
-      early = early || std::find(early_labels.begin(), early_labels.end(),
-                                 rankings[q][i].label) != early_labels.end();
-    }
-    for (std::size_t i = 0; i < tail; ++i)
-      CHECK(rankings[q][i].votes > 0 || rankings[q][i].distance < 1e300);
-    if (early) ++tails_with_early;
-  }
-  for (const int neighbour : {3, 40}) {
-    const core::OpenWorldDetector detector{core::OpenWorldConfig{neighbour, 0.95}};
-    const std::vector<double> kth = detector.kth_distances(store, queries);
-    CHECK(kth.size() == queries.rows());
-    for (std::size_t q = 0; q < kth.size(); ++q)
-      CHECK(kth[q] == oracle_kth(store, queries.row_span(q), neighbour));
-  }
-  return tails_with_early;
 }
 
 }  // namespace
@@ -332,19 +196,25 @@ int main() {
     index::IvfConfig config;
     config.clusters = clusters;
     config.probes = 0;  // all clusters
-    const index::IvfReferenceStore ivf(flat, config);
-    CHECK(ivf.clusters() == clusters);
-    CHECK(ivf.size() == flat.size());
-    CHECK(ivf.pruned());
-    CHECK(ivf.classes() == flat.classes());
-    for (std::size_t c = 0; c < ivf.clusters(); ++c)
-      CHECK(is_aligned(ivf.cell(c).data.data()));
-    check_rankings_identical(exact_rankings, knn.rank_batch(ivf, queries));
-    const std::vector<double> ivf_kth = detector.kth_distances(ivf, queries);
+    const TempIndex ivf(flat, config, "wf_test_index_exact.wfx");
+    CHECK(ivf.build.clusters() == clusters);
+    CHECK(ivf.build.size() == flat.size());
+    for (std::size_t c = 0; c < ivf.build.clusters(); ++c)
+      CHECK(is_aligned(ivf.build.cell(c).data.data()));
+    const index::MappedIndex& mapped = *ivf.store;
+    CHECK(mapped.pruned());
+    IndexOracle(ivf.build).check(mapped);
+    std::vector<int> labels;
+    for (std::size_t id = 0; id < mapped.n_class_ids(); ++id)
+      labels.push_back(mapped.label_of_id(id));
+    std::sort(labels.begin(), labels.end());
+    CHECK(labels == flat.classes());
+    check_rankings_identical(exact_rankings, knn.rank_batch(mapped, queries));
+    const std::vector<double> ivf_kth = detector.kth_distances(mapped, queries);
     CHECK(ivf_kth.size() == exact_kth.size());
     for (std::size_t q = 0; q < exact_kth.size(); ++q) CHECK(ivf_kth[q] == exact_kth[q]);
     // The scalar path goes through the same probe plan.
-    const auto scalar = knn.rank(ivf, queries.row_span(0));
+    const auto scalar = knn.rank(mapped, queries.row_span(0));
     CHECK(!scalar.empty() && scalar.front().label == exact_rankings[0].front().label);
     CHECK(scalar.front().distance == exact_rankings[0].front().distance);
   }
@@ -353,6 +223,7 @@ int main() {
   {
     index::IvfConfig config;
     config.clusters = 5;
+    config.probes = 2;
     const index::IvfReferenceStore a(flat, config);
     const index::IvfReferenceStore b(flat, config);
     CHECK(a.centroids().size() == b.centroids().size());
@@ -368,11 +239,18 @@ int main() {
       CHECK(a.centroids()[i] == c.centroids()[i]);
     for (std::size_t cell = 0; cell < a.clusters(); ++cell)
       CHECK(a.cell(cell).row_ids == c.cell(cell).row_ids);
-    config.probes = 2;
-    index::IvfReferenceStore pruned_a(flat, config);
-    index::IvfReferenceStore pruned_c(reshard, config);
-    check_rankings_identical(knn.rank_batch(pruned_a, queries),
-                             knn.rank_batch(pruned_c, queries));
+    // And so are the files written from the three builds, byte for byte.
+    const auto written = [](const index::IvfReferenceStore& build) {
+      const std::string file = temp_path("wf_test_index_content.wfx");
+      index::write_index_file(file, build);
+      const std::string bytes = test::read_file(file);
+      std::filesystem::remove(file);
+      return bytes;
+    };
+    const std::string bytes = written(a);
+    CHECK(bytes.size() > 104);
+    CHECK(written(b) == bytes);
+    CHECK(written(c) == bytes);
   }
 
   // --- recall@10 at a pinned (C, P) -----------------------------------------
@@ -390,10 +268,12 @@ int main() {
     index::IvfConfig config;
     config.clusters = 32;
     config.probes = 8;
-    const index::IvfReferenceStore ivf(base, config);
-    CHECK(ivf.effective_probes() == 8);
+    const TempIndex ivf(base, config, "wf_test_index_recall.wfx");
+    std::vector<std::size_t> probed;
+    ivf.store->probe_shards(probes.row_span(0), probed);
+    CHECK(probed.size() == 8);  // the file's P, and no journal tails
     const auto want = top10_rows(knn, base, probes);
-    const auto got = top10_rows(knn, ivf, probes);
+    const auto got = top10_rows(knn, *ivf.store, probes);
     double sum = 0.0;
     for (std::size_t q = 0; q < want.size(); ++q) {
       std::vector<std::uint64_t> w = want[q], g = got[q];
@@ -409,58 +289,58 @@ int main() {
   }
 
   // --- on-disk round trip: mmap open answers bit-identically ----------------
-  const std::string path = temp_path("wf_test_index.wfx");
   index::IvfConfig disk_config;
   disk_config.clusters = 6;
-  index::IvfReferenceStore mem(flat, disk_config);
+  const TempIndex disk(flat, disk_config, "wf_test_index.wfx");
   {
-    index::write_index_file(path, mem);
-    const std::unique_ptr<core::ReferenceStore> mapped = index::open_index(path);
-    CHECK(mapped->size() == mem.size());
-    CHECK(mapped->dim() == mem.dim());
-    CHECK(mapped->pruned());
-    check_rankings_identical(knn.rank_batch(mem, queries), knn.rank_batch(*mapped, queries));
-    check_rankings_identical(exact_rankings, knn.rank_batch(*mapped, queries));
+    const index::MappedIndex& mapped = *disk.store;
+    CHECK(mapped.size() == flat.size());
+    CHECK(mapped.dim() == dim);
+    CHECK(mapped.pruned());
+    check_rankings_identical(exact_rankings, knn.rank_batch(mapped, queries));
 
-    // Pruned probes match the in-memory pruned scan, query by query.
-    const std::unique_ptr<core::ReferenceStore> mapped2 = index::open_index(path, 2);
-    index::IvfReferenceStore mem2 = mem;
-    mem2.set_probes(2);
-    check_rankings_identical(knn.rank_batch(mem2, queries), knn.rank_batch(*mapped2, queries));
+    // Pruned probes: the probe plan, and a scan of exactly the probed
+    // clusters, query by query.
+    const std::unique_ptr<index::MappedIndex> mapped2 = disk.reopen(2);
+    IndexOracle(disk.build).check_probes(*mapped2, queries, 2);
+    check_pruned_against_oracle(*mapped2, knn, queries, {});
 
-    // Depth oracle on every IVF flavour, at k = 0, within and beyond the
-    // row count, with a NaN query; a NaN row appended to a cell (and
-    // written to a second file) sits in the heap of every query at k > n.
+    // Depth oracle on every mapped flavour, at k = 0, within and beyond the
+    // row count, with a NaN query; a NaN row journaled into a cell sits in
+    // the heap of every query at k > n.
     std::vector<float> nan_row(dim, 0.0f);
     nan_row[0] = std::nanf("");
     nn::Matrix odd(queries.rows() + 1, dim);
     for (std::size_t q = 0; q < queries.rows(); ++q) odd.set_row(q, queries.row_span(q));
     odd.set_row(queries.rows(), nan_row);
-    index::IvfReferenceStore with_nan = mem;
-    with_nan.add(nan_row, 700);
-    const std::string nan_path = temp_path("wf_test_index_nan.wfx");
-    index::write_index_file(nan_path, with_nan);
-    const std::unique_ptr<core::ReferenceStore> mapped_nan = index::open_index(nan_path, 2);
+    const TempIndex with_nan(flat, disk_config, "wf_test_index_nan.wfx");
+    index::IndexJournalWriter(with_nan.path).add(nan_row, 700);
+    const std::unique_ptr<index::MappedIndex> mapped_nan = with_nan.reopen();
+    const std::unique_ptr<index::MappedIndex> mapped_nan2 = with_nan.reopen(2);
+    CHECK(mapped_nan->size() == flat.size() + 1);
     // One row left in one cell at P = 1: most queries probe only empty cells,
     // so their heaps stay empty and their rankings are all untouched tail.
-    index::IvfReferenceStore hollow = mem;
-    hollow.set_probes(1);
-    for (const int label : hollow.classes()) hollow.remove_class(label);
-    hollow.add(rows.front().embedding, 7000);
+    const TempIndex hollow(flat, disk_config, "wf_test_index_hollow.wfx");
+    {
+      index::IndexJournalWriter journal(hollow.path);
+      for (const int label : flat.classes()) journal.remove_class(label);
+      journal.add(rows.front().embedding, 7000);
+    }
+    const std::unique_ptr<index::MappedIndex> hollow1 = hollow.reopen(1);
+    CHECK(hollow1->size() == 1 && hollow1->n_class_ids() == 1);
     for (const int k : {0, 1, 15, 1000}) {
       const core::KnnClassifier depth_knn(k);
       const std::vector<const core::ReferenceStore*> stores = {
-          &mem, &mem2, mapped.get(), mapped2.get(), &with_nan, mapped_nan.get(), &hollow};
+          &mapped, mapped2.get(), mapped_nan.get(), mapped_nan2.get(), hollow1.get()};
       for (const core::ReferenceStore* store : stores)
         test::check_depth_prefixes(depth_knn, *store, odd);
     }
-    std::filesystem::remove(nan_path);
 
     // The info reader sees the same shape without touching the data.
-    const index::IndexInfo info = index::read_index_info(path);
+    const index::IndexInfo info = index::read_index_info(disk.path);
     CHECK(info.dim == dim);
     CHECK(info.clusters == 6);
-    CHECK(info.rows == mem.size());
+    CHECK(info.rows == flat.size());
     CHECK(info.journal_bytes == 0);
   }
 
@@ -469,7 +349,7 @@ int main() {
   // file with a different, smaller index.
   {
     const std::string live_path = temp_path("wf_test_index_live.wfx");
-    index::write_index_file(live_path, mem);
+    index::write_index_file(live_path, disk.build);
     const std::unique_ptr<core::ReferenceStore> serving = index::open_index(live_path);
     const auto before = knn.rank_batch(*serving, queries);
     util::Rng other_rng(99);
@@ -485,54 +365,57 @@ int main() {
     std::filesystem::remove(live_path);
   }
 
-  // --- journal appends: mapped tails == in-memory adds ----------------------
+  // --- journal appends and removals replay onto the mapping ----------------
   {
-    index::IvfReferenceStore churned = mem;
-    index::IndexJournalWriter journal(path);
+    IndexOracle oracle(disk.build);
+    index::IndexJournalWriter journal(disk.path);
     util::Rng fresh(77);
     for (int i = 0; i < 9; ++i) {
       const std::vector<float> e = random_point(fresh, dim);
       const int label = (i < 3) ? 990 : rows[static_cast<std::size_t>(i)].label;
-      churned.add(e, label);
+      oracle.add(e, label);
       journal.add(e, label);
     }
     CHECK(std::filesystem::exists(journal.journal_path()));
-    const std::unique_ptr<core::ReferenceStore> mapped = index::open_index(path);
-    CHECK(mapped->size() == churned.size());
-    check_rankings_identical(knn.rank_batch(churned, queries), knn.rank_batch(*mapped, queries));
-    const index::IndexInfo info = index::read_index_info(path);
+    const std::unique_ptr<index::MappedIndex> mapped = disk.reopen();
+    oracle.check(*mapped);
+    check_rankings_identical(knn.rank_batch(oracle.store(), queries),
+                             knn.rank_batch(*mapped, queries));
+    const index::IndexInfo info = index::read_index_info(disk.path);
     CHECK(info.journal_adds == 9);
     CHECK(info.journal_bytes > 0);
 
     // A removal replays onto the mapping too (copy-on-write): the open is
-    // still a MappedIndex and answers exactly like the in-memory store.
+    // still a MappedIndex and holds exactly the oracle's rows and ids.
     journal.remove_class(700);
-    churned.remove_class(700);
+    oracle.remove_class(700);
     // The class of the last add goes too, so the highest live row id falls
     // below next_row_id: compaction must keep the sequence, not restart it.
     journal.remove_class(rows[8].label);
-    churned.remove_class(rows[8].label);
-    const std::unique_ptr<core::ReferenceStore> reloaded = index::open_index(path);
-    CHECK(dynamic_cast<const index::MappedIndex*>(reloaded.get()) != nullptr);
-    CHECK(reloaded->size() == churned.size());
-    check_rankings_identical(knn.rank_batch(churned, queries),
+    oracle.remove_class(rows[8].label);
+    const std::unique_ptr<index::MappedIndex> reloaded = disk.reopen();
+    oracle.check(*reloaded);
+    check_rankings_identical(knn.rank_batch(oracle.store(), queries),
                              knn.rank_batch(*reloaded, queries));
+    reloaded->set_probes(2);
+    oracle.check_probes(*reloaded, queries, 2);
+    check_pruned_against_oracle(*reloaded, knn, queries, {});
 
-    // Compaction: rebuild the file, journal gone, answers == a fresh
-    // clustering of the identically-churned in-memory store. With the
-    // row-id sequence carried over, the two files match byte for byte.
-    const std::size_t compacted = index::rebuild_index_file(path);
-    CHECK(compacted == churned.size());
+    // Compaction: rebuild the file, journal gone. A build of the oracle's
+    // live rows under their row ids, with the row-id sequence carried over,
+    // writes the same file byte for byte.
+    const std::size_t compacted = index::rebuild_index_file(disk.path);
+    CHECK(compacted == oracle.size());
     CHECK(!std::filesystem::exists(journal.journal_path()));
-    CHECK(index::read_index_info(path).next_row_id == churned.next_row_id());
-    const index::IvfReferenceStore oracle(churned, churned.config(), churned.next_row_id());
-    const std::unique_ptr<core::ReferenceStore> rebuilt = index::open_index(path);
-    check_rankings_identical(knn.rank_batch(oracle, queries),
-                             knn.rank_batch(*rebuilt, queries));
+    CHECK(index::read_index_info(disk.path).next_row_id == oracle.next_row_id());
     const std::string oracle_file = temp_path("wf_test_index_compact_oracle.wfx");
-    index::write_index_file(oracle_file, oracle);
-    CHECK(test::read_file(oracle_file) == test::read_file(path));
+    index::write_index_file(oracle_file, index::IvfReferenceStore(oracle.store(),
+                                                                  disk.build.config(),
+                                                                  oracle.next_row_id()));
+    CHECK(test::read_file(oracle_file) == test::read_file(disk.path));
     std::filesystem::remove(oracle_file);
+    check_rankings_identical(knn.rank_batch(oracle.store(), queries),
+                             knn.rank_batch(*disk.reopen(), queries));
   }
 
   // --- P < C against a brute-force scan of exactly the probed clusters -----
@@ -541,32 +424,83 @@ int main() {
   // class-id order; neighbour = 40 exceeds every probed cluster at P = 1,
   // which exercises the pruned-probe clamp.
   {
-    const std::string oracle_path = temp_path("wf_test_index_oracle.wfx");
     index::IvfConfig config;
     config.clusters = 6;
-    index::IvfReferenceStore live(flat, config);
-    index::write_index_file(oracle_path, live);
-    index::IndexJournalWriter journal(oracle_path);
+    const TempIndex live(flat, config, "wf_test_index_oracle.wfx");
+    IndexOracle oracle(live.build);
+    index::IndexJournalWriter journal(live.path);
     const std::vector<int> early_labels = {42, 7, 3};
     util::Rng fresh(4242);
     for (int i = 0; i < 6; ++i) {
       const std::vector<float> e = random_point(fresh, dim);
       const int label = early_labels[static_cast<std::size_t>(i) % early_labels.size()];
-      live.add(e, label);
+      oracle.add(e, label);
       journal.add(e, label);
     }
-    CHECK(live.label_of_id(live.n_class_ids() - 1) < live.label_of_id(0));
     std::size_t tails_with_early = 0;
     for (const std::size_t probes : {std::size_t{1}, std::size_t{2}}) {
-      live.set_probes(probes);
-      const std::unique_ptr<core::ReferenceStore> mapped = index::open_index(oracle_path, probes);
-      CHECK(mapped->n_class_ids() == live.n_class_ids());
-      tails_with_early += check_pruned_against_oracle(live, knn, queries, early_labels);
+      const std::unique_ptr<index::MappedIndex> mapped = live.reopen(probes);
+      oracle.check(*mapped);
+      oracle.check_probes(*mapped, queries, probes);
+      CHECK(mapped->label_of_id(mapped->n_class_ids() - 1) < mapped->label_of_id(0));
       tails_with_early += check_pruned_against_oracle(*mapped, knn, queries, early_labels);
     }
     CHECK(tails_with_early > 0);
-    std::filesystem::remove(journal.journal_path());
-    std::filesystem::remove(oracle_path);
+  }
+
+  // --- a torn journal tail reads as absent ----------------------------------
+  // An append cut short by a crash leaves part of its record, or of the
+  // journal header. Each cut opens to the state before that record (and
+  // counts in index.journal_torn_tails), read_index_info counts without it,
+  // and the next writer cuts it off, so a later append opens with its row.
+  {
+    index::IvfConfig config;
+    config.clusters = 4;
+    const TempIndex torn(flat, config, "wf_test_index_torn.wfx");
+    const std::string journal_path = torn.path + ".journal";
+    util::Rng torn_rng(31);
+    const std::vector<float> first = random_point(torn_rng, dim);
+    const std::vector<float> second = random_point(torn_rng, dim);
+    const std::vector<float> later = random_point(torn_rng, dim);
+    index::IndexJournalWriter(torn.path).add(first, 991);
+    const std::string one_add = test::read_file(journal_path);
+    CHECK(one_add.size() == 32 + 29 + 4 * dim);  // header, then one add record
+    index::IndexJournalWriter(torn.path).add(second, 993);
+    const std::string two_adds = test::read_file(journal_path);
+    test::write_file(journal_path, one_add);
+    index::IndexJournalWriter(torn.path).remove_class(700);
+    const std::string add_remove = test::read_file(journal_path);
+    CHECK(add_remove.size() == one_add.size() + 5);
+
+    const obs::Counter& torn_tails = obs::Registry::global().counter("index.journal_torn_tails");
+    const auto check_cut = [&](const std::string& bytes, const IndexOracle& before,
+                               std::size_t adds) {
+      test::write_file(journal_path, bytes);
+      const std::uint64_t seen = torn_tails.value();
+      before.check(*torn.reopen());
+      const index::IndexInfo info = index::read_index_info(torn.path);
+      CHECK(info.journal_adds == adds && info.journal_removes == 0);
+      CHECK(info.journal_bytes == (adds == 0 ? 0 : one_add.size()));
+      IndexOracle after = before;
+      {
+        index::IndexJournalWriter journal(torn.path);
+        CHECK(test::read_file(journal_path).size() == info.journal_bytes);
+        journal.add(later, 992);
+      }
+      after.add(later, 992);
+      after.check(*torn.reopen());
+      CHECK(torn_tails.value() == seen + 3);  // open, info, writer; not the last open
+    };
+    const IndexOracle base(torn.build);
+    IndexOracle with_first = base;
+    with_first.add(first, 991);
+    for (std::size_t cut = 1; cut < two_adds.size() - one_add.size(); ++cut)
+      check_cut(two_adds.substr(0, one_add.size() + cut), with_first, 1);
+    check_cut(add_remove.substr(0, one_add.size() + 1), with_first, 1);
+    for (const std::size_t cut : {1, 12, 31}) check_cut(one_add.substr(0, cut), base, 0);
+    // An unknown record kind is still an error, even as a lone last byte.
+    test::write_file(journal_path, one_add + std::string(1, '\x07'));
+    CHECK(test::throws_io_error([&] { torn.reopen(); }));
   }
 
   // --- every supported SIMD mode agrees with scalar -------------------------
@@ -583,7 +517,7 @@ int main() {
       CHECK(mode_dot == scalar_dot);  // same operation order: bit-identical
       CHECK(nn::set_simd_mode(mode));
       check_rankings_identical(exact_rankings, knn.rank_batch(flat, queries));
-      check_rankings_identical(exact_rankings, knn.rank_batch(mem, queries));
+      check_rankings_identical(exact_rankings, knn.rank_batch(*disk.store, queries));
     }
     nn::set_simd_mode(previous);
   }
@@ -766,8 +700,7 @@ int main() {
     }
     core::ShardedReferenceSet new_rows(dim, 2);
     for (const Row& row : make_rows(stale_rng, dim, 5, 20)) new_rows.add(row.embedding, row.label);
-    const index::IvfReferenceStore fresh(new_rows, config);
-    index::write_index_file(stale_path, fresh);
+    index::write_index_file(stale_path, index::IvfReferenceStore(new_rows, config));
     CHECK(!std::filesystem::exists(stale_path + ".journal"));
     const std::unique_ptr<core::ReferenceStore> reopened = index::open_index(stale_path);
     CHECK(reopened->size() == 100);
@@ -775,19 +708,19 @@ int main() {
     for (std::size_t id = 0; id < reopened->n_class_ids(); ++id)
       labels.push_back(reopened->label_of_id(id));
     std::sort(labels.begin(), labels.end());
-    CHECK(labels == fresh.classes());
+    CHECK(labels == new_rows.classes());
     CHECK(std::find(labels.begin(), labels.end(), 990) == labels.end());
-    check_rankings_identical(knn.rank_batch(fresh, queries), knn.rank_batch(*reopened, queries));
+    check_rankings_identical(knn.rank_batch(new_rows, queries),
+                             knn.rank_batch(*reopened, queries));
 
     // A different cluster count over a journaled path opens too.
     index::IndexJournalWriter(stale_path).add(random_point(stale_rng, dim), 991);
     config.clusters = 3;
-    const index::IvfReferenceStore coarse(new_rows, config);
-    index::write_index_file(stale_path, coarse);
+    index::write_index_file(stale_path, index::IvfReferenceStore(new_rows, config));
     const std::unique_ptr<core::ReferenceStore> coarse_open = index::open_index(stale_path);
     CHECK(coarse_open->size() == 100);
     CHECK(index::read_index_info(stale_path).clusters == 3);
-    check_rankings_identical(knn.rank_batch(coarse, queries),
+    check_rankings_identical(knn.rank_batch(new_rows, queries),
                              knn.rank_batch(*coarse_open, queries));
     std::filesystem::remove(stale_path);
   }
@@ -810,6 +743,5 @@ int main() {
     nn::set_simd_mode(previous);
   }
 
-  std::filesystem::remove(path);
   return TEST_MAIN_RESULT();
 }

@@ -23,9 +23,9 @@
 // kth_distances, scan_slice and merge_slice_scans — must equal, bit for
 // bit, the same queries' rows of a batch padded to pool size x kQueryTile
 // rows, which takes the unsplit path. The stores cover 1, 2, 4 and 7
-// shards, k = 0, 1, 40 and k above the row count, IVF at P < C and P = C,
-// a MappedIndex, a NaN reference row and a NaN query. Pruned stores (IVF,
-// MappedIndex) are never split: their oracle runs pin that, and that a
+// shards, k = 0, 1, 40 and k above the row count, an IVF index (a
+// MappedIndex) at P < C and P = C, a NaN reference row and a NaN query.
+// Pruned stores are never split: their oracle runs pin that, and that a
 // two-query rank_batch adds 2 to index.probes_total.
 // Every scan_slice there must be in canonical form (candidates ascending,
 // nearest by class id), so split and unsplit scans compare equal.
@@ -33,7 +33,7 @@
 // The finalize oracle: test::reference_rankings rebuilds each total
 // ranking from a canonical one-slice scan with std::sort. rank_batch and
 // merge_slice_scans must equal it bit for bit, at every depth, on an
-// exhaustive store at S = 1 and 4, IVF at P < C, a MappedIndex and a store
+// exhaustive store at S = 1 and 4, an IVF index at P < C and a store
 // after remove_class (labels no longer ascend with ids). Hand-built scans
 // fed to merge_slice_scans add exact distance ties across classes whose
 // labels run opposite to their ids, -0.0 beside +0.0, negative, subnormal
@@ -52,7 +52,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <filesystem>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -60,8 +59,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#include <unistd.h>
 
 #include "core/knn.hpp"
 #include "core/openworld.hpp"
@@ -345,35 +342,24 @@ void split_oracle(util::Rng& rng) {
   index::IvfConfig config;
   config.clusters = 8;
   config.probes = 3;
-  const index::IvfReferenceStore pruned(two, config);
-  check_split(pruned, 40, padded);
-  index::IvfReferenceStore full = pruned;
-  full.set_probes(config.clusters);
-  check_split(full, 1, padded);
+  const test::TempIndex pruned(two, config, "wf_test_scan_split.wfx");
+  check_split(*pruned.store, 40, padded);
+  const std::unique_ptr<index::MappedIndex> full = pruned.reopen(config.clusters);
+  check_split(*full, 1, padded);
   // A pruned store is never split, so each query is probed (and counted)
   // once, at every depth.
   const obs::Counter& probes = obs::Registry::global().counter("index.probes_total");
   nn::Matrix two_queries(2, kDim);  // finite: no depth-1 per-class rescan
   two_queries.set_row(0, padded.row_span(2));
   two_queries.set_row(1, padded.row_span(3));
-  for (const index::IvfReferenceStore& store : {std::cref(pruned), std::cref(full)}) {
-    CHECK(core::detail::scan_groups(store, 2, 0, 1) == 1);
+  for (const index::MappedIndex* store : {pruned.store.get(), full.get()}) {
+    CHECK(core::detail::scan_groups(*store, 2, 0, 1) == 1);
     for (const std::size_t depth : {std::size_t{1}, core::kTotalRanking}) {
       const std::uint64_t before = probes.value();
-      (void)core::KnnClassifier(40).rank_batch(store, two_queries, depth);
+      (void)core::KnnClassifier(40).rank_batch(*store, two_queries, depth);
       CHECK(probes.value() - before == 2);
     }
   }
-  // ctest runs the registrations of this binary concurrently: one file each.
-  const std::string path = (std::filesystem::temp_directory_path() /
-                            ("wf_test_scan_split_" + std::to_string(::getpid()) + ".wfx"))
-                               .string();
-  index::write_index_file(path, pruned);
-  const std::unique_ptr<core::ReferenceStore> mapped = index::open_index(path, config.probes);
-  CHECK(dynamic_cast<const index::MappedIndex*>(mapped.get()) != nullptr);
-  CHECK(core::detail::scan_groups(*mapped, 2, 0, 1) == 1);
-  check_split(*mapped, 40, padded);
-  std::filesystem::remove(path);
 
   // A NaN row third, so first in shard 2: the unsplit heap is full before
   // shard 2 is reached, but the group scanning shard 2 takes the NaN while
@@ -475,16 +461,9 @@ void finalize_oracle(util::Rng& rng) {
   index::IvfConfig config;
   config.clusters = 8;
   config.probes = 3;
-  const index::IvfReferenceStore pruned(four, config);
-  check_reference(pruned, 40, queries);
-  const std::string path = (std::filesystem::temp_directory_path() /
-                            ("wf_test_scan_reference_" + std::to_string(::getpid()) + ".wfx"))
-                               .string();
-  index::write_index_file(path, pruned);
-  const std::unique_ptr<core::ReferenceStore> mapped = index::open_index(path, config.probes);
-  CHECK(dynamic_cast<const index::MappedIndex*>(mapped.get()) != nullptr);
-  check_reference(*mapped, 7, queries);
-  std::filesystem::remove(path);
+  const test::TempIndex pruned(four, config, "wf_test_scan_reference.wfx");
+  check_reference(*pruned.store, 40, queries);
+  check_reference(*pruned.store, 7, queries);
   // Labels ascend with ids until a removal moves the last class id into
   // the freed slot.
   core::ShardedReferenceSet removed(kDim, 2);
@@ -553,7 +532,8 @@ int main() {
   index::IvfConfig config;
   config.clusters = 5;
   config.probes = 2;
-  const index::IvfReferenceStore narrow(narrow_base, config);
+  const test::TempIndex narrow_index(narrow_base, config, "wf_test_scan_narrow.wfx");
+  const index::MappedIndex& narrow = *narrow_index.store;
   CHECK(wide.n_class_ids() != narrow.n_class_ids());
   // Four exact copies of 30 points over 7 shards.
   std::vector<test::LabeledRow> duplicate_rows;

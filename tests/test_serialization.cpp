@@ -414,6 +414,30 @@ int main() {
     CHECK(throws_io_error([&] { io::load_reference_set(r); }));
   }
 
+  // --- REFS row ids must not repeat ----------------------------------------
+  // Candidate keys (distance, row id) are unique by contract: a payload
+  // whose last row takes row id 3 as well (all ids below next_row_id 5) is
+  // refused, while the unforged payload loads.
+  {
+    core::ShardedReferenceSet refs(4, 2);
+    for (int i = 0; i < 5; ++i) refs.add(std::vector<float>(4, static_cast<float>(i)), 60 + i);
+    std::stringstream saved;
+    io::Writer w(saved);
+    io::save_reference_set(w, refs);
+    std::string bytes = saved.str();
+    {
+      std::stringstream valid(bytes);
+      io::Reader r(valid);
+      CHECK(io::load_reference_set(r).size() == 5);
+    }
+    // The row-id column comes last: the final u64 is the last row's id.
+    CHECK(static_cast<unsigned char>(bytes[bytes.size() - 8]) == 4);
+    bytes[bytes.size() - 8] = 3;
+    std::stringstream forged(bytes);
+    io::Reader r(forged);
+    CHECK(throws_io_error([&] { io::load_reference_set(r); }));
+  }
+
   // --- IVF index file (wf::index base-store format) ------------------------
   {
     const std::string path = temp_path("wf_test_index_roundtrip.wfx");
