@@ -27,10 +27,6 @@ class ForestAttacker final : public core::Attacker {
   void set_references(const data::Dataset& references) override;
   std::vector<std::vector<core::RankedLabel>> fingerprint_batch(
       const data::Dataset& traces) const override;
-  // Scalar path: one tree descent per trace, no pool dispatch.
-  std::vector<core::RankedLabel> fingerprint(std::span<const float> features) const override {
-    return forest_.rank(features);
-  }
   void adapt(int label, const data::Dataset& fresh) override;
   std::vector<int> target_classes() const override { return train_.classes(); }
   std::unique_ptr<core::Attacker> clone() const override {
@@ -64,9 +60,6 @@ class FeatureKnnAttacker final : public core::Attacker {
   void set_references(const data::Dataset& references) override;
   std::vector<std::vector<core::RankedLabel>> fingerprint_batch(
       const data::Dataset& traces) const override;
-  std::vector<core::RankedLabel> fingerprint(std::span<const float> features) const override {
-    return knn_.rank(references_, features);
-  }
   void adapt(int label, const data::Dataset& fresh) override;
   std::vector<int> target_classes() const override { return references_.classes(); }
   std::unique_ptr<core::Attacker> clone() const override {

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/attacker.hpp"
@@ -20,7 +19,8 @@ namespace wf::core {
 // The paper's adversary in one object (§IV):
 //   provision   — train the embedding model on labeled pairs (once, costly)
 //   initialize  — embed the labeled crawl into the reference set
-//   fingerprint — rank candidate pages for one observed trace
+//   fingerprint — rank candidate pages for observed traces (one GEMM per
+//                 layer, one sharded scan; a single trace is a one-row batch)
 //   adapt       — probe-and-swap reference refresh, *never* retraining
 //
 // As an Attacker: train() = provision + initialize, set_references() =
@@ -49,10 +49,6 @@ class AdaptiveFingerprinter final : public Attacker {
 
   void initialize(const data::Dataset& references);
 
-  // Scalar latency path: embed one trace, rank it with the zero-alloc
-  // single-query kernel.
-  std::vector<RankedLabel> fingerprint(std::span<const float> features) const override;
-
   // Fraction of probe loads of `label` classified correctly at top-1 —
   // the §IV-C health check deciding whether to refresh a class. Ranks to
   // depth 1, which reads each query's k-heap and skips per-class work.
@@ -77,8 +73,9 @@ class AdaptiveFingerprinter final : public Attacker {
   std::string name() const override { return "adaptive"; }
   TrainStats train(const data::Dataset& train) override;
   void set_references(const data::Dataset& references) override { initialize(references); }
-  // Batched fingerprinting: embed every trace with one GEMM per layer and
-  // rank all queries against the reference set in one sharded pass.
+  // Embed every trace with one GEMM per layer and rank all queries against
+  // the reference set in one sharded pass; Attacker::fingerprint is its
+  // one-row case.
   std::vector<std::vector<RankedLabel>> fingerprint_batch(
       const data::Dataset& traces) const override;
   void adapt(int label, const data::Dataset& fresh) override { adapt_class(label, fresh); }
@@ -94,9 +91,10 @@ class AdaptiveFingerprinter final : public Attacker {
   const KnnClassifier& classifier() const { return knn_; }
 
   // --- index routing ----------------------------------------------------------
-  // The store every query path (fingerprint, fingerprint_batch, scan_slice,
-  // target_classes) actually scans: the attached store if there is one, else
-  // the exact sharded set. references_ stays authoritative for save/load.
+  // The store every query path (fingerprint_batch, scan_slice,
+  // probe_class_accuracy, target_classes) actually scans: the attached store
+  // if there is one, else the exact sharded set. references_ stays
+  // authoritative for save/load.
   const ReferenceStore& store() const {
     return store_override_ ? *store_override_ : references_;
   }

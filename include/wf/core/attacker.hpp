@@ -39,7 +39,6 @@ class TopNCurve {
 struct EvaluationResult {
   TopNCurve curve;
   std::size_t n_samples = 0;
-  double seconds = 0.0;
 };
 
 // Aggregate per-sample rankings (in sample order) against the true labels
@@ -56,11 +55,11 @@ TopNCurve curve_from_rankings(const std::vector<std::vector<RankedLabel>>& ranki
 // baseline is a one-line change in any experiment.
 //
 // Lifecycle: train() once on a labeled crawl (builds models AND the initial
-// target set), then fingerprint/evaluate observed traces; set_references()
-// re-targets the attacker onto fresh labeled loads, and adapt() refreshes a
-// single class — implementations differ in what those cost (the paper's
-// §IV claim: the embedding attacker swaps references without retraining,
-// a forest must refit end to end).
+// target set), then fingerprint/evaluate observed traces (both rank through
+// fingerprint_batch); set_references() re-targets the attacker onto fresh
+// labeled loads, and adapt() refreshes a single class — implementations
+// differ in what those cost (the paper's §IV claim: the embedding attacker
+// swaps references without retraining, a forest must refit end to end).
 class Attacker {
  public:
   virtual ~Attacker() = default;
@@ -78,18 +77,19 @@ class Attacker {
   // trained model; a forest refits).
   virtual void set_references(const data::Dataset& references) = 0;
 
-  // Ranked candidate pages for every trace in `traces`, best first.
+  // Ranked candidate pages for every trace in `traces`, best first. Each
+  // trace's ranking depends only on that trace: the same trace in any batch
+  // ranks bit-identically (wf serve coalesces queries on this).
   virtual std::vector<std::vector<RankedLabel>> fingerprint_batch(
       const data::Dataset& traces) const = 0;
 
-  // One observed trace — the latency path. The default wraps the features
-  // into a one-sample batch; implementations with a cheaper scalar kernel
-  // override it.
-  virtual std::vector<RankedLabel> fingerprint(std::span<const float> features) const;
+  // One observed trace: the one-row fingerprint_batch, so it equals that
+  // trace's row of any batch bit for bit.
+  std::vector<RankedLabel> fingerprint(std::span<const float> features) const;
 
-  // Top-n accuracy over a held-out set; the default aggregates
-  // fingerprint_batch rankings in sample order.
-  virtual EvaluationResult evaluate(const data::Dataset& test, std::size_t max_n) const;
+  // Top-n accuracy over a held-out set: fingerprint_batch rankings
+  // aggregated in sample order.
+  EvaluationResult evaluate(const data::Dataset& test, std::size_t max_n) const;
 
   // Refresh one class from fresh loads of it (§IV-C probe-and-swap for the
   // embedding attacker; a full refit for train-heavy baselines).

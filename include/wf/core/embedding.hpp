@@ -1,6 +1,5 @@
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "core/embedding_config.hpp"
@@ -22,9 +21,10 @@ struct TrainStats {
 // land close together. Classification and adaptation then operate purely in
 // embedding space — the model itself never needs retraining.
 //
-// Training and the dataset-sized embed paths run batched: every optimizer
-// step forwards/backwards its whole pair batch through one GEMM per layer,
-// and embed(Matrix)/embed_dataset do the same for inference.
+// Everything runs batched: every optimizer step forwards/backwards its whole
+// pair batch through one GEMM per layer, and embed/embed_dataset do the same
+// for inference. One trace is a one-row batch; its embedding is
+// bit-identical whatever batch it rides in.
 class EmbeddingModel {
  public:
   explicit EmbeddingModel(const EmbeddingConfig& config = {});
@@ -33,8 +33,8 @@ class EmbeddingModel {
   // generator. Calling train() again continues from the current weights.
   TrainStats train(data::PairGenerator& pairs);
 
-  // L2-normalized embedding of one encoded trace.
-  std::vector<float> embed(std::span<const float> features) const;
+  // L2-normalized embedding of every row of `batch` (one encoded trace per
+  // row).
   nn::Matrix embed(const nn::Matrix& batch) const;
   nn::Matrix embed_dataset(const data::Dataset& dataset) const;
 

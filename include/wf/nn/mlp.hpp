@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "nn/matrix.hpp"
@@ -32,18 +31,11 @@ class Mlp {
   const std::vector<float>& layer_bias(std::size_t l) const { return layers_[l].b; }
   std::vector<float>& layer_bias(std::size_t l) { return layers_[l].b; }
 
-  // Plain inference.
-  std::vector<float> forward(std::span<const float> x) const;
-
-  // Batched inference: one GEMM per layer over x (one sample per row).
+  // Inference, one GEMM per layer over x (one sample per row). The only
+  // forward pass: a single sample is a one-row batch, and every output row
+  // depends only on its own input row, so a sample's output is bit-identical
+  // whatever batch it rides in.
   Matrix forward_batch(const Matrix& x) const;
-
-  // Per-sample activations: post[l] is the output of layer l after its
-  // activation (post.back() is the network output).
-  struct Activations {
-    std::vector<std::vector<float>> post;
-  };
-  std::vector<float> forward_cached(std::span<const float> x, Activations& acts) const;
 
   // Batched activation cache for backward_batch: post[l] holds one row per
   // sample.

@@ -49,7 +49,6 @@ struct ClientConfig {
 class Client {
  public:
   Client(const std::string& host, std::uint16_t port, const ClientConfig& config);
-  Client(const std::string& host, std::uint16_t port, int retry_ms = 0);
 
   ServerInfo hello();
   // `meta`, when non-null, receives the reply's degradation marker (only

@@ -135,7 +135,9 @@ class Listener {
   std::uint16_t port() const { return port_; }
 
   // Blocks for the next connection up to `deadline` (TimeoutError past it);
-  // returns an invalid Socket once the listener has been closed.
+  // returns an invalid Socket once the listener has been closed. A failed
+  // accept on an open listener (EMFILE, ENFILE, ENOBUFS, ECONNABORTED...)
+  // throws io::IoError: the listener still works, so callers retry.
   Socket accept(const Deadline& deadline = {});
   void close();
 

@@ -63,9 +63,6 @@ class RingQueue {
     return PushOutcome::accepted;
   }
 
-  // False when the ring is full or the queue was closed.
-  bool push(T item) { return offer(std::move(item)) == PushOutcome::accepted; }
-
   // Blocks until at least one item is queued (or the queue is closed), then
   // pops up to max_items in arrival order. An empty result means closed AND
   // drained — the consumer's signal to exit.

@@ -3,6 +3,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <future>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -76,9 +77,6 @@ struct ServerConfig {
   // closes it quietly (no unsolicited frame — that would desync the
   // strictly request/reply stream). <= 0: keep idle connections forever.
   int idle_timeout_ms = 0;
-  // > 0: a background thread logs one requests/queries/queue-depth line
-  // every interval (the CLI's --stats-interval-ms). <= 0: no periodic line.
-  int stats_interval_ms = 0;
 };
 
 // The resident daemon: an accept loop, one thread per connection parsing
@@ -109,12 +107,22 @@ class Server {
     std::promise<std::string> reply;  // encoded reply frame bytes
   };
 
+  // One accepted connection. Its thread closes the socket and sets `done`
+  // (both under connections_mutex_) as it ends; the accept loop joins done
+  // connections as it takes new ones, so a closed connection holds neither a
+  // descriptor nor an unjoined thread. stop() half-closes and joins the rest.
+  struct Connection {
+    Socket socket;
+    std::thread thread;
+    bool done = false;
+  };
+
   void accept_loop();
-  void serve_connection(std::size_t slot);
+  void run_connection(Connection& connection);
+  void serve_connection(Socket& socket);
   void worker_loop();
   void process_wave(std::vector<Request> wave);
   void request_stop();
-  void stats_loop();
   // Encodes an ERRR reply AND counts it (serve.errors_total + per-class),
   // so every error path — connection parse, queue, worker — is metered.
   std::string error_frame(bool retryable, const std::string& message,
@@ -131,15 +139,12 @@ class Server {
   std::thread worker_thread_;
 
   std::mutex connections_mutex_;
-  std::vector<std::unique_ptr<Socket>> connections_;
-  std::vector<std::thread> connection_threads_;
+  std::list<Connection> connections_;  // stable addresses for the threads
 
   std::mutex stop_mutex_;
   std::condition_variable stop_requested_cv_;
   bool stop_requested_ = false;
   bool stopped_ = false;
-
-  std::thread stats_thread_;
 
   // Cached obs::Registry::global() instruments (references are stable for
   // the registry's lifetime), so the hot paths never lock the registry map.

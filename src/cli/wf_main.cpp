@@ -73,9 +73,8 @@ struct CliOptions {
   int fault_delay_ms = 100;
 
   // Observability knobs.
-  int stats_interval_ms = 0;  // serve: periodic metrics log line; 0 disables
-  bool watch = false;         // wf stats: poll instead of one-shot
-  int interval_ms = 2000;     // wf stats --watch poll period
+  bool watch = false;      // wf stats: poll instead of one-shot
+  int interval_ms = 2000;  // wf stats --watch poll period
   long seed = 1;
   serve::BackendAddress upstream;
   bool upstream_given = false;
@@ -127,7 +126,6 @@ int usage(int code) {
       "  --retries N        bounded-retry attempts for retryable failures (8)\n"
       "  --partial          coordinator: answer from live slices when backends\n"
       "                     are down, flagging the reply degraded (default: fail)\n"
-      "  --stats-interval-ms T  serve: log a metrics summary every T ms (0: off)\n"
       "\n"
       "stats flags (wf stats --port P):\n"
       "  --watch            keep polling every --interval-ms until interrupted\n"
@@ -305,7 +303,7 @@ bool parse_flags(int argc, char** argv, int first, CliOptions& options) {
     } else if (arg == "--partial") {
       options.partial = true;
     } else if (arg == "--timeout-ms" || arg == "--idle-timeout-ms" ||
-               arg == "--fault-delay-ms" || arg == "--stats-interval-ms") {
+               arg == "--fault-delay-ms") {
       const char* v = value(i, arg.c_str());
       if (v == nullptr) return false;
       long parsed = 0;
@@ -317,8 +315,6 @@ bool parse_flags(int argc, char** argv, int first, CliOptions& options) {
         options.timeout_ms = static_cast<int>(parsed);
       } else if (arg == "--idle-timeout-ms") {
         options.idle_timeout_ms = static_cast<int>(parsed);
-      } else if (arg == "--stats-interval-ms") {
-        options.stats_interval_ms = static_cast<int>(parsed);
       } else {
         options.fault_delay_ms = static_cast<int>(parsed);
       }
@@ -667,7 +663,6 @@ int cmd_serve(const CliOptions& options) {
   config.max_batch = options.max_batch;
   config.request_timeout_ms = effective_timeout_ms(options);
   config.idle_timeout_ms = options.idle_timeout_ms;
-  config.stats_interval_ms = options.stats_interval_ms;
   serve::Server server(std::move(handler), config);
   server.start();
   if (options.slice_count > 1)

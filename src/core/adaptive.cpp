@@ -29,12 +29,6 @@ TrainStats AdaptiveFingerprinter::train(const data::Dataset& train) {
   return stats;
 }
 
-std::vector<RankedLabel> AdaptiveFingerprinter::fingerprint(
-    std::span<const float> features) const {
-  const std::vector<float> embedding = model_.embed(features);
-  return knn_.rank(store(), embedding);
-}
-
 std::vector<std::vector<RankedLabel>> AdaptiveFingerprinter::fingerprint_batch(
     const data::Dataset& traces) const {
   const obs::Span span("rank");

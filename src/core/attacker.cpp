@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "io/serialize.hpp"
-#include "util/stopwatch.hpp"
 
 namespace wf::core {
 
@@ -40,14 +39,12 @@ TopNCurve curve_from_rankings(const std::vector<std::vector<RankedLabel>>& ranki
 }
 
 EvaluationResult Attacker::evaluate(const data::Dataset& test, std::size_t max_n) const {
-  util::Stopwatch watch;
   EvaluationResult result;
   result.n_samples = test.size();
   if (test.empty()) return result;
   // Rank every query in one batched pass; the hit aggregation stays serial
   // and in sample order.
   result.curve = curve_from_rankings(fingerprint_batch(test), test.labels_of(), max_n);
-  result.seconds = watch.seconds();
   return result;
 }
 

@@ -41,14 +41,6 @@ EmbeddingModel::EmbeddingModel(const EmbeddingConfig& config) : config_(config) 
   net_ = nn::Mlp(sizes, config_.seed);
 }
 
-std::vector<float> EmbeddingModel::embed(std::span<const float> features) const {
-  if (features.size() != net_.input_dim())
-    throw std::invalid_argument("EmbeddingModel::embed: feature width mismatch");
-  std::vector<float> out = net_.forward(features);
-  normalize(out);
-  return out;
-}
-
 nn::Matrix EmbeddingModel::embed(const nn::Matrix& batch) const {
   const obs::Span span("embed");
   nn::Matrix out = net_.forward_batch(batch);

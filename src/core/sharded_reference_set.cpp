@@ -28,9 +28,8 @@ void ShardedReferenceSet::add(std::span<const float> embedding, int label) {
     throw std::invalid_argument("ShardedReferenceSet::add: row ids exhausted (2^40)");
   if (shards_.empty()) shards_.resize(1);
   const int class_id = ids_.intern(label);
-  double norm = 0.0;
-  for (const float v : embedding) norm += static_cast<double>(v) * v;
-  shards_[next_row_id_ % shards_.size()].append(embedding, norm, class_id, next_row_id_);
+  shards_[next_row_id_ % shards_.size()].append(
+      embedding, nn::squared_norm(embedding.data(), dim_), class_id, next_row_id_);
   ++next_row_id_;
   ++size_;
 }

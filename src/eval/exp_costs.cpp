@@ -22,7 +22,7 @@ void add_measured_row(util::Table& table, const std::string& label, core::Attack
   attacker.adapt(probe_class, fresh);
   const double adapt_ms = watch.millis();
 
-  // Per-trace latency path: one scalar ranking at a time.
+  // Per-trace latency: one trace at a time, each a one-row fingerprint_batch.
   watch.reset();
   std::size_t tested = 0;
   for (std::size_t i = 0; i < split.second.size(); ++i, ++tested)

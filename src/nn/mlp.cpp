@@ -45,31 +45,6 @@ std::vector<std::size_t> Mlp::layer_sizes() const {
   return sizes;
 }
 
-std::vector<float> Mlp::forward(std::span<const float> x) const {
-  Activations scratch;
-  return forward_cached(x, scratch);
-}
-
-std::vector<float> Mlp::forward_cached(std::span<const float> x, Activations& acts) const {
-  acts.post.resize(layers_.size());
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const Layer& layer = layers_[l];
-    const bool last = (l + 1 == layers_.size());
-    const std::span<const float> in =
-        (l == 0) ? x : std::span<const float>(acts.post[l - 1]);
-    std::vector<float>& out = acts.post[l];
-    out.resize(layer.w.rows());
-    for (std::size_t r = 0; r < layer.w.rows(); ++r) {
-      const float* wrow = layer.w.data() + r * layer.w.cols();
-      double acc = layer.b[r];
-      for (std::size_t c = 0; c < layer.w.cols(); ++c) acc += wrow[c] * in[c];
-      const float a = static_cast<float>(acc);
-      out[r] = last ? a : (a > 0.0f ? a : 0.0f);
-    }
-  }
-  return acts.post.back();
-}
-
 Matrix Mlp::forward_batch(const Matrix& x) const {
   BatchActivations scratch;
   return forward_batch_cached(x, scratch);

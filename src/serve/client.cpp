@@ -2,16 +2,6 @@
 
 namespace wf::serve {
 
-namespace {
-
-ClientConfig legacy_config(int retry_ms) {
-  ClientConfig config;
-  config.connect_retry_ms = retry_ms;
-  return config;
-}
-
-}  // namespace
-
 Client::Client(const std::string& host, std::uint16_t port, const ClientConfig& config)
     : host_(host), port_(port), config_(config) {
   ConnectOptions options;
@@ -19,9 +9,6 @@ Client::Client(const std::string& host, std::uint16_t port, const ClientConfig& 
   options.connect_timeout_ms = config_.connect_timeout_ms;
   socket_ = tcp_connect(host_, port_, options);
 }
-
-Client::Client(const std::string& host, std::uint16_t port, int retry_ms)
-    : Client(host, port, legacy_config(retry_ms)) {}
 
 void Client::ensure_connected() {
   if (socket_.valid()) return;

@@ -36,7 +36,12 @@ FaultProxy::~FaultProxy() { stop(); }
 void FaultProxy::accept_loop() {
   util::Rng root(plan_.seed);
   while (true) {
-    Socket client = listener_.accept();
+    Socket client;
+    try {
+      client = listener_.accept();
+    } catch (const io::IoError&) {
+      return;  // chaos tooling for short runs: a failed accept ends the proxy
+    }
     if (!client.valid()) return;  // listener closed: shutting down
     const std::uint64_t id = n_connections_.fetch_add(1);
     Socket upstream;

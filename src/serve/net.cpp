@@ -251,7 +251,9 @@ Socket Listener::accept(const Deadline& deadline) {
       }
       continue;
     }
-    return Socket();  // listener closed (or unrecoverable): signal shutdown
+    const int err = errno;
+    if (fd_.load() < 0) return Socket();  // closed under us: shutting down
+    throw io::IoError(std::string("accept failed: ") + std::strerror(err));
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <chrono>
 #include <exception>
+#include <functional>
+#include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -121,45 +124,58 @@ void Server::start() {
   listener_ = std::make_unique<Listener>(config_.host, config_.port);
   accept_thread_ = std::thread(&Server::accept_loop, this);
   worker_thread_ = std::thread(&Server::worker_loop, this);
-  if (config_.stats_interval_ms > 0) stats_thread_ = std::thread(&Server::stats_loop, this);
-}
-
-void Server::stats_loop() {
-  std::unique_lock<std::mutex> lock(stop_mutex_);
-  while (true) {
-    // Paced by the stop condition variable (not a bare sleep), so shutdown
-    // never waits out a stats interval.
-    if (stop_requested_cv_.wait_for(lock, std::chrono::milliseconds(config_.stats_interval_ms),
-                                    [&] { return stop_requested_ || stopped_; }))
-      return;
-    // The serve.* counters are process-wide (one Server per wf serve).
-    util::log_info() << "stats: requests=" << requests_total_->value()
-                     << " queries=" << queries_total_->value()
-                     << " batches=" << batches_total_->value()
-                     << " rejected=" << rejected_total_->value()
-                     << " timeouts=" << timeouts_total_->value()
-                     << " queue_depth=" << queue_.size();
-  }
 }
 
 std::uint16_t Server::port() const { return listener_ ? listener_->port() : 0; }
 
 void Server::accept_loop() {
+  std::optional<Backoff> backoff;  // engaged while accepts keep failing
   while (true) {
-    Socket socket = listener_->accept();
+    Socket socket;
+    try {
+      socket = listener_->accept();
+    } catch (const io::IoError& e) {
+      // A failed accept on an open listener (out of descriptors, say) is
+      // transient: connections that close free what it needs. Retry on a
+      // backoff, waiting on the stop condition so shutdown never waits it out.
+      if (!backoff) {
+        backoff.emplace(RetryPolicy{});
+        util::log_warn() << "wf serve: " << e.what() << "; retrying";
+      }
+      const auto delay = std::chrono::milliseconds(backoff->next_delay_ms());
+      std::unique_lock<std::mutex> lock(stop_mutex_);
+      if (stop_requested_cv_.wait_for(lock, delay, [&] { return stop_requested_ || stopped_; }))
+        return;
+      continue;
+    }
     if (!socket.valid()) return;  // listener closed: shutting down
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.push_back(std::make_unique<Socket>(std::move(socket)));
-    const std::size_t slot = connections_.size() - 1;
-    connection_threads_.emplace_back(&Server::serve_connection, this, slot);
+    backoff.reset();
+    std::list<Connection> finished;
+    {
+      const std::lock_guard<std::mutex> lock(connections_mutex_);
+      for (auto it = connections_.begin(); it != connections_.end();) {
+        const auto next = std::next(it);
+        if (it->done) finished.splice(finished.end(), connections_, it);
+        it = next;
+      }
+      Connection& connection = connections_.emplace_back();
+      connection.socket = std::move(socket);
+      connection.thread = std::thread(&Server::run_connection, this, std::ref(connection));
+    }
+    for (Connection& connection : finished) connection.thread.join();
   }
 }
 
-void Server::serve_connection(std::size_t slot) {
-  Socket& socket = [&]() -> Socket& {
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    return *connections_[slot];
-  }();
+void Server::run_connection(Connection& connection) {
+  serve_connection(connection.socket);
+  // Under the lock, so stop() never half-closes a descriptor number that a
+  // new connection has already reused.
+  const std::lock_guard<std::mutex> lock(connections_mutex_);
+  connection.socket.close();
+  connection.done = true;
+}
+
+void Server::serve_connection(Socket& socket) {
   while (true) {
     // Phase 1: wait for a frame to begin, bounded by the idle timeout. An
     // idle breach closes the connection quietly — sending an unsolicited
@@ -431,28 +447,23 @@ void Server::stop() {
   //   3. Only then half-close the connections: shutdown_read() wakes
   //      threads blocked waiting for the next request while leaving the
   //      write side intact, so every in-flight reply still reaches its
-  //      client before the connection threads exit.
-  if (stats_thread_.joinable()) stats_thread_.join();  // woken by the notify above
+  //      client before the connection threads exit. Each thread then
+  //      closes its socket fully, so peers observe EOF right away instead
+  //      of a half-open socket.
   if (listener_) listener_->close();  // wakes the blocked accept()
   if (accept_thread_.joinable()) accept_thread_.join();
 
   queue_.close();
   if (worker_thread_.joinable()) worker_thread_.join();
 
-  std::vector<std::thread> threads;
+  std::list<Connection> connections;
   {
     const std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (const std::unique_ptr<Socket>& socket : connections_) socket->shutdown_read();
-    threads.swap(connection_threads_);
+    for (Connection& connection : connections_) connection.socket.shutdown_read();
+    connections.swap(connections_);
   }
-  for (std::thread& t : threads)
-    if (t.joinable()) t.join();
-  {
-    // Fully close the drained connections so peers observe EOF right away
-    // instead of timing out against a half-open socket.
-    const std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.clear();
-  }
+  for (Connection& connection : connections)
+    if (connection.thread.joinable()) connection.thread.join();
 }
 
 }  // namespace wf::serve

@@ -21,6 +21,7 @@
 
 #include <unistd.h>
 
+#include "core/attacker.hpp"
 #include "core/knn.hpp"
 #include "core/openworld.hpp"
 #include "core/reference_store.hpp"
@@ -178,6 +179,16 @@ inline bool same_bits(const Rankings& a, const Rankings& b) {
   for (std::size_t q = 0; q < a.size(); ++q)
     if (!same_bits(a[q], b[q])) return false;
   return true;
+}
+
+// Attacker::fingerprint is the one-row fingerprint_batch: every trace's own
+// ranking equals its row of the whole batch bit for bit.
+inline void check_fingerprint_is_batch_row(const core::Attacker& attacker,
+                                           const data::Dataset& traces) {
+  const Rankings batch = attacker.fingerprint_batch(traces);
+  CHECK(batch.size() == traces.size());
+  for (std::size_t i = 0; i < traces.size() && i < batch.size(); ++i)
+    CHECK(same_bits(attacker.fingerprint(traces[i].features), batch[i]));
 }
 
 // The finalize oracle: every query's total ranking rebuilt from `scan`, a

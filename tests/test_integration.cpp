@@ -41,9 +41,11 @@ int main() {
   CHECK(eval.curve.top(1) > 0.5);
   CHECK(eval.curve.top(3) >= eval.curve.top(1));
 
-  // fingerprint() returns a full ranking whose best guess matches evaluate.
+  // fingerprint() returns a full ranking, and it is the trace's row of the
+  // batched ranking bit for bit, distances included.
   const std::vector<core::RankedLabel> ranking = attacker.fingerprint(split.second[0].features);
   CHECK(ranking.size() == 8);
+  test::check_fingerprint_is_batch_row(attacker, split.second);
 
   // Determinism: a second attacker built identically agrees exactly.
   core::AdaptiveFingerprinter twin(config, 10);

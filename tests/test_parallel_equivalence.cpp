@@ -2,8 +2,12 @@
 //  - crawling with 1 vs N threads yields byte-identical corpora,
 //  - the GEMM kernels are bit-identical across pool sizes,
 //  - rank_batch agrees with a brute-force linear-scan ranking,
-//  - forward_batch / embed(Matrix) match the per-row scalar paths.
+//  - forward_batch / embed match a double-accumulation oracle, and every
+//    row of a batch equals the one-row call on that row bit for bit.
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/embedding.hpp"
@@ -30,6 +34,57 @@ std::vector<float> random_unit(util::Rng& rng, std::size_t dim) {
   norm = std::sqrt(norm);
   for (float& x : v) x = static_cast<float>(x / norm);
   return v;
+}
+
+// Test-local forward oracle, independent of the GEMM kernels: each output
+// is its bias plus the weighted inputs, accumulated in double in index
+// order, with ReLU on every layer but the last.
+std::vector<float> oracle_forward(const nn::Mlp& mlp, std::span<const float> x) {
+  std::vector<float> in(x.begin(), x.end());
+  for (std::size_t l = 0; l < mlp.n_layers(); ++l) {
+    const nn::Matrix& w = mlp.layer_weights(l);
+    const std::vector<float>& bias = mlp.layer_bias(l);
+    const bool last = l + 1 == mlp.n_layers();
+    std::vector<float> out(w.rows());
+    for (std::size_t r = 0; r < w.rows(); ++r) {
+      double acc = bias[r];
+      for (std::size_t c = 0; c < w.cols(); ++c) acc += w(r, c) * in[c];
+      const float a = static_cast<float>(acc);
+      out[r] = last ? a : (a > 0.0f ? a : 0.0f);
+    }
+    in = std::move(out);
+  }
+  return in;
+}
+
+// The oracle's output scaled to unit length (double norm).
+std::vector<float> oracle_embed(const nn::Mlp& mlp, std::span<const float> x) {
+  std::vector<float> v = oracle_forward(mlp, x);
+  double norm = 0.0;
+  for (const float e : v) norm += static_cast<double>(e) * e;
+  norm = std::sqrt(norm);
+  const double inv = norm > 1e-12 ? 1.0 / norm : 0.0;
+  for (float& e : v) e = static_cast<float>(e * inv);
+  return v;
+}
+
+nn::Matrix one_row(const nn::Matrix& x, std::size_t i) {
+  nn::Matrix row(1, x.cols());
+  row.set_row(0, x.row_span(i));
+  return row;
+}
+
+bool same_row_bits(const nn::Matrix& a, std::size_t i, const nn::Matrix& b) {
+  return b.rows() == 1 && a.cols() == b.cols() &&
+         std::memcmp(a.row_span(i).data(), b.data(), a.cols() * sizeof(float)) == 0;
+}
+
+nn::Matrix uniform_matrix(util::Rng& rng, std::size_t rows, std::size_t cols, double lo,
+                          double hi) {
+  nn::Matrix x(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i)
+    for (std::size_t j = 0; j < cols; ++j) x(i, j) = static_cast<float>(rng.uniform(lo, hi));
+  return x;
 }
 
 }  // namespace
@@ -189,24 +244,26 @@ int main() {
     }
   }
 
-  // --- forward_batch matches per-row forward to 1e-5.
+  // --- forward_batch matches the double-accumulation oracle to 1e-5, and
+  // each row of a batch is bit-identical to the one-row batch of that row
+  // (wf serve coalesces queries on this). 300 rows takes the pooled GEMM;
+  // one row takes the serial one.
   {
     nn::Mlp mlp({24, 48, 16, 8}, 99);
     util::Rng rng(21);
-    nn::Matrix x(33, 24);
-    for (std::size_t i = 0; i < x.rows(); ++i)
-      for (std::size_t j = 0; j < x.cols(); ++j)
-        x(i, j) = static_cast<float>(rng.uniform(-1.0, 1.0));
+    const nn::Matrix x = uniform_matrix(rng, 300, 24, -1.0, 1.0);
     const nn::Matrix batch = mlp.forward_batch(x);
     CHECK(batch.rows() == x.rows());
     CHECK(batch.cols() == 8);
     for (std::size_t i = 0; i < x.rows(); ++i) {
-      const std::vector<float> row = mlp.forward(x.row_span(i));
+      const std::vector<float> row = oracle_forward(mlp, x.row_span(i));
       for (std::size_t j = 0; j < row.size(); ++j) CHECK_NEAR(batch(i, j), row[j], 1e-5);
+      CHECK(same_row_bits(batch, i, mlp.forward_batch(one_row(x, i))));
     }
   }
 
-  // --- embed(Matrix) matches embed(span) per row to 1e-5.
+  // --- embed matches the normalized oracle to 1e-5, and each row of a
+  // batch is bit-identical to the one-row embed of that row.
   {
     core::EmbeddingConfig config;
     config.n_sequences = 2;
@@ -215,14 +272,12 @@ int main() {
     config.hidden = {24};
     const core::EmbeddingModel model(config);
     util::Rng rng(8);
-    nn::Matrix batch(17, config.input_dim());
-    for (std::size_t i = 0; i < batch.rows(); ++i)
-      for (std::size_t j = 0; j < batch.cols(); ++j)
-        batch(i, j) = static_cast<float>(rng.uniform(0.0, 2.0));
+    const nn::Matrix batch = uniform_matrix(rng, 200, config.input_dim(), 0.0, 2.0);
     const nn::Matrix out = model.embed(batch);
     for (std::size_t i = 0; i < batch.rows(); ++i) {
-      const std::vector<float> row = model.embed(batch.row_span(i));
+      const std::vector<float> row = oracle_embed(model.net(), batch.row_span(i));
       for (std::size_t j = 0; j < row.size(); ++j) CHECK_NEAR(out(i, j), row[j], 1e-5);
+      CHECK(same_row_bits(out, i, model.embed(one_row(batch, i))));
     }
   }
 

@@ -273,6 +273,7 @@ int main() {
     const std::unique_ptr<core::Attacker> reloaded = io::load_attacker(path);
     CHECK(reloaded->name() == "forest");
     CHECK(rankings_equal(forest_before, reloaded->fingerprint_batch(split.second)));
+    test::check_fingerprint_is_batch_row(forest, split.second);
     // adapt() refits from the retained corpus; reloaded must behave the same.
     baselines::ForestAttacker twin;
     twin.load(path);
@@ -291,6 +292,7 @@ int main() {
     const std::unique_ptr<core::Attacker> reloaded = io::load_attacker(path);
     CHECK(reloaded->name() == "kfp-knn");
     CHECK(rankings_equal(kfp_before, reloaded->fingerprint_batch(split.second)));
+    test::check_fingerprint_is_batch_row(kfp, split.second);
     std::remove(path.c_str());
   }
 

@@ -118,7 +118,7 @@ void test_fault_sweep(const core::AdaptiveFingerprinter& attacker, const data::D
 
   // The daemon took the whole sweep without wedging: a direct client still
   // gets the full batch, bit-identically.
-  serve::Client direct("127.0.0.1", server.port(), 2000);
+  serve::Client direct("127.0.0.1", server.port(), serve::ClientConfig{.connect_retry_ms = 2000});
   CHECK(rankings_equal(expected, direct.query(rows_of(test, 0, test.size()))));
   server.stop();
 }
@@ -150,8 +150,10 @@ void test_failover(const core::AdaptiveFingerprinter& attacker, const data::Data
   serve::Server front_partial(partial, {});
   front_strict.start();
   front_partial.start();
-  serve::Client client_strict("127.0.0.1", front_strict.port(), 2000);
-  serve::Client client_partial("127.0.0.1", front_partial.port(), 2000);
+  serve::Client client_strict("127.0.0.1", front_strict.port(),
+                              serve::ClientConfig{.connect_retry_ms = 2000});
+  serve::Client client_partial("127.0.0.1", front_partial.port(),
+                               serve::ClientConfig{.connect_retry_ms = 2000});
 
   // Healthy: both answer full coverage, bit-identical, no DGRD marker.
   const nn::Matrix all = rows_of(test, 0, test.size());
@@ -249,8 +251,8 @@ void test_graceful_drain(const core::AdaptiveFingerprinter& attacker, const data
       serve::ServerConfig{});
   server.start();
 
-  serve::Client early("127.0.0.1", server.port(), 2000);
-  serve::Client late("127.0.0.1", server.port(), 2000);
+  serve::Client early("127.0.0.1", server.port(), serve::ClientConfig{.connect_retry_ms = 2000});
+  serve::Client late("127.0.0.1", server.port(), serve::ClientConfig{.connect_retry_ms = 2000});
   late.hello();  // connection established before the listener closes
 
   std::atomic<bool> got_reply{false};

@@ -101,7 +101,7 @@ int main() {
     const obs::Snapshot before = obs::Registry::global().snapshot();
     serve::Server server(std::make_shared<serve::LocalHandler>(attacker.clone()), {});
     server.start();
-    serve::Client client("127.0.0.1", server.port(), 2000);
+    serve::Client client("127.0.0.1", server.port(), serve::ClientConfig{.connect_retry_ms = 2000});
 
     const serve::ServerInfo info = client.hello();
     CHECK(info.attacker == "adaptive");
@@ -127,7 +127,8 @@ int main() {
     std::vector<char> ok(test.size(), 0);
     for (std::size_t i = 0; i < test.size(); ++i) {
       clients.emplace_back([&, i] {
-        serve::Client mine("127.0.0.1", server.port(), 2000);
+        serve::Client mine("127.0.0.1", server.port(),
+                           serve::ClientConfig{.connect_retry_ms = 2000});
         const serve::Rankings part = mine.query_until_accepted(rows_of(test, i, i + 1));
         ok[i] = rankings_equal({expected[i]}, part);
       });
@@ -195,7 +196,8 @@ int main() {
         {});
     coordinator.start();
 
-    serve::Client client("127.0.0.1", coordinator.port(), 2000);
+    serve::Client client("127.0.0.1", coordinator.port(),
+                         serve::ClientConfig{.connect_retry_ms = 2000});
     const serve::ServerInfo info = client.hello();
     CHECK(info.slice_count == 1 && info.n_references == attacker.references().size());
 
@@ -272,7 +274,8 @@ int main() {
               addresses, serve::CoordinatorConfig{.connect_retry_ms = 2000}),
           {});
       coordinator.start();
-      serve::Client client("127.0.0.1", coordinator.port(), 2000);
+      serve::Client client("127.0.0.1", coordinator.port(),
+                           serve::ClientConfig{.connect_retry_ms = 2000});
       CHECK(client.hello().shard_count == 5);
       CHECK(rankings_equal(expected, client.query(rows_of(test, 0, test.size()))));
       coordinator.stop();

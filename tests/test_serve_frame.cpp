@@ -447,23 +447,25 @@ void test_socket_framing() {
 
 void test_ring_queue() {
   serve::RingQueue<int> queue(3);
+  using Outcome = serve::RingQueue<int>::PushOutcome;
+  constexpr Outcome accepted = Outcome::accepted;
   CHECK(queue.capacity() == 3);
-  CHECK(queue.push(1) && queue.push(2) && queue.push(3));
-  CHECK(!queue.push(4));  // full: backpressure, not blocking
+  CHECK(queue.offer(1) == accepted && queue.offer(2) == accepted && queue.offer(3) == accepted);
+  CHECK(queue.offer(4) == Outcome::full);  // full: backpressure, not blocking
   CHECK(queue.size() == 3);
 
   // Waves drain in arrival order, bounded by max_items.
   std::vector<int> wave = queue.pop_wave(2);
   CHECK(wave.size() == 2 && wave[0] == 1 && wave[1] == 2);
-  CHECK(queue.push(5));  // slot freed
+  CHECK(queue.offer(5) == accepted);  // slot freed
   wave = queue.pop_wave(0);  // 0 = everything queued
   CHECK(wave.size() == 2 && wave[0] == 3 && wave[1] == 5);
 
   // close(): future pushes fail, queued items stay poppable, and the
   // consumer sees an empty wave once drained.
-  CHECK(queue.push(6));
+  CHECK(queue.offer(6) == accepted);
   queue.close();
-  CHECK(!queue.push(7));
+  CHECK(queue.offer(7) == Outcome::closed);
   wave = queue.pop_wave(0);
   CHECK(wave.size() == 1 && wave[0] == 6);
   CHECK(queue.pop_wave(0).empty());
@@ -474,7 +476,7 @@ void test_ring_queue() {
     const std::vector<int> got = live.pop_wave(0);
     CHECK(!got.empty() && got[0] == 42);
   });
-  live.push(42);
+  CHECK(live.offer(42) == accepted);
   consumer.join();
 }
 

@@ -2,19 +2,33 @@
 // across arbitrarily many sends still parse, a disconnect at every byte
 // boundary classifies as clean close vs truncation (never a timeout), a
 // silent peer surfaces as TimeoutError at the deadline, tcp_connect names
-// its attempt count on failure, and the RingQueue distinguishes
-// backpressure from shutdown when it refuses a push.
+// its attempt count on failure, the RingQueue distinguishes backpressure
+// from shutdown when it refuses a push, and a Server closes each finished
+// connection, gives back its descriptor and outlives running out of
+// descriptors.
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <fstream>
+#include <limits>
+#include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include "obs/metrics.hpp"
+#include "serve/client.hpp"
 #include "serve/frame.hpp"
 #include "serve/net.hpp"
 #include "serve/queue.hpp"
+#include "serve/server.hpp"
 #include "test_common.hpp"
 
 namespace {
@@ -192,6 +206,148 @@ void test_queue_outcomes() {
   CHECK(queue.offer(5) == Outcome::closed);  // shutdown: go elsewhere
 }
 
+// Answers HELO and nothing else: the connection tests need no model.
+class HelloHandler final : public serve::Handler {
+ public:
+  serve::ServerInfo info() const override {
+    serve::ServerInfo info;
+    info.attacker = "hello";
+    return info;
+  }
+  serve::RankReply rank(const nn::Matrix&) override {
+    throw std::runtime_error("HelloHandler: no ranking");
+  }
+  core::SliceScan scan(const nn::Matrix&) override {
+    throw std::runtime_error("HelloHandler: no scans");
+  }
+};
+
+// The process's virtual size in KiB (Linux /proc). An exited thread that
+// was never joined keeps its stack mapped, so unjoined threads show here.
+long virtual_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  long value = 0;
+  while (status >> key) {
+    if (key == "VmSize:" && status >> value) return value;
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+bool answers_hello(serve::Client& client) {
+  try {
+    return client.hello().attacker == "hello";
+  } catch (const io::IoError&) {
+    return false;
+  }
+}
+
+bool hello_answered(std::uint16_t port, const serve::ClientConfig& config) {
+  try {
+    serve::Client client("127.0.0.1", port, config);
+    return answers_hello(client);
+  } catch (const io::IoError&) {
+    return false;
+  }
+}
+
+// A daemon runs for weeks: a closed connection must give back its
+// descriptor and thread, and a failed accept (out of descriptors) must not
+// end the accept loop. Runs under a soft RLIMIT_NOFILE of 64, so a leak
+// shows within a few dozen connections; the limit is restored afterwards.
+void test_connection_lifecycle() {
+  rlimit saved{};
+  CHECK(::getrlimit(RLIMIT_NOFILE, &saved) == 0);
+  rlimit low = saved;
+  low.rlim_cur = std::min<rlim_t>(64, saved.rlim_cur);
+  CHECK(::setrlimit(RLIMIT_NOFILE, &low) == 0);
+  {
+    serve::Server server(std::make_shared<HelloHandler>(), serve::ServerConfig{});
+    server.start();
+    const serve::ClientConfig quick{.timeout_ms = 1000};
+
+    // More sequential connections than the process has descriptors, and
+    // their threads are joined as they go, not kept until stop(). The first
+    // ten warm up the thread stacks and allocator arenas the rest reuse.
+    int answered = 0;
+    long vm_before = 0;
+    while (answered < 150 && hello_answered(server.port(), quick))
+      if (++answered == 10) vm_before = virtual_kib();
+    CHECK(answered == 150);
+    // 140 unjoined 8 MiB thread stacks would map over 1 GiB.
+    CHECK(virtual_kib() - vm_before < 256 * 1024);
+
+    // Hold connections until one fails (client or server side out of
+    // descriptors), then close them all: the next HELO is answered.
+    std::vector<std::unique_ptr<serve::Client>> held;
+    bool exhausted = false;
+    while (!exhausted && held.size() < 200) {
+      try {
+        auto client = std::make_unique<serve::Client>("127.0.0.1", server.port(), quick);
+        client->hello();
+        held.push_back(std::move(client));
+      } catch (const io::IoError&) {
+        exhausted = true;
+      }
+    }
+    CHECK(exhausted);
+    held.clear();
+    const serve::ClientConfig patient{.connect_retry_ms = 2000, .timeout_ms = 5000};
+    CHECK(hello_answered(server.port(), patient));
+
+    // The server side for certain: with every descriptor but one taken,
+    // the client gets it and the server's accept fails. The accept loop
+    // backs off (retry.backoffs_total moves) instead of exiting, and takes
+    // the waiting connection once descriptors are free again.
+    std::vector<int> filler;
+    const auto fill = [&] {
+      while (filler.size() < 200) {
+        const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+        if (fd < 0) return;
+        filler.push_back(fd);
+      }
+    };
+    fill();
+    // Once more after the last connection threads have closed their sockets.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    fill();
+    CHECK(!filler.empty() && filler.size() < 200);
+    ::close(filler.back());
+    filler.pop_back();
+    const obs::Counter& backoffs = obs::Registry::global().counter("retry.backoffs_total");
+    const std::uint64_t backoffs_before = backoffs.value();
+    serve::Client waiting("127.0.0.1", server.port(), patient);
+    const serve::Deadline give_up = serve::Deadline::after_ms(5000);
+    while (backoffs.value() == backoffs_before && !give_up.expired())
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    CHECK(backoffs.value() > backoffs_before);
+    for (const int fd : filler) ::close(fd);
+    CHECK(answers_hello(waiting));
+    CHECK(hello_answered(server.port(), quick));
+    server.stop();
+  }
+  CHECK(::setrlimit(RLIMIT_NOFILE, &saved) == 0);
+}
+
+// A server-side hangup (here the idle timeout) closes the socket as the
+// connection thread ends: the peer reads EOF, not silence.
+void test_hangup_closes_socket() {
+  serve::ServerConfig config;
+  config.idle_timeout_ms = 50;
+  serve::Server server(std::make_shared<HelloHandler>(), config);
+  server.start();
+  serve::Socket sock = serve::tcp_connect("127.0.0.1", server.port(), 2000);
+  bool eof = false;
+  try {
+    eof = !serve::recv_frame(sock, serve::Deadline::after_ms(5000)).has_value();
+  } catch (const io::IoError&) {
+    eof = false;  // timed out: the server kept the connection open
+  }
+  CHECK(eof);
+  server.stop();
+}
+
 }  // namespace
 
 int main() {
@@ -201,5 +357,7 @@ int main() {
   test_recv_timeout();
   test_queue_outcomes();
   test_connect_failure_names_attempts();
+  test_connection_lifecycle();
+  test_hangup_closes_socket();
   return TEST_MAIN_RESULT();
 }
